@@ -143,22 +143,6 @@ def _sample_tx(spec, samples, seed):
     return ts, X, Z, Z2
 
 
-def _sup_with_times(spec, ts, X, Z):
-    """sup-Hamiltonian with a per-sample time column.
-
-    Expression-backed coefficients broadcast an array ``t`` elementwise; for
-    opaque callables this falls back to a per-sample loop.
-    """
-    try:
-        vals, _ = sup_hamiltonian_batch(spec, ts, X, Z)
-        return vals
-    except Exception:
-        out = np.empty(ts.size)
-        for i in range(ts.size):
-            out[i] = sup_hamiltonian_batch(spec, float(ts[i]), X[i : i + 1], Z[i : i + 1])[0][0]
-        return out
-
-
 # -- the twelve checks ---------------------------------------------------------
 
 
@@ -292,7 +276,7 @@ def _check_lipschitz(shared):
         spec = build_builtin(name)
         ts, X, Z, Z2 = _sample_tx(spec, 10_000, seed=60)
         C = spec.growth.C_f * spec.growth.C_sigma_inv
-        lhs = np.abs(_sup_with_times(spec, ts, X, Z) - _sup_with_times(spec, ts, X, Z2))
+        lhs = np.abs(sup_hamiltonian_batch(spec, ts, X, Z)[0] - sup_hamiltonian_batch(spec, ts, X, Z2)[0])
         rhs = C * (1.0 + np.linalg.norm(X, axis=1)) * np.linalg.norm(Z - Z2, axis=1)
         slack = rhs * 1e-12 + 1e-15
         total_viol += int(np.sum(lhs > rhs + slack))
@@ -307,7 +291,7 @@ def _check_domination(shared):
     for name in ("bachelier_put", "controlled_drift_abs", "decaying_obstacle"):
         spec = build_builtin(name)
         ts, X, Z, _ = _sample_tx(spec, 10_000, seed=70)
-        lhs = np.abs(_sup_with_times(spec, ts, X, Z))
+        lhs = np.abs(sup_hamiltonian_batch(spec, ts, X, Z)[0])
         phi = dominating_generator_batch(spec, ts, X, Z)
         viol += int(np.sum(lhs > phi * (1 + 1e-12) + 1e-15))
 

@@ -57,68 +57,74 @@ class TruncationIndex:
             raise ValueError("truncation radii must be >= 1")
 
 
-def _theta(spec: ProblemSpec, t: float, X: np.ndarray, a) -> np.ndarray:
-    """sigma^{-1} f, shape [n, d]."""
+def _control_values(spec: ProblemSpec, t, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """H(t, x_i, z_i, a_k) for every control and row, shape [k, n].
+
+    z . sigma^{-1} f is evaluated as W . f with W = sigma^{-T} z, so sigma is
+    factorised once per call (once in all when it is constant) and the
+    control set enters through one drift and one reward evaluation.  With a
+    state-free drift the contraction is a [k,d] @ [d,n] matmul.
+    """
     sig = spec.sigma(t, X)
-    fv = spec.f(t, X, a)
-    return np.linalg.solve(sig, fv[..., None])[..., 0]
+    if spec.coefficients.sigma_constant and X.shape[0]:
+        W = np.linalg.solve(sig[0].T, Z.T)                                   # [d, n]
+    else:
+        W = np.linalg.solve(np.swapaxes(sig, 1, 2), Z[..., None])[..., 0].T  # [d, n]
+    F, G = spec.control_table(t, X)
+    if F.shape[1] == 1:
+        vals = F[:, 0, :] @ W
+    else:
+        vals = np.einsum("knd,dn->kn", F, W)
+    vals += G
+    return vals
+
+
+def _first_maximiser(vals: np.ndarray):
+    """Column-wise max of [k, n] values and the first index within TIE_TOL of it."""
+    best = np.max(vals, axis=0)
+    tol = TIE_TOL * np.maximum(1.0, np.abs(best))
+    near = vals >= best - tol
+    return best, np.argmax(near, axis=0), near
+
+
+def _one_row(x, z):
+    X = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
+    Z = np.atleast_1d(np.asarray(z, dtype=float))[None, :]
+    return X, Z
 
 
 def hamiltonian(spec: ProblemSpec, t: float, x, z, a) -> float:
     """H(t,x,z,a) for a single point; ``a`` must belong to the control set."""
-    spec.controls.index_of(a)  # membership check
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    X = x[None, :]
-    sig = spec.sigma(t, X)[0]
-    cond = np.linalg.cond(sig)
+    k = spec.controls.index_of(a)  # membership check
+    X, Z = _one_row(x, z)
+    cond = np.linalg.cond(spec.sigma(t, X)[0])
     if not np.isfinite(cond) or cond > 1e8:
-        raise ValueError(f"sigma is singular at (t={t}, x={x}) (cond={cond:.3g})")
-    theta = np.linalg.solve(sig, spec.f(t, X, a)[0])
-    return float(z @ theta + spec.gamma(t, X, a)[0])
+        raise ValueError(f"sigma is singular at (t={t}, x={X[0]}) (cond={cond:.3g})")
+    return float(_control_values(spec, t, X, Z)[k, 0])
 
 
 def sup_hamiltonian(spec: ProblemSpec, t: float, x, z) -> HamiltonianValue:
     """H*(t,x,z): maximum of H over the control set, first maximiser kept."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    X = x[None, :]
-    vals = np.empty(spec.controls.k)
-    for k in range(spec.controls.k):
-        a = spec.controls.points[k]
-        theta = _theta(spec, t, X, a)[0]
-        vals[k] = z @ theta + spec.gamma(t, X, a)[0]
-    best = int(np.argmax(vals))
-    vmax = float(vals[best])
-    tol = TIE_TOL * max(1.0, abs(vmax))
-    ties = int(np.sum(vals >= vmax - tol))
-    first = int(np.argmax(vals >= vmax - tol))
+    X, Z = _one_row(x, z)
+    best, arg, near = _first_maximiser(_control_values(spec, t, X, Z))
+    first = int(arg[0])
     return HamiltonianValue(
-        value=vmax,
+        value=float(best[0]),
         argmax=spec.controls.points[first].copy(),
         argmax_index=first,
-        ties=ties,
+        ties=int(np.sum(near)),
     )
 
 
 def sup_hamiltonian_batch(spec: ProblemSpec, t, X: np.ndarray, Z: np.ndarray):
-    """Vectorised H* over rows of (X, Z).
+    """Vectorised H* over rows of (X, Z); ``t`` is a scalar or one time per row.
 
     Returns (values [n], argmax indices [n]); the argmax is the first
     maximiser in control-set enumeration order.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    n = X.shape[0]
-    vals = np.empty((spec.controls.k, n))
-    for k in range(spec.controls.k):
-        a = spec.controls.points[k]
-        theta = _theta(spec, t, X, a)
-        vals[k] = np.einsum("nd,nd->n", Z, theta) + spec.gamma(t, X, a)
-    best = np.max(vals, axis=0)
-    # first index achieving the max within the tie tolerance
-    tol = TIE_TOL * np.maximum(1.0, np.abs(best))
-    arg = np.argmax(vals >= (best - tol)[None, :], axis=0)
+    best, arg, _ = _first_maximiser(_control_values(spec, t, X, Z))
     return best, arg
 
 

@@ -4,14 +4,21 @@ Paths are simulated once under the driftless reference dynamics; the
 backward pass regresses conditional expectations slice by slice:
 
     Y_N = g(X_N)
-    Z_i      = Reg[ Y_{i+1} dB_i | X_i ] / dt
-    Ytilde_i = Reg[ Y_{i+1} | X_i ] + H*(tau_i, X_i, Z_i) dt
+    C_i      = Reg[ Y_{i+1} | X_i ]
+    Z_i      = Reg[ (Y_{i+1} - C_i) dB_i | X_i ] / dt
+    Ytilde_i = C_i + H*(tau_i, X_i, Z_i) dt
     Y_i      = max(Ytilde_i, h(tau_i, X_i)),   dK_i = Y_i - Ytilde_i
 
 so the discrete complementarity dK >= 0, dK > 0 only where Y = h, holds
-bit-for-bit.  The default basis is a piecewise-constant local partition
-(cell means are genuine conditional expectations); a global polynomial
-basis is available for smooth problems.
+bit-for-bit.  Subtracting the continuation C_i before the Z regression is a
+control variate: E[C_i dB_i | X_i] = 0, but its sample noise would otherwise
+enter Z, and the max over controls in H* turns noise in Z into upward bias
+(Bender & Steiner 2012; Alanko & Avellaneda 2013).  Both regressions of a
+slice share one factorisation of its design.
+
+The default basis is a piecewise-constant local partition (cell means are
+genuine conditional expectations); a global polynomial basis is available
+for smooth problems.
 """
 
 from __future__ import annotations
@@ -71,16 +78,35 @@ class RegressionBasis:
 _DEGENERATE_SPREAD = 1e-12
 
 
-def _regress(basis: RegressionBasis, box: Box, X: np.ndarray, targets: np.ndarray, node: int):
-    """Project target columns on the basis; returns (predictions, diagnostics).
+def _design(Xs: np.ndarray, degree: int) -> np.ndarray:
+    """Monomials of total degree <= ``degree`` in the columns of Xs, [n, p].
 
-    targets: [n, r]; predictions: [n, r] evaluated at each sample's own state.
+    Degree-k monomials are degree-(k-1) ones times one more coordinate, the
+    coordinates taken in non-decreasing order so each monomial appears once.
+    """
+    n, d = Xs.shape
+    cols = [np.ones(n)]
+    prev = [(cols[0], 0)]
+    for _ in range(degree):
+        prev = [(col * Xs[:, j], j) for col, first in prev for j in range(first, d)]
+        cols.extend(col for col, _ in prev)
+    return np.stack(cols, axis=1)
+
+
+def _regress(basis: RegressionBasis, box: Box, X: np.ndarray, node: int):
+    """Factorise one slice's regression; returns (project, diagnostics).
+
+    ``project(targets)`` maps targets [n] or [n, r] to their fitted values at
+    each sample's own state.  The factorisation is made once, so every
+    target of the slice shares it.
     """
     n, d = X.shape
     spread = float(np.max(np.ptp(X, axis=0))) if n > 1 else 0.0
     if spread < _DEGENERATE_SPREAD:
-        means = targets.mean(axis=0)
-        return np.broadcast_to(means, targets.shape), {"cells": 1, "cond": 1.0, "min_count": n}
+        def project_mean(targets):
+            return np.broadcast_to(targets.mean(axis=0), targets.shape)
+
+        return project_mean, {"cells": 1, "cond": 1.0, "min_count": n}
 
     if basis.kind == "local-partition":
         cells = basis.cells_per_axis
@@ -91,43 +117,40 @@ def _regress(basis: RegressionBasis, box: Box, X: np.ndarray, targets: np.ndarra
         flat = np.ravel_multi_index(tuple(ids[:, j] for j in range(d)), (cells,) * d)
         ncells = cells**d
         counts = np.bincount(flat, minlength=ncells)
-        preds = np.empty_like(targets)
         occupied = counts > 0
         safe = np.where(occupied, counts, 1)
-        for r in range(targets.shape[1]):
-            sums = np.bincount(flat, weights=targets[:, r], minlength=ncells)
-            means = sums / safe
-            preds[:, r] = means[flat]
+
+        def project_cells(targets):
+            cols = targets.reshape(n, -1)
+            preds = np.empty_like(cols)
+            for r in range(cols.shape[1]):
+                preds[:, r] = (np.bincount(flat, weights=cols[:, r], minlength=ncells) / safe)[flat]
+            return preds.reshape(targets.shape)
+
         occ = counts[occupied]
-        return preds, {
+        return project_cells, {
             "cells": int(occupied.sum()),
             "cond": 1.0,
             "min_count": int(occ.min()) if occ.size else 0,
         }
 
-    # global polynomial, standardised per slice for conditioning
+    # global polynomial, standardised per slice for conditioning; the thin
+    # SVD gives the rank, the condition number and an orthonormal basis U of
+    # the design's column space, so fitted values are U U^T targets
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std = np.where(std < _DEGENERATE_SPREAD, 1.0, std)
-    Xs = (X - mean) / std
-    cols = [np.ones(n)]
-    if d == 1:
-        for k in range(1, basis.degree + 1):
-            cols.append(Xs[:, 0] ** k)
-    else:
-        for combo in itertools.product(range(basis.degree + 1), repeat=d):
-            if 0 < sum(combo) <= basis.degree:
-                term = np.ones(n)
-                for j, e in enumerate(combo):
-                    if e:
-                        term = term * Xs[:, j] ** e
-                cols.append(term)
-    phi = np.stack(cols, axis=1)
-    coef, _, rank, sv = np.linalg.lstsq(phi, targets, rcond=None)
+    phi = _design((X - mean) / std, basis.degree)
+    U, sv, _ = np.linalg.svd(phi, full_matrices=False)
+    rank = int(np.sum(sv > sv[0] * np.finfo(float).eps * max(phi.shape)))
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
     if cond > basis.cond_threshold or rank < phi.shape[1]:
         raise SingularRegressionError(node, cond)
-    return phi @ coef, {"cells": phi.shape[1], "cond": cond, "min_count": n}
+
+    def project_poly(targets):
+        return U @ (U.T @ targets)
+
+    return project_poly, {"cells": phi.shape[1], "cond": cond, "min_count": n}
 
 
 @dataclass(frozen=True)
@@ -194,13 +217,12 @@ def solve_rbsde(
     for i in range(N - 1, -1, -1):
         t = float(times[i])
         X = batch.states[:, i]
-        targets = np.concatenate([Y[:, i + 1 : i + 2], Y[:, i + 1 : i + 2] * batch.increments[:, i]], axis=1)
-        preds, diag = _regress(basis, box, X, targets, i)
+        project, diag = _regress(basis, box, X, i)
         conds[i] = diag["cond"]
         cells[i] = diag["cells"]
         min_counts[i] = diag["min_count"]
-        cont = preds[:, 0]
-        Z[:, i] = preds[:, 1:] / dt
+        cont = project(Y[:, i + 1])
+        Z[:, i] = project((Y[:, i + 1] - cont)[:, None] * batch.increments[:, i]) / dt
         if generator == "dominating":
             gen = dominating_generator_batch(spec, t, X, Z[:, i])
         else:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.stats import qmc
 
 from .expr import parse_expression
 
@@ -134,6 +133,10 @@ class CoefficientField:
 
     sigma: (t, X[n,d]) -> [n,d,d];  f: (t, X[n,d], a[ka]) -> [n,d];
     gamma: (t, X[n,d], a[ka]) -> [n];  g: (X[n,d]) -> [n];  h: (t, X[n,d]) -> [n].
+
+    Given the whole control set a[k,ka] instead of one control, f returns
+    [k, n|1, d] and gamma [k, n|1]; the middle axis has length 1 when the
+    coefficient ignores the state.  ``t`` is a scalar or one time per row.
     """
 
     sigma: Callable
@@ -201,20 +204,37 @@ class ProblemSpec:
         out = np.asarray(self.coefficients.h(t, X), dtype=float)
         return np.broadcast_to(out, (X.shape[0],))
 
+    def control_table(self, t, X: np.ndarray):
+        """Drift [k, n|1, d] and running reward [k, n|1] for every control.
+
+        One call per coefficient; a coefficient that ignores the state keeps
+        a single row, so callers can contract it with a matmul.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        k, n = self.controls.k, X.shape[0]
+        F = np.asarray(self.coefficients.f(t, X, self.controls.points), dtype=float)
+        G = np.asarray(self.coefficients.gamma(t, X, self.controls.points), dtype=float)
+        F = np.broadcast_to(F, (k, 1 if F.ndim == 3 and F.shape[1] == 1 else n, self.dim))
+        G = np.broadcast_to(G, (k, 1 if G.ndim == 2 and G.shape[1] == 1 else n))
+        return F, G
+
 
 # -- expression compilation ---------------------------------------------------
 
 
-def _env(params, t=None, X=None, a=None, n=None):
+def _env(params, t=None, X=None, a=None):
+    """Variable bindings; a control table a[k,ka] binds a_j to a [k,1] column
+    and x_j to a [1,n] row, so values broadcast to [k, n|1]."""
     env = dict(params or {})
+    table = a is not None and a.ndim == 2
     if t is not None:
         env["t"] = t
     if X is not None:
         for j in range(X.shape[1]):
-            env[f"x{j + 1}"] = X[:, j]
+            env[f"x{j + 1}"] = X[None, :, j] if table else X[:, j]
     if a is not None:
-        for j in range(a.shape[0]):
-            env[f"a{j + 1}"] = a[j]
+        for j in range(a.shape[-1]):
+            env[f"a{j + 1}"] = a[:, j : j + 1] if table else a[j]
     return env
 
 
@@ -268,12 +288,18 @@ def compile_coefficients(
             return np.stack(cols, axis=1).reshape(n, dim, dim)
 
     def f_fn(t, X, a):
-        n = X.shape[0]
         env = _env(params, t=t, X=X, a=a)
-        return np.stack([_broadcast_scalar(tr(env), n) for tr in f_trees], axis=1)
+        comps = [tr(env) for tr in f_trees]
+        if a.ndim == 2:
+            shape = np.broadcast_shapes((a.shape[0], 1), *(np.shape(c) for c in comps))
+            return np.stack([np.broadcast_to(c, shape) for c in comps], axis=-1)
+        return np.stack([_broadcast_scalar(c, X.shape[0]) for c in comps], axis=1)
 
     def gamma_fn(t, X, a):
-        return _broadcast_scalar(gamma_tree(_env(params, t=t, X=X, a=a)), X.shape[0])
+        val = gamma_tree(_env(params, t=t, X=X, a=a))
+        if a.ndim == 2:
+            return np.broadcast_to(val, np.broadcast_shapes((a.shape[0], 1), np.shape(val)))
+        return _broadcast_scalar(val, X.shape[0])
 
     def g_fn(X):
         return _broadcast_scalar(g_tree(_env(params, X=X)), X.shape[0])
@@ -550,10 +576,28 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
+def _halton(samples: int, dims: int, seed: int) -> np.ndarray:
+    """Halton points in the first ``dims`` primes, shifted by a seeded random
+    offset modulo 1 (a Cranley-Patterson rotation); shape [samples, dims]."""
+    primes, p = [], 2
+    while len(primes) < dims:
+        if all(p % q for q in primes):
+            primes.append(p)
+        p += 1
+    u = np.zeros((samples, dims))
+    for j, base in enumerate(primes):
+        idx = np.arange(1, samples + 1)
+        scale = 1.0
+        while np.any(idx):
+            scale /= base
+            u[:, j] += scale * (idx % base)
+            idx //= base
+    return (u + np.random.default_rng(seed).random(dims)) % 1.0
+
+
 def _sample_points(spec: ProblemSpec, samples: int, seed: int):
     """Deterministic low-discrepancy (t, x, control-index) triples."""
-    sob = qmc.Sobol(d=spec.dim + 2, scramble=True, seed=seed)
-    u = sob.random(samples)
+    u = _halton(samples, spec.dim + 2, seed)
     ts = u[:, 0] * spec.horizon_T
     lo, hi = spec.domain.lo, spec.domain.hi
     xs = lo[None, :] + u[:, 1 : 1 + spec.dim] * (hi - lo)[None, :]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrlstop.hamilton import (
     TIE_TOL,
@@ -84,6 +86,75 @@ def test_batch_tie_tolerance_matches_scalar(controlled):
     _, args = sup_hamiltonian_batch(controlled, 0.0, np.zeros((1, 1)), z)
     hv = sup_hamiltonian(controlled, 0.0, [0.0], z[0])
     assert args[0] == hv.argmax_index == 0
+
+
+def _random_spec(d: int, x_in_f: bool, x_in_gamma: bool, k: int, rng) -> object:
+    """Custom spec with a state- and time-dependent, diagonally dominant sigma."""
+
+    def c(lo, hi):
+        return repr(float(rng.uniform(lo, hi)))
+
+    sigma = [
+        f"{c(0.8, 2.0)}+0.3*tanh(x{i + 1}+{c(-1, 1)}*t)" if i == j else f"{c(-0.2, 0.2)}*tanh(x{j + 1}-t)"
+        for i in range(d)
+        for j in range(d)
+    ]
+    f = [
+        f"{c(-2, 2)}*a1+{c(-2, 2)}*a2" + (f"+{c(-1, 1)}*x{j + 1}*a1" if x_in_f else "") + f"+{c(-1, 1)}*t"
+        for j in range(d)
+    ]
+    gamma = f"{c(-1, 0)}*(a1*a1+a2*a2)+{c(-1, 1)}*a2*t" + (f"+{c(-1, 1)}*x1*a1" if x_in_gamma else "")
+    return build_builtin(
+        "custom",
+        {
+            "dim": d,
+            "T": 1.0,
+            "sigma": sigma,
+            "f": f,
+            "gamma": gamma,
+            "g": "0",
+            "h": "0",
+            "controls": rng.uniform(-1.0, 1.0, size=(k, 2)),
+            "growth": {"C_f": 10.0, "C_sigma_inv": 10.0, "C_poly": 10.0, "p": 1.0},
+            "lo": -2.0,
+            "hi": 2.0,
+        },
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([1, 2, 3]),
+    x_in_f=st.booleans(),
+    x_in_gamma=st.booleans(),
+    per_row_t=st.booleans(),
+    k=st.integers(1, 6),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_matches_bruteforce_solve_per_control(d, x_in_f, x_in_gamma, per_row_t, k, n, seed):
+    rng = np.random.default_rng(seed)
+    spec = _random_spec(d, x_in_f, x_in_gamma, k, rng)
+    X = rng.uniform(-2.0, 2.0, size=(n, d))
+    Z = rng.standard_normal((n, d)) * np.exp(rng.uniform(-3.0, 3.0, size=(n, 1)))
+    ts = rng.uniform(0.0, 1.0, size=n)
+    t_arg = ts if per_row_t else float(ts[0])
+    vals, args = sup_hamiltonian_batch(spec, t_arg, X, Z)
+    for i in range(n):
+        ti = float(ts[i]) if per_row_t else float(ts[0])
+        xi = X[i : i + 1]
+        sig = spec.sigma(ti, xi)[0]
+        terms = np.array([
+            (Z[i] @ np.linalg.solve(sig, spec.f(ti, xi, a)[0]), spec.gamma(ti, xi, a)[0])
+            for a in spec.controls.points
+        ])
+        brute = terms.sum(axis=1)
+        # relative to the size of the terms, which bounds the rounding of either order
+        err = 1e-12 * max(1.0, float(np.max(np.abs(terms).sum(axis=1))))
+        assert abs(vals[i] - brute.max()) <= err
+        top = np.sort(brute)[::-1]
+        if k == 1 or top[0] - top[1] > TIE_TOL * max(1.0, abs(top[0])) + 2.0 * err:
+            assert args[i] == int(np.argmax(brute))
 
 
 def test_hamiltonian_rejects_foreign_control(controlled):

@@ -165,17 +165,46 @@ def test_ladder_orders_and_exhausts():
 
 def test_singular_polynomial_design_is_reported():
     X = np.repeat([0.0, 1.0], 50)[:, None]
-    targets = np.random.default_rng(0).normal(size=(100, 2))
     basis = RegressionBasis(kind="polynomial", degree=5)
     with pytest.raises(SingularRegressionError, match="singular regression at node 3"):
-        _regress(basis, Box([-2.0], [2.0]), X, targets, node=3)
+        _regress(basis, Box([-2.0], [2.0]), X, node=3)
+
+
+def test_polynomial_projector_matches_least_squares():
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(3000, 2)) * [1.0, 2.0] + [0.5, -1.0]
+    targets = np.column_stack([np.sin(X[:, 0]) + X[:, 1] ** 2, rng.normal(size=3000), X[:, 0] * X[:, 1]])
+    project, diag = _regress(RegressionBasis(kind="polynomial", degree=3), Box([-5.0, -5.0], [5.0, 5.0]), X, node=0)
+    # raw monomials span the same space as the standardised basis
+    raw = np.column_stack([X[:, 0] ** i * X[:, 1] ** j for i in range(4) for j in range(4) if i + j <= 3])
+    fitted = raw @ np.linalg.lstsq(raw, targets, rcond=None)[0]
+    assert diag["cells"] == raw.shape[1] == 10
+    assert np.max(np.abs(project(targets) - fitted)) <= 1e-10
+    # one target column at a time goes through the same factorisation
+    assert np.max(np.abs(project(targets[:, 0]) - fitted[:, 0])) <= 1e-10
+
+
+def test_rank_deficient_design_is_reported():
+    x1 = np.random.default_rng(14).normal(size=500)
+    X = np.column_stack([x1, 2.0 * x1 + 1.0])  # the standardised columns coincide
+    with pytest.raises(SingularRegressionError, match="node 7"):
+        _regress(RegressionBasis(kind="polynomial", degree=2), Box([-9.0, -9.0], [9.0, 9.0]), X, node=7)
+
+
+def test_centred_z_keeps_the_5d_value_below_its_upper_bound():
+    # E|x0 + B_T| + kappa sqrt(d) T bounds the value: the drift moves |X_T| by
+    # at most kappa sqrt(d) T and the obstacle floor never binds
+    spec = build_builtin("controlled_drift_abs", {"d": 5})
+    batch = _batch(spec, [0.5] * 5, steps=10, count=4000, seed=15)
+    result = solve_rbsde(spec, batch, RegressionBasis(kind="polynomial", degree=3))
+    assert result.y0 < 4.618
 
 
 def test_partition_cell_budget_is_bounded():
     X = np.random.default_rng(1).normal(size=(10, 2))
     basis = RegressionBasis(cells_per_axis=3000)
     with pytest.raises(ValueError, match="local partition too fine"):
-        _regress(basis, Box([-5.0, -5.0], [5.0, 5.0]), X, np.ones((10, 1)), node=0)
+        _regress(basis, Box([-5.0, -5.0], [5.0, 5.0]), X, node=0)
 
 
 def test_input_validation():
