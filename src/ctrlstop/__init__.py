@@ -39,7 +39,6 @@ from .paths import (
     PathBatch,
     TimeGrid,
     attach_controls,
-    girsanov_density,
     girsanov_log_batch,
     simulate_controlled,
     simulate_uncontrolled,
@@ -96,7 +95,6 @@ __all__ = [
     "simulate_uncontrolled",
     "simulate_controlled",
     "attach_controls",
-    "girsanov_density",
     "girsanov_log_batch",
     "SpaceTimeGrid",
     "ValueField",

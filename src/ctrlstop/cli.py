@@ -353,9 +353,7 @@ def _cmd_solve_pde(args) -> int:
     spec = _resolve_spec(args)
     grid = pde.make_grid(spec, args.nx, nt=args.nt, cfl=args.cfl, generator=args.generator)
     field = pde.solve(spec, grid, trunc=_trunc_from(args), generator=args.generator)
-    policy = pde.extract_policy(
-        spec, field, eps=args.eps_stop, field_trunc=_trunc_from(args), field_generator=args.generator
-    )
+    policy = pde.extract_policy(spec, field, field_trunc=_trunc_from(args), field_generator=args.generator)
     x0 = _parse_x0(args.x0, spec)
     print(f"problem: {spec.name} (d={spec.dim}, T={spec.horizon_T})")
     print(f"grid: nx={grid.nx} nt={grid.nt} dt={grid.dt:.3e} cfl_ratio={field.scheme_meta['cfl_ratio']:.3f}")
@@ -392,7 +390,7 @@ def _cmd_simulate(args) -> int:
     x0 = _parse_x0(args.x0, spec)
     grid = pde.make_grid(spec, args.nx, nt=args.nt, cfl=args.cfl)
     field = pde.solve(spec, grid)
-    policy = pde.extract_policy(spec, field, eps=args.eps_stop)
+    policy = pde.extract_policy(spec, field)
     tg = TimeGrid(0.0, spec.horizon_T, args.steps)
     report = strategy.optimality_gap(spec, field, policy, tg, x0, args.paths, seed=args.seed)
     print(f"problem: {spec.name}; v(0,x0) = {report.field_value!r}")
@@ -497,7 +495,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--generator", choices=pde.GENERATORS, default="hstar")
     sp.add_argument("--trunc-n", type=int, default=None)
     sp.add_argument("--trunc-m", type=int, default=None)
-    sp.add_argument("--eps-stop", type=float, default=None)
     sp.add_argument("--x0", default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_solve_pde)
@@ -520,7 +517,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nx", type=int, default=201)
     sp.add_argument("--nt", type=int, default=None)
     sp.add_argument("--cfl", type=float, default=0.9)
-    sp.add_argument("--eps-stop", type=float, default=None)
     sp.add_argument("--paths", type=int, default=20000)
     sp.add_argument("--steps", type=int, default=50)
     sp.add_argument("--seed", type=int, default=0)

@@ -136,7 +136,9 @@ class CoefficientField:
 
     Given the whole control set a[k,ka] instead of one control, f returns
     [k, n|1, d] and gamma [k, n|1]; the middle axis has length 1 when the
-    coefficient ignores the state.  ``t`` is a scalar or one time per row.
+    coefficient ignores the state.  With ``rows=True``, a[n,ka] holds one
+    control per row of X and f returns [n, d], gamma [n].  ``t`` is a scalar
+    or one time per row.
     """
 
     sigma: Callable
@@ -218,15 +220,34 @@ class ProblemSpec:
         G = np.broadcast_to(G, (k, 1 if G.ndim == 2 and G.shape[1] == 1 else n))
         return F, G
 
+    def control_rows(self, t, X: np.ndarray, idx, *, drift: bool = True, reward: bool = True):
+        """Drift [n, d] and running reward [n], row i under control points[idx[i]].
+
+        One call per coefficient with a_j bound to the column points[idx, j],
+        so the work is n rows whatever the coefficient reads.  A part turned
+        off with ``drift``/``reward`` is not evaluated and comes back as None.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        A = self.controls.points[np.asarray(idx, dtype=np.int64)]
+        n = X.shape[0]
+        F = G = None
+        if drift:
+            F = np.broadcast_to(np.asarray(self.coefficients.f(t, X, A, rows=True), dtype=float), (n, self.dim))
+        if reward:
+            G = np.broadcast_to(np.asarray(self.coefficients.gamma(t, X, A, rows=True), dtype=float), (n,))
+        return F, G
+
 
 # -- expression compilation ---------------------------------------------------
 
 
-def _env(params, t=None, X=None, a=None):
+def _env(params, t=None, X=None, a=None, rows=False):
     """Variable bindings; a control table a[k,ka] binds a_j to a [k,1] column
-    and x_j to a [1,n] row, so values broadcast to [k, n|1]."""
+    and x_j to a [1,n] row, so values broadcast to [k, n|1].  With ``rows``,
+    a[n,ka] gives each state row its own control and a_j binds to the
+    column a[:, j], aligned with x_j."""
     env = dict(params or {})
-    table = a is not None and a.ndim == 2
+    table = a is not None and a.ndim == 2 and not rows
     if t is not None:
         env["t"] = t
     if X is not None:
@@ -234,7 +255,10 @@ def _env(params, t=None, X=None, a=None):
             env[f"x{j + 1}"] = X[None, :, j] if table else X[:, j]
     if a is not None:
         for j in range(a.shape[-1]):
-            env[f"a{j + 1}"] = a[:, j : j + 1] if table else a[j]
+            if table:
+                env[f"a{j + 1}"] = a[:, j : j + 1]
+            else:
+                env[f"a{j + 1}"] = a[:, j] if rows else a[j]
     return env
 
 
@@ -287,17 +311,17 @@ def compile_coefficients(
             cols = [_broadcast_scalar(tr(env), n) for tr in sig_trees]
             return np.stack(cols, axis=1).reshape(n, dim, dim)
 
-    def f_fn(t, X, a):
-        env = _env(params, t=t, X=X, a=a)
+    def f_fn(t, X, a, rows=False):
+        env = _env(params, t=t, X=X, a=a, rows=rows)
         comps = [tr(env) for tr in f_trees]
-        if a.ndim == 2:
+        if a.ndim == 2 and not rows:
             shape = np.broadcast_shapes((a.shape[0], 1), *(np.shape(c) for c in comps))
             return np.stack([np.broadcast_to(c, shape) for c in comps], axis=-1)
         return np.stack([_broadcast_scalar(c, X.shape[0]) for c in comps], axis=1)
 
-    def gamma_fn(t, X, a):
-        val = gamma_tree(_env(params, t=t, X=X, a=a))
-        if a.ndim == 2:
+    def gamma_fn(t, X, a, rows=False):
+        val = gamma_tree(_env(params, t=t, X=X, a=a, rows=rows))
+        if a.ndim == 2 and not rows:
             return np.broadcast_to(val, np.broadcast_shapes((a.shape[0], 1), np.shape(val)))
         return _broadcast_scalar(val, X.shape[0])
 

@@ -20,10 +20,8 @@ __all__ = [
     "simulate_uncontrolled",
     "simulate_controlled",
     "attach_controls",
-    "girsanov_density",
     "girsanov_log_terms",
     "girsanov_log_batch",
-    "with_girsanov",
     "BLOCK",
 ]
 
@@ -56,8 +54,7 @@ class PathBatch:
     """Simulated batch: states [n, N+1, d], increments [n, N, d].
 
     ``controls`` holds per-step control indices [n, N] for controlled
-    batches and is None otherwise.  ``girsanov_log`` caches per-path
-    log-densities once computed.
+    batches and is None otherwise.
     """
 
     grid: TimeGrid
@@ -66,15 +63,12 @@ class PathBatch:
     seed: int
     x0: np.ndarray
     controls: np.ndarray | None = None
-    girsanov_log: np.ndarray | None = None
 
     def __post_init__(self):
         for arr in (self.states, self.increments):
             arr.setflags(write=False)
         if self.controls is not None:
             self.controls.setflags(write=False)
-        if self.girsanov_log is not None:
-            self.girsanov_log.setflags(write=False)
 
     @property
     def count(self) -> int:
@@ -147,10 +141,7 @@ def simulate_controlled(
         X = states[:, i]
         idx = np.asarray(policy.control_indices(t, X), dtype=np.int64)
         controls[:, i] = idx
-        drift = np.zeros_like(X)
-        for k in np.unique(idx):
-            sel = idx == k
-            drift[sel] = spec.f(t, X[sel], spec.controls.points[k])
+        drift, _ = spec.control_rows(t, X, idx, reward=False)
         if not const_sig:
             sig = spec.sigma(t, X)
         states[:, i + 1] = X + drift * dt + np.einsum("nij,nj->ni", sig, dW[:, i])
@@ -182,18 +173,13 @@ def girsanov_log_terms(spec: ProblemSpec, batch: PathBatch) -> np.ndarray:
         raise ValueError("batch has no recorded controls; simulate with a policy first")
     times = batch.grid.nodes
     dt = batch.grid.dt
-    n, N, d = batch.increments.shape
+    n, N, _ = batch.increments.shape
     terms = np.empty((n, N))
     for i in range(N):
         t = float(times[i])
         X = batch.states[:, i]
-        idx = batch.controls[:, i]
-        theta = np.zeros((n, d))
-        for k in np.unique(idx):
-            sel = idx == k
-            sig = spec.sigma(t, X[sel])
-            fv = spec.f(t, X[sel], spec.controls.points[k])
-            theta[sel] = np.linalg.solve(sig, fv[..., None])[..., 0]
+        fv, _ = spec.control_rows(t, X, batch.controls[:, i], reward=False)
+        theta = np.linalg.solve(spec.sigma(t, X), fv[..., None])[..., 0]
         terms[:, i] = np.einsum("nd,nd->n", theta, batch.increments[:, i]) - 0.5 * dt * np.einsum(
             "nd,nd->n", theta, theta
         )
@@ -207,28 +193,6 @@ def girsanov_log_batch(spec: ProblemSpec, batch: PathBatch) -> np.ndarray:
     martingale, E[M_T] = 1 for any adapted control sequence.
     """
     return _neumaier_sum(girsanov_log_terms(spec, batch))
-
-
-def girsanov_density(spec: ProblemSpec, batch: PathBatch, path_index: int) -> float:
-    """M_T for one path; positive by construction."""
-    if not (0 <= path_index < batch.count):
-        raise IndexError("path index out of range")
-    if batch.girsanov_log is not None:
-        return float(np.exp(batch.girsanov_log[path_index]))
-    sub = PathBatch(
-        grid=batch.grid,
-        states=batch.states[path_index : path_index + 1].copy(),
-        increments=batch.increments[path_index : path_index + 1].copy(),
-        seed=batch.seed,
-        x0=batch.x0,
-        controls=None if batch.controls is None else batch.controls[path_index : path_index + 1].copy(),
-    )
-    return float(np.exp(girsanov_log_batch(spec, sub)[0]))
-
-
-def with_girsanov(spec: ProblemSpec, batch: PathBatch) -> PathBatch:
-    """Return a copy of the batch with per-path log-densities attached."""
-    return replace(batch, girsanov_log=girsanov_log_batch(spec, batch))
 
 
 def attach_controls(batch: PathBatch, policy) -> PathBatch:

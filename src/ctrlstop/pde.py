@@ -130,7 +130,6 @@ class PolicyField:
     control_points: np.ndarray   # [k, ka]
     argmax: np.ndarray           # [nt+1, *shape] control indices
     stop_mask: np.ndarray        # [nt+1, *shape]; final slice all True
-    stop_tolerance: float | None  # the eps flag (None = local default)
 
     def __post_init__(self):
         self.argmax.setflags(write=False)
@@ -153,6 +152,17 @@ class PolicyField:
 
     def stop_at(self, t: float, X: np.ndarray) -> np.ndarray:
         return self.stop_mask[self._time_index(t)][self._space_indices(X)]
+
+
+def _covariance(sig: np.ndarray):
+    """Diagonal entries of sigma sigma^T and, at d=2, the cross entry, [n] each.
+
+    Explicit sums of products; no [n, d, d] covariance is formed.
+    """
+    d = sig.shape[-1]
+    diag = [sum(sig[:, j, m] * sig[:, j, m] for m in range(d)) for j in range(d)]
+    cross = sum(sig[:, 0, m] * sig[:, 1, m] for m in range(d)) if d == 2 else None
+    return diag, cross
 
 
 class _Scheme:
@@ -189,17 +199,9 @@ class _Scheme:
             self.phi_drift = c * (1.0 + xn)                      # multiplies |grad v . sigma|
             self.phi_const = c * (1.0 + xn ** spec.growth.p)     # zero-order part
 
-        self.f_hoisted = None
-        self.gamma_hoisted = None
-        if coeffs.f_t_free:
-            self.f_hoisted = [
-                spec.f(0.0, self.X, spec.controls.points[k]) for k in range(spec.controls.k)
-            ]
-        if coeffs.gamma_t_free:
-            self.gamma_hoisted = [
-                spec.gamma(0.0, self.X, spec.controls.points[k]).reshape(self.shape)
-                for k in range(spec.controls.k)
-            ]
+        self.table = None
+        if generator == "hstar" and coeffs.f_t_free and coeffs.gamma_t_free:
+            self.table = self._control_table(0.0)
         self.h_hoisted = spec.h(0.0, self.X).reshape(self.shape) if coeffs.h_t_free else None
         self.cfl_worst = 0.0
 
@@ -207,11 +209,11 @@ class _Scheme:
 
     def _set_diffusion(self, sig):
         """Cache diffusion stencil pieces for the slice covariance sigma sigma^T."""
-        A = np.einsum("nij,nkj->nik", sig, sig)
-        self.A_diag = [A[:, j, j].reshape(self.shape) for j in range(self.d)]
+        diag, cross = _covariance(sig)
+        self.A_diag = [a.reshape(self.shape) for a in diag]
         self.sigma_diag = [sig[:, j, j].reshape(self.shape) for j in range(self.d)]
         if self.d == 2:
-            self.A_cross = A[:, 0, 1].reshape(self.shape)
+            self.A_cross = cross.reshape(self.shape)
             off = max(float(np.max(np.abs(sig[:, 0, 1]))), float(np.max(np.abs(sig[:, 1, 0]))))
             self.sigma_off_diag = off
             # monotone cross stencil needs grid-aligned diagonal dominance
@@ -234,15 +236,15 @@ class _Scheme:
         if self.generator == "dominating" and self.sigma_off_diag > 1e-12:
             raise ValueError("dominating-generator solves require diagonal sigma")
 
-    def _drift(self, t: float, k: int) -> np.ndarray:
-        if self.f_hoisted is not None:
-            return self.f_hoisted[k]
-        return self.spec.f(t, self.X, self.spec.controls.points[k])
+    def _control_table(self, t: float):
+        """Drift components, each [k, *shape], and reward [k, *shape] at time t;
+        a coefficient that ignores the state keeps unit spatial axes."""
+        F, G = self.spec.control_table(t, self.X)
 
-    def _gamma(self, t: float, k: int) -> np.ndarray:
-        if self.gamma_hoisted is not None:
-            return self.gamma_hoisted[k]
-        return self.spec.gamma(t, self.X, self.spec.controls.points[k]).reshape(self.shape)
+        def spatial(A):
+            return A.reshape(A.shape[0], *(self.shape if A.shape[1] == self.n else (1,) * self.d))
+
+        return [spatial(F[:, :, j]) for j in range(self.d)], spatial(G)
 
     def h_slice(self, t: float) -> np.ndarray:
         if self.h_hoisted is not None:
@@ -263,10 +265,10 @@ class _Scheme:
 
     # -- the explicit step -------------------------------------------------------
 
-    def step(self, W: np.ndarray, t: float):
+    def step(self, W: np.ndarray, t: float) -> np.ndarray:
         """One backward step from slice W with coefficients frozen at time t.
 
-        Returns (vtilde, generator_values); the caller projects on the obstacle.
+        Returns vtilde; the caller projects on the obstacle.
         """
         self._slice_coeffs(t)
         Wp, up, dn = self._views(W)
@@ -302,18 +304,13 @@ class _Scheme:
                 np.abs(self.sigma_diag[j]) / dxs[j] for j in range(self.d)
             )
         else:
-            best = np.full(self.shape, -np.inf)
-            drift_scale = np.zeros_like(W)
-            for k in range(self.spec.controls.k):
-                F = self._drift(t, k)
-                adv = np.zeros_like(W)
-                scale = np.zeros_like(W)
-                for j in range(self.d):
-                    Fj = F[:, j].reshape(self.shape)
-                    adv = adv + np.maximum(Fj, 0.0) * fwd[j] + np.maximum(-Fj, 0.0) * bwd[j]
-                    scale = scale + np.abs(Fj) / dxs[j]
-                best = np.maximum(best, adv + self._gamma(t, k))
-                drift_scale = np.maximum(drift_scale, scale)
+            F, G = self.table if self.table is not None else self._control_table(t)
+            adv = scale = 0.0  # [k, *shape] once the controls enter
+            for j in range(self.d):
+                adv = adv + np.maximum(F[j], 0.0) * fwd[j] + np.maximum(-F[j], 0.0) * bwd[j]
+                scale = scale + np.abs(F[j]) / dxs[j]
+            best = np.max(adv + G, axis=0)
+            drift_scale = np.maximum(np.max(scale, axis=0), 0.0)
             if self.trunc is not None:
                 gen = truncate_values(best, self.rho_n, self.rho_m)
             else:
@@ -327,7 +324,7 @@ class _Scheme:
                 f"CFL violation: dt * outflow = {ratio:.4f} > 1 at t={t:.6g}; refine nt"
             )
 
-        return W + self.dt * (diff + gen), gen
+        return W + self.dt * (diff + gen)
 
 
 def _rate_bound(spec: ProblemSpec, box: Box, nx, generator: str) -> float:
@@ -343,19 +340,17 @@ def _rate_bound(spec: ProblemSpec, box: Box, nx, generator: str) -> float:
     worst = 0.0
     for t in times:
         sig = spec.sigma(t, X)
-        A = np.einsum("nij,nkj->nik", sig, sig)
-        rate = sum(A[:, j, j] / dxs[j] ** 2 for j in range(spec.dim))
+        diag, _ = _covariance(sig)
+        rate = sum(diag[j] / dxs[j] ** 2 for j in range(spec.dim))
         if generator == "dominating":
             c = dominating_constant(spec)
             xn = np.linalg.norm(X, axis=1)
             for j in range(spec.dim):
                 rate = rate + c * (1.0 + xn) * np.abs(sig[:, j, j]) / dxs[j]
         else:
-            drift = np.zeros(X.shape[0])
-            for k in range(spec.controls.k):
-                F = spec.f(t, X, spec.controls.points[k])
-                drift = np.maximum(drift, sum(np.abs(F[:, j]) / dxs[j] for j in range(spec.dim)))
-            rate = rate + drift
+            F, _ = spec.control_table(t, X)
+            scale = sum(np.abs(F[:, :, j]) / dxs[j] for j in range(spec.dim))
+            rate = rate + np.maximum(np.max(scale, axis=0), 0.0)
         worst = max(worst, float(np.max(rate)))
     return worst
 
@@ -392,7 +387,7 @@ def solve(
     values = np.empty((nt + 1, *grid.shape))
     values[nt] = spec.g(sch.X).reshape(grid.shape)
     for i in range(nt - 1, -1, -1):
-        vt, _ = sch.step(values[i + 1], float(times[i + 1]))
+        vt = sch.step(values[i + 1], float(times[i + 1]))
         values[i] = np.maximum(vt, sch.h_slice(float(times[i])))
     meta = {
         "generator": generator,
@@ -423,71 +418,59 @@ def rerun_projection(
     vtilde = np.empty((grid.nt, *grid.shape))
     h_all = np.empty((grid.nt + 1, *grid.shape))
     for i in range(grid.nt):
-        vtilde[i], _ = sch.step(field.values[i + 1], float(times[i + 1]))
+        vtilde[i] = sch.step(field.values[i + 1], float(times[i + 1]))
         h_all[i] = sch.h_slice(float(times[i]))
     h_all[grid.nt] = sch.h_slice(float(times[grid.nt]))
     return vtilde, h_all
 
 
-def _gradient(W: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
-    """Central differences (one-sided at edges), flat [n_nodes, d]."""
-    grads = np.gradient(W, *[grid.axes[j] for j in range(grid.dim)], edge_order=1)
-    if grid.dim == 1:
-        grads = [grads]
-    return np.stack([g.ravel() for g in grads], axis=1)
-
-
 # strict binding margin: obstacle pushes below this are treated as round-off
 BINDING_FLOOR = 1e-9
+# rows per kernel call in extract_policy; bounds its working set
+POLICY_BLOCK_ROWS = 2**16
 
 
 def extract_policy(
     spec: ProblemSpec,
     field: ValueField,
-    eps: float | None = None,
     field_trunc: TruncationIndex | None = None,
     field_generator: str = "hstar",
 ) -> PolicyField:
     """Feedback control and stopping region read off a solved value field.
 
-    The control at a node maximises H(t, x, grad v . sigma, a).  A node joins
-    the stopping region when the obstacle actually binds: the pre-projection
-    step vtilde falls below h by more than a round-off floor, and the stored
-    value sits within ``eps`` of h (eps defaults to 10 dt (1+|generator|),
-    the local scale the scheme cannot resolve).  The final slice stops by
-    convention.
+    The control at a node maximises H(t, x, grad v . sigma, a), with grad v
+    by central differences (one-sided at the edges); gradient and kernel run
+    on blocks of whole slices.  A node joins the stopping region when the
+    obstacle binds: the pre-projection step vtilde falls below h by more than
+    a round-off floor, so the stored value is h there.  The final slice
+    stops by convention.
     """
     grid = field.grid
     sch = _Scheme(spec, grid, field_trunc, field_generator)
-    nt = grid.nt
+    nt, n = grid.nt, sch.n
     times = grid.times
-    argmax = np.empty((nt + 1, *grid.shape), dtype=np.int16)
-    stop = np.zeros((nt + 1, *grid.shape), dtype=bool)
+    argmax = np.empty((nt + 1) * n, dtype=np.int16)
+    per = max(1, POLICY_BLOCK_ROWS // n)
+    for i0 in range(0, nt + 1, per):
+        i1 = min(i0 + per, nt + 1)
+        grads = np.gradient(field.values[i0:i1], *grid.axes, axis=tuple(range(1, grid.dim + 1)))
+        G = np.stack([g.ravel() for g in (grads if grid.dim > 1 else [grads])], axis=1)
+        t = np.repeat(times[i0:i1], n)
+        X = np.tile(sch.X, (i1 - i0, 1))
+        Z = np.einsum("ni,nij->nj", G, spec.sigma(t, X))
+        argmax[i0 * n : i1 * n] = sup_hamiltonian_batch(spec, t, X, Z)[1]
 
-    scale = 1.0 + float(np.max(np.abs(field.values)))
-    delta = BINDING_FLOOR * scale
-
-    for i in range(nt + 1):
-        t = float(times[i])
-        W = field.values[i]
-        Z = np.einsum("ni,nij->nj", _gradient(W, grid), spec.sigma(t, sch.X))
-        _, arg = sup_hamiltonian_batch(spec, t, sch.X, Z)
-        argmax[i] = arg.reshape(grid.shape).astype(np.int16)
-
+    delta = BINDING_FLOOR * (1.0 + float(np.max(np.abs(field.values))))
+    stop = np.ones((nt + 1, *grid.shape), dtype=bool)
     for i in range(nt):
-        vt, gen = sch.step(field.values[i + 1], float(times[i + 1]))
-        h_i = sch.h_slice(float(times[i]))
-        eps_node = eps if eps is not None else 10.0 * grid.dt * (1.0 + np.abs(gen))
-        binding = (h_i - vt) > delta
-        stop[i] = binding & (field.values[i] - h_i <= eps_node)
-    stop[nt] = True
+        vt = sch.step(field.values[i + 1], float(times[i + 1]))
+        stop[i] = (sch.h_slice(float(times[i])) - vt) > delta
 
     return PolicyField(
         grid=grid,
         control_points=spec.controls.points,
-        argmax=argmax,
+        argmax=argmax.reshape(nt + 1, *grid.shape),
         stop_mask=stop,
-        stop_tolerance=eps,
     )
 
 

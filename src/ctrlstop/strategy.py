@@ -109,7 +109,6 @@ def evaluate(
     times = grid.nodes
     dt = grid.dt
     N = grid.steps
-    points = spec.controls.points
 
     running = np.zeros(count)
     collected = np.zeros(count)
@@ -126,10 +125,8 @@ def evaluate(
             alive[fire] = False
         if not alive.any():
             break
-        idx = batch.controls[:, i]
-        for k in np.unique(idx[alive]):
-            sel = alive & (idx == k)
-            running[sel] += spec.gamma(t, X[sel], points[int(k)]) * dt
+        _, G = spec.control_rows(t, X[alive], batch.controls[alive, i], drift=False)
+        running[alive] += G * dt
 
     terminal = np.zeros(count)
     if alive.any():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrlstop.model import (
     Box,
@@ -216,3 +218,65 @@ def test_validation_report_is_deterministic():
         (c.name, c.measured) for c in b.checks
     ]
     assert "validation over 256 samples" in a.render()
+
+
+def _row_spec(d, ka, k, f_reads, gamma_reads, rng):
+    """Custom spec whose f and gamma read the controls and, as asked, x and t."""
+
+    def c():
+        return repr(float(rng.uniform(-2.0, 2.0)))
+
+    def extra(reads, j):
+        out = f"+{c()}*x{j % d + 1}*a{j % ka + 1}" if "x" in reads else ""
+        return out + (f"+{c()}*tanh(t-{c()})" if "t" in reads else "")
+
+    f = [f"{c()}*a{j % ka + 1}" + extra(f_reads, j) for j in range(d)]
+    gamma = f"{c()}*a1*a{ka}" + extra(gamma_reads, 1)
+    return build_builtin(
+        "custom",
+        {
+            "dim": d,
+            "T": 1.0,
+            "sigma": ["1" if i == j else "0" for i in range(d) for j in range(d)],
+            "f": f,
+            "gamma": gamma,
+            "g": "0",
+            "h": "0",
+            "controls": rng.uniform(-1.0, 1.0, size=(k, ka)),
+            "growth": {"C_f": 10.0, "C_sigma_inv": 1.0, "C_poly": 10.0, "p": 1.0},
+            "lo": -2.0,
+            "hi": 2.0,
+        },
+    )
+
+
+READS = st.sampled_from(["", "x", "t", "xt"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    ka=st.integers(1, 3),
+    k=st.integers(1, 6),
+    n_equals_k=st.booleans(),
+    n=st.integers(1, 9),
+    f_reads=READS,
+    gamma_reads=READS,
+    per_row_t=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_control_rows_match_per_control_coefficients(
+    d, ka, k, n_equals_k, n, f_reads, gamma_reads, per_row_t, seed
+):
+    rng = np.random.default_rng(seed)
+    spec = _row_spec(d, ka, k, f_reads, gamma_reads, rng)
+    n = k if n_equals_k else n
+    X = rng.uniform(-2.0, 2.0, size=(n, d))
+    idx = rng.integers(0, k, size=n)
+    ts = rng.uniform(0.0, 1.0, size=n) if per_row_t else np.full(n, rng.uniform(0.0, 1.0))
+    F, G = spec.control_rows(ts if per_row_t else float(ts[0]), X, idx)
+    assert F.shape == (n, d) and G.shape == (n,)
+    for i in range(n):
+        a = spec.controls.points[idx[i]]
+        assert np.array_equal(F[i], spec.f(float(ts[i]), X[i : i + 1], a)[0])
+        assert np.array_equal(G[i], spec.gamma(float(ts[i]), X[i : i + 1], a)[0])

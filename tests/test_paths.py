@@ -9,13 +9,12 @@ from ctrlstop.model import build_builtin
 from ctrlstop.paths import (
     BLOCK,
     TimeGrid,
+    PathBatch,
     attach_controls,
-    girsanov_density,
     girsanov_log_batch,
     girsanov_log_terms,
     simulate_controlled,
     simulate_uncontrolled,
-    with_girsanov,
 )
 from ctrlstop.strategy import ConstantPolicy
 
@@ -114,7 +113,7 @@ def test_zero_drift_density_is_exactly_one(bachelier):
     batch = attach_controls(batch, ConstantPolicy(0))
     logs = girsanov_log_batch(bachelier, batch)
     assert np.array_equal(logs, np.zeros(50))
-    assert girsanov_density(bachelier, batch, 0) == 1.0
+    assert np.exp(logs[0]) == 1.0
 
 
 def test_constant_drift_log_density_closed_form(controlled):
@@ -140,19 +139,24 @@ def test_density_is_a_discrete_martingale(controlled):
     assert abs(mean - 1.0) < 4.0 * se
 
 
-def test_with_girsanov_caches_log_density(controlled):
+def test_log_batch_rows_match_single_path_batches(controlled):
     g = TimeGrid(0.0, 1.0, 8)
     batch = simulate_controlled(
         controlled, ConstantPolicy(2), 0.0, [0.0], g, 30, seed=8
     )
-    fresh = girsanov_density(controlled, batch, 3)
-    cached_batch = with_girsanov(controlled, batch)
-    assert cached_batch.girsanov_log is not None
-    assert girsanov_density(controlled, cached_batch, 3) == pytest.approx(
-        fresh, rel=1e-14
+    logs = girsanov_log_batch(controlled, batch)
+    one = PathBatch(
+        grid=batch.grid,
+        states=batch.states[3:4].copy(),
+        increments=batch.increments[3:4].copy(),
+        seed=batch.seed,
+        x0=batch.x0,
+        controls=batch.controls[3:4].copy(),
     )
-    with pytest.raises(IndexError):
-        girsanov_density(controlled, batch, 30)
+    fresh = float(np.exp(girsanov_log_batch(controlled, one)[0]))
+    assert fresh > 0.0
+    assert float(np.exp(logs[3])) == pytest.approx(fresh, rel=1e-14)
+    assert logs.shape == (30,)  # one density per path, none beyond the batch
 
 
 def test_controlled_drift_enters_the_mean(controlled):

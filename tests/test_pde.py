@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ctrlstop import pde
 from ctrlstop.hamilton import TruncationIndex
 from ctrlstop.model import build_builtin
 from ctrlstop.pde import (
@@ -99,6 +100,51 @@ def test_decaying_obstacle_stops_deep_in_the_money():
     assert np.any(policy.stop_mask[0])
     assert bool(policy.stop_at(0.0, np.array([[-2.0]]))[0])
     assert not bool(policy.stop_at(0.0, np.array([[4.5]]))[0])
+
+
+def _old_generator(spec, grid, W, t):
+    """H* term of the explicit step, one control at a time (no truncation)."""
+    X = grid.nodes()
+    Wp = np.pad(W, 1, mode="edge")
+    if grid.dim == 1:
+        up, dn = [Wp[2:]], [Wp[:-2]]
+    else:
+        up, dn = [Wp[2:, 1:-1], Wp[1:-1, 2:]], [Wp[:-2, 1:-1], Wp[1:-1, :-2]]
+    fwd = [(up[j] - W) / grid.dxs[j] for j in range(grid.dim)]
+    bwd = [(dn[j] - W) / grid.dxs[j] for j in range(grid.dim)]
+    best = np.full(grid.shape, -np.inf)
+    for a in spec.controls.points:
+        F = spec.f(t, X, a)
+        adv = np.zeros(grid.shape)
+        for j in range(grid.dim):
+            Fj = F[:, j].reshape(grid.shape)
+            adv = adv + np.maximum(Fj, 0.0) * fwd[j] + np.maximum(-Fj, 0.0) * bwd[j]
+        best = np.maximum(best, adv + spec.gamma(t, X, a).reshape(grid.shape))
+    return best
+
+
+@pytest.mark.parametrize(
+    "name, params, nx",
+    [("decaying_obstacle", {"beta": 2.0}, 101), ("controlled_drift_abs", {"d": 2, "h_floor": 0.8}, 21)],
+    ids=["1d", "2d"],
+)
+def test_stop_mask_equals_the_tolerance_rule_it_replaces(name, params, nx):
+    # binding nodes store v = max(vtilde, h) = h exactly, so the former
+    # "v - h <= eps" test held for every eps >= 0 and only binding mattered
+    spec = build_builtin(name, params)
+    grid = make_grid(spec, nx)
+    field = solve(spec, grid)
+    policy = extract_policy(spec, field)
+    vtilde, h_all = rerun_projection(spec, field)
+    delta = 1e-9 * (1.0 + float(np.max(np.abs(field.values))))
+    binding = (h_all[:-1] - vtilde) > delta
+    assert 0 < np.count_nonzero(binding) < binding.size
+    gen = np.stack([_old_generator(spec, grid, field.values[i + 1], t) for i, t in enumerate(grid.times[1:])])
+    for eps in (None, 0.0, 1.0):
+        eps_node = eps if eps is not None else 10.0 * grid.dt * (1.0 + np.abs(gen))
+        old = binding & (field.values[:-1] - h_all[:-1] <= eps_node)
+        assert np.array_equal(policy.stop_mask[:-1], old)
+    assert np.all(policy.stop_mask[-1])
 
 
 def test_extracted_control_pushes_away_from_the_origin():
@@ -251,6 +297,21 @@ def test_comparison_check_detects_order_both_ways():
     reversed_ = comparison_check(spec, grid, [(high, low)])
     assert not reversed_["passed"]
     assert reversed_["max_violation"] > 0.1
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_product_form_covariance_matches_the_einsum_bitwise(d):
+    sig = np.random.default_rng(3 + d).standard_normal((257, d, d)) * np.exp(
+        np.random.default_rng(9).uniform(-20.0, 20.0, size=(257, 1, 1))
+    )
+    A = np.einsum("nij,nkj->nik", sig, sig)
+    diag, cross = pde._covariance(sig)
+    for j in range(d):
+        assert np.array_equal(diag[j], A[:, j, j])
+    if d == 2:
+        assert np.array_equal(cross, A[:, 0, 1])
+    else:
+        assert cross is None
 
 
 def test_grid_construction_and_lookup():
