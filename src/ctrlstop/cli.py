@@ -353,7 +353,7 @@ def _cmd_solve_pde(args) -> int:
     spec = _resolve_spec(args)
     grid = pde.make_grid(spec, args.nx, nt=args.nt, cfl=args.cfl, generator=args.generator)
     field = pde.solve(spec, grid, trunc=_trunc_from(args), generator=args.generator)
-    policy = pde.extract_policy(spec, field, field_trunc=_trunc_from(args), field_generator=args.generator)
+    policy = pde.extract_policy(spec, field)
     x0 = _parse_x0(args.x0, spec)
     print(f"problem: {spec.name} (d={spec.dim}, T={spec.horizon_T})")
     print(f"grid: nx={grid.nx} nt={grid.nt} dt={grid.dt:.3e} cfl_ratio={field.scheme_meta['cfl_ratio']:.3f}")

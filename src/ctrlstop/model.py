@@ -629,24 +629,6 @@ def _sample_points(spec: ProblemSpec, samples: int, seed: int):
     return ts, xs, ks
 
 
-def _eval_timewise(fn, ts, xs, extra=None):
-    """Evaluate coefficient over per-sample times; vectorised when supported."""
-    try:
-        out = fn(ts, xs) if extra is None else fn(ts, xs, extra)
-        out = np.asarray(out, dtype=float)
-        if out.shape[0] == xs.shape[0]:
-            return out
-    except Exception:
-        pass
-    rows = []
-    for i in range(xs.shape[0]):
-        if extra is None:
-            rows.append(fn(float(ts[i]), xs[i : i + 1])[0])
-        else:
-            rows.append(fn(float(ts[i]), xs[i : i + 1], extra)[0])
-    return np.asarray(rows, dtype=float)
-
-
 def validate(spec: ProblemSpec, samples: int = 4096, seed: int = 0) -> ValidationReport:
     """Check the growth conditions on quasi-random samples.
 
@@ -672,14 +654,8 @@ def validate(spec: ProblemSpec, samples: int = 4096, seed: int = 0) -> Validatio
 
     xnorm = np.linalg.norm(xs, axis=1)
 
-    def _sigma_all():
-        if spec.coefficients.sigma_constant:
-            return spec.sigma(float(ts[0]), xs)
-        sig = _eval_timewise(spec.sigma, ts, xs)
-        return sig.reshape(samples, spec.dim, spec.dim)
-
     def sigma_check():
-        sig = _sigma_all()
+        sig = spec.sigma(ts, xs)
         if not np.all(np.isfinite(sig)):
             return np.inf, gr.C_sigma_inv, ("non-finite sigma",)
         inv_norms = np.linalg.norm(np.linalg.inv(sig), ord=2, axis=(1, 2))
@@ -687,26 +663,19 @@ def validate(spec: ProblemSpec, samples: int = 4096, seed: int = 0) -> Validatio
         return float(inv_norms[j]), gr.C_sigma_inv, (float(ts[j]), *xs[j])
 
     def sigma_cond_check():
-        sig = _sigma_all()
-        conds = np.linalg.cond(sig)
+        conds = np.linalg.cond(spec.sigma(ts, xs))
         j = int(np.argmax(conds))
         return float(conds[j]), SIGMA_COND_CAP, (float(ts[j]), *xs[j])
 
     def f_check():
-        measured, worst = -np.inf, (0.0,)
-        for k in range(spec.controls.k):
-            sel = ks == k
-            if not np.any(sel):
-                continue
-            fv = _eval_timewise(spec.f, ts[sel], xs[sel], spec.controls.points[k])
-            fv = fv.reshape(-1, spec.dim)
-            ratios = np.linalg.norm(fv, axis=1) / (1.0 + xnorm[sel])
-            j = int(np.argmax(ratios))
-            if ratios[j] > measured:
-                measured = float(ratios[j])
-                idx = np.where(sel)[0][j]
-                worst = (float(ts[idx]), *xs[idx], k)
-        return measured, gr.C_f, worst
+        fv, _ = spec.control_rows(ts, xs, ks, reward=False)
+        if np.any(np.isnan(fv)):
+            return np.inf, gr.C_f, ("non-finite f",)
+        ratios = np.linalg.norm(fv, axis=1) / (1.0 + xnorm)
+        # ties go to the lowest control index, then to the first sample
+        top = np.flatnonzero(ratios == np.max(ratios))
+        j = int(top[np.argmin(ks[top])])
+        return float(ratios[j]), gr.C_f, (float(ts[j]), *xs[j], int(ks[j]))
 
     def scalar_growth_check(values, tag_points):
         denom = 1.0 + xnorm**gr.p
@@ -715,11 +684,7 @@ def validate(spec: ProblemSpec, samples: int = 4096, seed: int = 0) -> Validatio
         return float(ratios[j]), gr.C_poly, tag_points(j)
 
     def gamma_check():
-        vals = np.empty(samples)
-        for k in range(spec.controls.k):
-            sel = ks == k
-            if np.any(sel):
-                vals[sel] = _eval_timewise(spec.gamma, ts[sel], xs[sel], spec.controls.points[k])
+        _, vals = spec.control_rows(ts, xs, ks, drift=False)
         if not np.all(np.isfinite(vals)):
             return np.inf, gr.C_poly, ("non-finite gamma",)
         return scalar_growth_check(vals, lambda j: (float(ts[j]), *xs[j], int(ks[j])))
@@ -731,7 +696,7 @@ def validate(spec: ProblemSpec, samples: int = 4096, seed: int = 0) -> Validatio
         return scalar_growth_check(vals, lambda j: tuple(xs[j]))
 
     def h_check():
-        vals = _eval_timewise(spec.h, ts, xs)
+        vals = spec.h(ts, xs)
         if not np.all(np.isfinite(vals)):
             return np.inf, gr.C_poly, ("non-finite h",)
         return scalar_growth_check(vals, lambda j: (float(ts[j]), *xs[j]))

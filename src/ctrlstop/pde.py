@@ -6,6 +6,12 @@ and projects onto the obstacle:
     vtilde = v + dt * [ 1/2 Tr(sigma sigma^T D^2 v) + max_a ( f(t,x,a) . D^a v + gamma(t,x,a) ) ]
     v      = max(vtilde, h(t, .))
 
+The same sweep records the projection: a node binds when the obstacle pushed
+the step up, v - vtilde > 0, by more than a round-off floor.  Binding nodes
+store v = h exactly and form the stopping region (the increasing process K of
+the reflected BSDE moves only there), so policy extraction and the
+complementarity check read the record rather than replaying the sweep.
+
 First derivatives are upwinded one-sided per drift-component sign, jointly
 with the sup over the finite control set, which keeps the scheme monotone
 under the recorded CFL bound.  The spatial boundary uses a zero-gradient
@@ -30,13 +36,16 @@ __all__ = [
     "LadderReport",
     "make_grid",
     "solve",
-    "rerun_projection",
     "extract_policy",
     "ladder",
     "comparison_check",
 ]
 
 GENERATORS = ("hstar", "dominating")
+# strict binding margin: obstacle pushes below this are treated as round-off
+BINDING_FLOOR = 1e-9
+# rows per kernel call in extract_policy; bounds its working set
+POLICY_BLOCK_ROWS = 2**16
 
 
 @dataclass(frozen=True)
@@ -100,28 +109,35 @@ class SpaceTimeGrid:
             out = np.outer(out, m)
         return out.reshape(self.shape)
 
-    def index_of(self, x) -> tuple[int, ...]:
-        """Nearest-node multi-index, clipped to the box."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = []
-        for j in range(self.dim):
-            i = int(round((x[j] - self.box.lo[j]) / self.dxs[j]))
-            idx.append(min(max(i, 0), self.nx[j] - 1))
-        return tuple(idx)
+    def time_index(self, t: float) -> int:
+        """Nearest time slice, clipped to [0, nt]."""
+        return min(max(int(round(t / self.dt)), 0), self.nt)
+
+    def space_indices(self, X) -> tuple[np.ndarray, ...]:
+        """Nearest-node index arrays, one per axis, clipped to the box.
+
+        X is one point [d] or a batch [n, d]; each array has one entry per row.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return tuple(
+            np.clip(np.rint((X[:, j] - self.box.lo[j]) / self.dxs[j]).astype(np.int64), 0, self.nx[j] - 1)
+            for j in range(self.dim)
+        )
 
 
 @dataclass(frozen=True)
 class ValueField:
     grid: SpaceTimeGrid
-    values: np.ndarray  # [nt+1, *shape]
+    values: np.ndarray   # [nt+1, *shape]
+    binding: np.ndarray  # [nt, *shape] bool; the obstacle pushed the step up
     scheme_meta: dict
 
     def __post_init__(self):
         self.values.setflags(write=False)
+        self.binding.setflags(write=False)
 
     def at(self, t: float, x) -> float:
-        it = min(max(int(round(t / self.grid.dt)), 0), self.grid.nt)
-        return float(self.values[it][self.grid.index_of(x)])
+        return float(self.values[self.grid.time_index(t)][self.grid.space_indices(x)][0])
 
 
 @dataclass(frozen=True)
@@ -135,23 +151,12 @@ class PolicyField:
         self.argmax.setflags(write=False)
         self.stop_mask.setflags(write=False)
 
-    def _time_index(self, t: float) -> int:
-        return min(max(int(round(t / self.grid.dt)), 0), self.grid.nt)
-
-    def _space_indices(self, X: np.ndarray):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        idx = []
-        for j in range(self.grid.dim):
-            i = np.rint((X[:, j] - self.grid.box.lo[j]) / self.grid.dxs[j]).astype(np.int64)
-            idx.append(np.clip(i, 0, self.grid.nx[j] - 1))
-        return tuple(idx)
-
     def control_indices(self, t: float, X: np.ndarray) -> np.ndarray:
         """Nearest-node policy lookup (constant extension outside the box)."""
-        return self.argmax[self._time_index(t)][self._space_indices(X)]
+        return self.argmax[self.grid.time_index(t)][self.grid.space_indices(X)]
 
     def stop_at(self, t: float, X: np.ndarray) -> np.ndarray:
-        return self.stop_mask[self._time_index(t)][self._space_indices(X)]
+        return self.stop_mask[self.grid.time_index(t)][self.grid.space_indices(X)]
 
 
 def _covariance(sig: np.ndarray):
@@ -378,17 +383,27 @@ def solve(
     trunc: TruncationIndex | None = None,
     generator: str = "hstar",
 ) -> ValueField:
-    """Backward sweep; terminal slice is g exactly, every slice obeys v >= h."""
+    """Backward sweep; terminal slice is g exactly, every slice obeys v >= h.
+
+    The sweep also records where the obstacle binds (``ValueField.binding``):
+    the push v - vtilde exceeds BINDING_FLOOR * (1 + max |v|).  The push is
+    h - vtilde where the obstacle binds and 0 elsewhere; the floor needs the
+    whole field, so the push is thresholded once the sweep ends.
+    """
     if spec.dim != grid.dim:
         raise ValueError("grid dimension does not match the problem")
     sch = _Scheme(spec, grid, trunc, generator)
     nt = grid.nt
     times = grid.times
     values = np.empty((nt + 1, *grid.shape))
+    push = np.empty((nt, *grid.shape))
     values[nt] = spec.g(sch.X).reshape(grid.shape)
     for i in range(nt - 1, -1, -1):
         vt = sch.step(values[i + 1], float(times[i + 1]))
-        values[i] = np.maximum(vt, sch.h_slice(float(times[i])))
+        np.maximum(vt, sch.h_slice(float(times[i])), out=values[i])
+        np.subtract(values[i], vt, out=push[i])
+    # max |v| as max(max v, -min v): no field-sized temporary
+    binding = push > BINDING_FLOOR * (1.0 + max(float(np.max(values)), -float(np.min(values))))
     meta = {
         "generator": generator,
         "trunc": None if trunc is None else (trunc.n, trunc.m),
@@ -397,57 +412,22 @@ def solve(
         "boundary": "zero-gradient edge extension",
         "coeff_time": "source slice",
     }
-    return ValueField(grid=grid, values=values, scheme_meta=meta)
+    return ValueField(grid=grid, values=values, binding=binding, scheme_meta=meta)
 
 
-def rerun_projection(
-    spec: ProblemSpec,
-    field: ValueField,
-    trunc: TruncationIndex | None = None,
-    generator: str = "hstar",
-):
-    """Replay the scheme on a solved field to expose the projection.
-
-    Returns (vtilde [nt, *shape], h [nt+1, *shape]): the pre-projection
-    step values and the obstacle slices.  Wherever vtilde < h the stored
-    field equals h bit-for-bit, since the sweep is deterministic.
-    """
-    grid = field.grid
-    sch = _Scheme(spec, grid, trunc, generator)
-    times = grid.times
-    vtilde = np.empty((grid.nt, *grid.shape))
-    h_all = np.empty((grid.nt + 1, *grid.shape))
-    for i in range(grid.nt):
-        vtilde[i] = sch.step(field.values[i + 1], float(times[i + 1]))
-        h_all[i] = sch.h_slice(float(times[i]))
-    h_all[grid.nt] = sch.h_slice(float(times[grid.nt]))
-    return vtilde, h_all
-
-
-# strict binding margin: obstacle pushes below this are treated as round-off
-BINDING_FLOOR = 1e-9
-# rows per kernel call in extract_policy; bounds its working set
-POLICY_BLOCK_ROWS = 2**16
-
-
-def extract_policy(
-    spec: ProblemSpec,
-    field: ValueField,
-    field_trunc: TruncationIndex | None = None,
-    field_generator: str = "hstar",
-) -> PolicyField:
+def extract_policy(spec: ProblemSpec, field: ValueField) -> PolicyField:
     """Feedback control and stopping region read off a solved value field.
 
     The control at a node maximises H(t, x, grad v . sigma, a), with grad v
     by central differences (one-sided at the edges); gradient and kernel run
-    on blocks of whole slices.  A node joins the stopping region when the
-    obstacle binds: the pre-projection step vtilde falls below h by more than
-    a round-off floor, so the stored value is h there.  The final slice
-    stops by convention.
+    on blocks of whole slices.  The stopping region is the sweep's projection
+    record ``field.binding``, so it follows whatever generator and truncation
+    produced the field; the final slice stops by convention.
     """
     grid = field.grid
-    sch = _Scheme(spec, grid, field_trunc, field_generator)
-    nt, n = grid.nt, sch.n
+    nt = grid.nt
+    nodes = grid.nodes()
+    n = nodes.shape[0]
     times = grid.times
     argmax = np.empty((nt + 1) * n, dtype=np.int16)
     per = max(1, POLICY_BLOCK_ROWS // n)
@@ -456,16 +436,12 @@ def extract_policy(
         grads = np.gradient(field.values[i0:i1], *grid.axes, axis=tuple(range(1, grid.dim + 1)))
         G = np.stack([g.ravel() for g in (grads if grid.dim > 1 else [grads])], axis=1)
         t = np.repeat(times[i0:i1], n)
-        X = np.tile(sch.X, (i1 - i0, 1))
+        X = np.tile(nodes, (i1 - i0, 1))
         Z = np.einsum("ni,nij->nj", G, spec.sigma(t, X))
         argmax[i0 * n : i1 * n] = sup_hamiltonian_batch(spec, t, X, Z)[1]
 
-    delta = BINDING_FLOOR * (1.0 + float(np.max(np.abs(field.values))))
     stop = np.ones((nt + 1, *grid.shape), dtype=bool)
-    for i in range(nt):
-        vt = sch.step(field.values[i + 1], float(times[i + 1]))
-        stop[i] = (sch.h_slice(float(times[i])) - vt) > delta
-
+    stop[:-1] = field.binding
     return PolicyField(
         grid=grid,
         control_points=spec.controls.points,

@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ctrlstop import pde
 from ctrlstop.cli import (
     ProblemFileError,
     emit_problem_file,
@@ -14,6 +15,7 @@ from ctrlstop.cli import (
     main,
     parse_problem_file,
 )
+from ctrlstop.hamilton import TruncationIndex
 from ctrlstop.model import build_builtin
 
 GOOD_FILE = """
@@ -136,6 +138,29 @@ def test_solve_pde_writes_deterministic_csv(tmp_path, capsys):
     assert header == "t,x1,value,h,a_index,stop"
     assert main(argv) == 0
     assert csv_path.read_bytes() == first
+
+
+@pytest.mark.parametrize(
+    "builtin, params, knobs, trunc, generator",
+    [
+        ("decaying_obstacle", {"beta": 2.0}, ["--generator", "dominating"], None, "dominating"),
+        ("controlled_drift_abs", {"h_floor": 0.8}, ["--trunc-n", "2", "--trunc-m", "2"], TruncationIndex(2, 2), "hstar"),
+    ],
+    ids=["dominating", "truncated"],
+)
+def test_solve_pde_stop_column_is_the_solved_binding_record(tmp_path, builtin, params, knobs, trunc, generator):
+    argv = ["solve-pde", "--builtin", builtin, "--nx", "81", "--out", str(tmp_path)]
+    for key, val in params.items():
+        argv += ["--param", f"{key}={val}"]
+    assert main(argv + knobs) == 0
+    spec = build_builtin(builtin, params)
+    grid = pde.make_grid(spec, 81, generator=generator)
+    field = pde.solve(spec, grid, trunc=trunc, generator=generator)
+    lines = (tmp_path / "value_policy.csv").read_text().splitlines()
+    assert lines[0].split(",")[-1] == "stop"
+    stop = np.array([int(line.rsplit(",", 1)[1]) for line in lines[1:]], dtype=bool)
+    expected = np.concatenate([field.binding.ravel(), np.ones(int(np.prod(grid.shape)), dtype=bool)])
+    assert np.array_equal(stop, expected)
 
 
 def test_solve_mc_reports_and_writes(tmp_path, capsys):

@@ -17,6 +17,7 @@ from ctrlstop.model import (
     dominating_generator,
     dominating_generator_batch,
     validate,
+    _sample_points,
 )
 
 BUILTINS = ("bachelier_put", "controlled_drift_abs", "decaying_obstacle")
@@ -208,6 +209,56 @@ def test_validation_catches_drift_growth_violation():
     report = validate(spec, samples=512, seed=0)
     failing = {c.name for c in report.failing()}
     assert "f_linear_growth" in failing
+
+
+def test_validation_fails_a_drift_that_is_nan_under_one_control():
+    # a1=0 gives exp(0)-exp(0)=0; a1=1 overflows to inf-inf=nan for x1 > 0.71
+    spec = build_builtin(
+        "custom",
+        {
+            "dim": 1,
+            "T": 1.0,
+            "sigma": ["1"],
+            "f": ["exp(1000*x1*a1)-exp(1000*x1*a1)"],
+            "gamma": "0",
+            "g": "0",
+            "h": "-1",
+            "controls": [[0.0], [1.0]],
+            "growth": {"C_f": 1.0, "C_sigma_inv": 1.0, "C_poly": 1.0, "p": 1.0},
+            "lo": -2.0,
+            "hi": 2.0,
+        },
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = validate(spec, samples=256, seed=0)
+    (check,) = [c for c in report.checks if c.name == "f_linear_growth"]
+    assert not check.passed
+    assert check.worst_point == ("non-finite f",)
+
+
+def test_drift_growth_ties_go_to_the_lowest_control_then_the_first_sample():
+    spec = build_builtin(
+        "custom",
+        {
+            "dim": 1,
+            "T": 1.0,
+            "sigma": ["1"],
+            "f": ["0"],
+            "gamma": "0",
+            "g": "0",
+            "h": "-1",
+            "controls": [[-1.0], [0.0], [1.0]],
+            "growth": {"C_f": 1.0, "C_sigma_inv": 1.0, "C_poly": 1.0, "p": 1.0},
+            "lo": -2.0,
+            "hi": 2.0,
+        },
+    )
+    ts, xs, ks = _sample_points(spec, 64, 1)
+    assert ks[0] != 0  # a plain argmax would name sample 0
+    j = int(np.flatnonzero(ks == 0)[0])
+    (check,) = [c for c in validate(spec, samples=64, seed=1).checks if c.name == "f_linear_growth"]
+    assert check.measured == 0.0
+    assert check.worst_point == (float(ts[j]), *xs[j], 0)
 
 
 def test_validation_report_is_deterministic():

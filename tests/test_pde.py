@@ -14,7 +14,6 @@ from ctrlstop.pde import (
     extract_policy,
     ladder,
     make_grid,
-    rerun_projection,
     solve,
 )
 
@@ -56,11 +55,70 @@ def test_terminal_slice_is_exact():
     assert np.array_equal(field.values[-1], spec.g(grid.nodes()).reshape(grid.shape))
 
 
+def _replay(spec, field, trunc=None, generator="hstar"):
+    """Oracle: rerun the explicit sweep on a solved field, step by step.
+
+    Returns (vtilde [nt, *shape], h [nt+1, *shape]): the pre-projection step
+    values and the obstacle slices, as the solver's own loop sees them.
+    """
+    grid = field.grid
+    sch = pde._Scheme(spec, grid, trunc, generator)
+    times = grid.times
+    vtilde = np.empty((grid.nt, *grid.shape))
+    h_all = np.empty((grid.nt + 1, *grid.shape))
+    for i in range(grid.nt):
+        vtilde[i] = sch.step(field.values[i + 1], float(times[i + 1]))
+        h_all[i] = sch.h_slice(float(times[i]))
+    h_all[grid.nt] = sch.h_slice(float(times[grid.nt]))
+    return vtilde, h_all
+
+
+def _replayed_binding(spec, field, trunc=None, generator="hstar"):
+    vtilde, h_all = _replay(spec, field, trunc, generator)
+    return (h_all[:-1] - vtilde) > 1e-9 * (1.0 + float(np.max(np.abs(field.values))))
+
+
+def _steep_obstacle():
+    """Put obstacle rising towards t=0 with a small dominating constant, so
+    the obstacle still binds under the dominating generator."""
+    return _custom(
+        g="max(1-x1,0)",
+        h="max(1-x1,0)*(1+2*(1-t))",
+        growth={"C_f": 0.0, "C_sigma_inv": 5.0, "C_poly": 0.05, "p": 1.0},
+        lo=-3.0,
+        hi=5.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "make_spec, nx, trunc, generator",
+    [
+        (lambda: build_builtin("decaying_obstacle", {"beta": 2.0}), 101, None, "hstar"),
+        (lambda: build_builtin("controlled_drift_abs", {"d": 2, "h_floor": 0.8}), 21, None, "hstar"),
+        (lambda: build_builtin("controlled_drift_abs", {"h_floor": 0.8}), 81, TruncationIndex(1, 1), "hstar"),
+        (_steep_obstacle, 161, None, "dominating"),
+        # 59 of its 171 positive pushes lie below the round-off floor
+        (lambda: build_builtin("bachelier_put"), 401, None, "hstar"),
+    ],
+    ids=["1d", "2d", "truncated", "dominating", "sub-floor"],
+)
+def test_binding_record_equals_the_replayed_projection(make_spec, nx, trunc, generator):
+    spec = make_spec()
+    grid = make_grid(spec, nx, generator=generator)
+    field = solve(spec, grid, trunc=trunc, generator=generator)
+    expected = _replayed_binding(spec, field, trunc, generator)
+    assert field.binding.dtype == bool
+    assert field.binding.shape == (grid.nt, *grid.shape)
+    assert 0 < np.count_nonzero(expected) < expected.size
+    assert np.array_equal(field.binding, expected)
+    assert not field.binding.flags.writeable
+
+
 def test_solution_never_falls_below_the_obstacle():
     spec = build_builtin("decaying_obstacle", {"beta": 2.0})
     grid = make_grid(spec, 101)
     field = solve(spec, grid)
-    _, h_all = rerun_projection(spec, field)
+    _, h_all = _replay(spec, field)
     assert float(np.min(field.values - h_all)) >= 0.0
 
 
@@ -68,10 +126,27 @@ def test_projection_pins_binding_nodes_to_the_obstacle():
     spec = build_builtin("decaying_obstacle", {"beta": 2.0})
     grid = make_grid(spec, 101)
     field = solve(spec, grid)
-    vtilde, h_all = rerun_projection(spec, field)
+    vtilde, h_all = _replay(spec, field)
     binding = vtilde < h_all[:-1]
     assert np.count_nonzero(binding) > 0
     assert np.array_equal(field.values[:-1][binding], h_all[:-1][binding])
+    # the recorded region lies inside the strict set and pins the same way
+    assert not np.any(field.binding & ~binding)
+    assert np.array_equal(field.values[:-1][field.binding], h_all[:-1][field.binding])
+
+
+def test_dominating_field_stops_where_its_own_sweep_binds():
+    spec = build_builtin("decaying_obstacle", {"beta": 2.0})
+    grid = make_grid(spec, 81, generator="dominating")
+    field = solve(spec, grid, generator="dominating")
+    policy = extract_policy(spec, field)
+    record = _replayed_binding(spec, field, generator="dominating")
+    # replaying with the default generator marks stop nodes the dominating
+    # sweep never projected
+    assert np.count_nonzero(_replayed_binding(spec, field)) > 0
+    assert np.array_equal(policy.stop_mask[:-1], record)
+    assert np.array_equal(policy.stop_mask[:-1], field.binding)
+    assert np.all(policy.stop_mask[-1])
 
 
 def test_bachelier_value_near_closed_form():
@@ -135,7 +210,7 @@ def test_stop_mask_equals_the_tolerance_rule_it_replaces(name, params, nx):
     grid = make_grid(spec, nx)
     field = solve(spec, grid)
     policy = extract_policy(spec, field)
-    vtilde, h_all = rerun_projection(spec, field)
+    vtilde, h_all = _replay(spec, field)
     delta = 1e-9 * (1.0 + float(np.max(np.abs(field.values))))
     binding = (h_all[:-1] - vtilde) > delta
     assert 0 < np.count_nonzero(binding) < binding.size
@@ -319,8 +394,14 @@ def test_grid_construction_and_lookup():
     grid = make_grid(spec, 51, nt=777)
     assert grid.nt == 777
     assert grid.nx == (51,)
-    assert grid.index_of([99.0]) == (50,)
-    assert grid.index_of([-99.0]) == (0,)
+    assert grid.space_indices([99.0]) == (50,)
+    assert grid.space_indices([-99.0]) == (0,)
+    (i,) = grid.space_indices(np.array([[-99.0], [1.0], [1.1], [99.0]]))
+    assert i.tolist() == [0, 25, 26, 50]  # 1.1 sits at node 25.625
+    assert grid.time_index(-1.0) == 0
+    assert grid.time_index(0.5) == 388  # 388.5 rounds half to even
+    assert grid.time_index(0.5005) == 389
+    assert grid.time_index(9.0) == 777
     field = solve(spec, make_grid(spec, 51))
     assert field.at(1.0, [1.0]) == 0.0  # terminal payoff at the strike
     with pytest.raises(ValueError, match="at least 3 nodes"):
