@@ -61,15 +61,17 @@ def _control_values(spec: ProblemSpec, t, X: np.ndarray, Z: np.ndarray) -> np.nd
     """H(t, x_i, z_i, a_k) for every control and row, shape [k, n].
 
     z . sigma^{-1} f is evaluated as W . f with W = sigma^{-T} z, so sigma is
-    factorised once per call (once in all when it is constant) and the
-    control set enters through one drift and one reward evaluation.  With a
-    state-free drift the contraction is a [k,d] @ [d,n] matmul.
+    inverted once per call and the control set enters through one drift and
+    one reward evaluation.  A constant sigma is one LAPACK solve for all
+    rows; otherwise ``ProblemSpec.sigma_solve`` divides by a diagonal sigma
+    and factorises any other per row.  With a state-free drift the
+    contraction is a [k,d] @ [d,n] matmul.
     """
     sig = spec.sigma(t, X)
     if spec.coefficients.sigma_constant and X.shape[0]:
         W = np.linalg.solve(sig[0].T, Z.T)                                   # [d, n]
     else:
-        W = np.linalg.solve(np.swapaxes(sig, 1, 2), Z[..., None])[..., 0].T  # [d, n]
+        W = spec.sigma_solve(sig, Z, transpose=True).T                       # [d, n]
     F, G = spec.control_table(t, X)
     if F.shape[1] == 1:
         vals = F[:, 0, :] @ W

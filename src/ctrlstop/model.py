@@ -30,6 +30,7 @@ __all__ = [
     "ValidationCheck",
     "ValidationReport",
     "build_builtin",
+    "sigma_apply",
     "validate",
     "dominating_generator",
     "BUILTIN_NAMES",
@@ -153,6 +154,8 @@ class CoefficientField:
     h_expr: str | None = None
     params: Mapping[str, float] | None = None
     sigma_constant: bool = False
+    # true when every off-diagonal sigma entry is a parameter-only zero
+    sigma_diagonal: bool = False
     # hoisting hints: true when the coefficient provably ignores t
     f_t_free: bool = False
     gamma_t_free: bool = False
@@ -237,6 +240,36 @@ class ProblemSpec:
             G = np.broadcast_to(np.asarray(self.coefficients.gamma(t, X, A, rows=True), dtype=float), (n,))
         return F, G
 
+    def sigma_solve(self, sig: np.ndarray, V: np.ndarray, *, transpose: bool = False) -> np.ndarray:
+        """Rows of sigma^{-1} V (sigma^{-T} V with ``transpose``); sig [n,d,d], V [n,d].
+
+        A diagonal sigma (``CoefficientField.sigma_diagonal``) is divided
+        through, which gives gesv's bits wherever V is nonzero; any other
+        sigma takes one LAPACK gesv per row.  A zero on the diagonal raises
+        LinAlgError, as gesv does.
+        """
+        if self.coefficients.sigma_diagonal:
+            diag = np.diagonal(sig, axis1=1, axis2=2)
+            if np.any(diag == 0.0):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return V / diag
+        if transpose:
+            sig = np.swapaxes(sig, 1, 2)
+        return np.linalg.solve(sig, V[..., None])[..., 0]
+
+
+def sigma_apply(sig: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Rows of sigma V: out[:, i] = sum_j sig[:, i, j] * V[:, j]; sig [n|1,d,d], V [n,d].
+
+    The sum starts from 0.0 and takes j in ascending order, so the bits do
+    not depend on how a library would vectorise the contraction.
+    """
+    out = sig[:, :, 0] * V[:, :1]
+    out += 0.0  # (p0 + 0.0) is (0.0 + p0): an all-zero row sums to +0.0
+    for j in range(1, V.shape[1]):
+        out += sig[:, :, j] * V[:, j, None]
+    return out
+
 
 # -- expression compilation ---------------------------------------------------
 
@@ -296,6 +329,12 @@ def compile_coefficients(
     h_tree = parse_expression(h_expr, pnames | xnames | {"t"})
 
     sigma_constant = all(tr.variables <= pnames for tr in sig_trees)
+    # off-diagonal entries sit at the row-major positions not divisible by dim + 1
+    sigma_diagonal = all(
+        tr.variables <= pnames and float(tr(dict(params))) == 0.0
+        for i, tr in enumerate(sig_trees)
+        if i % (dim + 1)
+    )
     if sigma_constant:
         const = np.array([tr(dict(params)) for tr in sig_trees], dtype=float).reshape(dim, dim)
         const.setflags(write=False)
@@ -344,6 +383,7 @@ def compile_coefficients(
         h_expr=h_expr,
         params=dict(params),
         sigma_constant=sigma_constant,
+        sigma_diagonal=sigma_diagonal,
         f_t_free=all("t" not in tr.variables for tr in f_trees),
         gamma_t_free="t" not in gamma_tree.variables,
         h_t_free="t" not in h_tree.variables,

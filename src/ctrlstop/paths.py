@@ -4,6 +4,10 @@ Brownian increments are drawn in fixed blocks of 8192 paths, each block from
 its own ``SeedSequence((seed, block))`` stream, so a batch is reproducible
 bit-for-bit for a given (spec, arguments, seed) no matter how the work is
 scheduled, and enlarging the batch keeps existing blocks unchanged.
+
+The diffusion step sigma dB is ``model.sigma_apply`` and the change-of-measure
+direction theta = sigma^{-1} f is ``ProblemSpec.sigma_solve``: one summation
+order and one inversion rule for every sigma.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ProblemSpec
+from .model import ProblemSpec, sigma_apply
 
 __all__ = [
     "TimeGrid",
@@ -114,7 +118,7 @@ def simulate_uncontrolled(
     for i in range(grid.steps):
         if not const_sig:
             sig = spec.sigma(float(times[i]), states[:, i])
-        states[:, i + 1] = states[:, i] + np.einsum("nij,nj->ni", sig, dW[:, i])
+        states[:, i + 1] = states[:, i] + sigma_apply(sig, dW[:, i])
     return PathBatch(grid=grid, states=states, increments=dW, seed=seed, x0=x0)
 
 
@@ -144,7 +148,7 @@ def simulate_controlled(
         drift, _ = spec.control_rows(t, X, idx, reward=False)
         if not const_sig:
             sig = spec.sigma(t, X)
-        states[:, i + 1] = X + drift * dt + np.einsum("nij,nj->ni", sig, dW[:, i])
+        states[:, i + 1] = X + drift * dt + sigma_apply(sig, dW[:, i])
     return PathBatch(
         grid=grid, states=states, increments=dW, seed=seed, x0=x0, controls=controls
     )
@@ -163,6 +167,11 @@ def _neumaier_sum(terms: np.ndarray) -> np.ndarray:
     return total + comp
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a . b as ``sigma_apply`` of the 1 x d matrix a: same summation order."""
+    return sigma_apply(a[:, None, :], b)[:, 0]
+
+
 def girsanov_log_terms(spec: ProblemSpec, batch: PathBatch) -> np.ndarray:
     """Per-step log-density increments [n, N]; their compensated sum is log M_T.
 
@@ -179,10 +188,8 @@ def girsanov_log_terms(spec: ProblemSpec, batch: PathBatch) -> np.ndarray:
         t = float(times[i])
         X = batch.states[:, i]
         fv, _ = spec.control_rows(t, X, batch.controls[:, i], reward=False)
-        theta = np.linalg.solve(spec.sigma(t, X), fv[..., None])[..., 0]
-        terms[:, i] = np.einsum("nd,nd->n", theta, batch.increments[:, i]) - 0.5 * dt * np.einsum(
-            "nd,nd->n", theta, theta
-        )
+        theta = spec.sigma_solve(spec.sigma(t, X), fv)
+        terms[:, i] = _row_dot(theta, batch.increments[:, i]) - 0.5 * dt * _row_dot(theta, theta)
     return terms
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .hamilton import TruncationIndex, cutoff_batch, sup_hamiltonian_batch, truncate_values
-from .model import Box, ProblemSpec, dominating_constant
+from .model import Box, ProblemSpec, dominating_constant, sigma_apply
 
 __all__ = [
     "SpaceTimeGrid",
@@ -437,7 +437,7 @@ def extract_policy(spec: ProblemSpec, field: ValueField) -> PolicyField:
         G = np.stack([g.ravel() for g in (grads if grid.dim > 1 else [grads])], axis=1)
         t = np.repeat(times[i0:i1], n)
         X = np.tile(nodes, (i1 - i0, 1))
-        Z = np.einsum("ni,nij->nj", G, spec.sigma(t, X))
+        Z = sigma_apply(np.swapaxes(spec.sigma(t, X), 1, 2), G)
         argmax[i0 * n : i1 * n] = sup_hamiltonian_batch(spec, t, X, Z)[1]
 
     stop = np.ones((nt + 1, *grid.shape), dtype=bool)

@@ -1,0 +1,35 @@
+"""tools/output_digest.py: the digests cover the pipeline's outputs and repeat."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("output_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_digests_cover_the_backward_pass_and_repeat():
+    tool = _load()
+    first = tool.run_workload("rbsde-5d", seed=0, shrink=8)
+    for key in ("simulate_uncontrolled[0].states", "solve_rbsde[0].y_nodes", "solve_rbsde[0].z_nodes", "run.values.y0"):
+        assert len(first[key]) == 64
+    assert tool.run_workload("rbsde-5d", seed=0, shrink=8) == first
+    assert tool.run_workload("rbsde-5d", seed=1, shrink=8)["solve_rbsde[0].y_nodes"] != first["solve_rbsde[0].y_nodes"]
+
+
+def test_digest_tree_separates_dtype_shape_and_sign_of_zero():
+    import numpy as np
+
+    tool = _load()
+    out = {}
+    tool.digest_tree("a", {"x": np.zeros(2), "y": np.zeros((2, 1)), "z": np.zeros(2, dtype=np.float32)}, out)
+    tool.digest_tree("b", [0.0, -0.0], out)
+    assert len({out["a.x"], out["a.y"], out["a.z"]}) == 3
+    assert out["b[0]"] != out["b[1]"]

@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of everything the benchmark pipelines compute.
+
+    python3 tools/output_digest.py --seed 0 --shrink 8
+    python3 tools/output_digest.py --workload policy-2d-localvol --seed 3
+
+Runs each pipeline of ``perfbench/workloads.py`` once at the given benchmark
+seed and size divisor and prints one JSON object: for every workload, the
+digest of each array and number the pipeline's layer calls return (the PDE
+field and its projection record, the policy's argmax and stop mask, path
+states, increments and controls, the change-of-measure terms, the backward
+pass's Y, Z and reflections, the forward estimates) and of the run values,
+counters and gate messages.  The package calls are recorded by wrapping
+module attributes from outside for the length of the run; neither the
+package nor the benchmark is edited.
+
+Two trees compute the same bits exactly when their outputs diff clean, so
+running this on a copy of the parent commit and on a change is the evidence
+for a bit-identical refactor; running it twice on one tree checks
+determinism.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import importlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import spans  # noqa: E402
+import workloads  # noqa: E402
+
+# (module, attribute): the calls whose results are digested.  The workloads
+# module's own bindings cover the pipeline's layer calls; the rest are the
+# calls those layers make on the way (forward paths and change of measure).
+RECORDED = (
+    ("workloads", "solve"),
+    ("workloads", "extract_policy"),
+    ("workloads", "simulate_uncontrolled"),
+    ("workloads", "solve_rbsde"),
+    ("workloads", "evaluate"),
+    ("workloads", "martingale_check"),
+    ("ctrlstop.strategy", "simulate_controlled"),
+    ("ctrlstop.strategy", "attach_controls"),
+    ("ctrlstop.paths", "girsanov_log_terms"),
+)
+
+
+def _sha(kind: str, shape, payload: bytes) -> str:
+    h = hashlib.sha256(f"{kind}{tuple(shape)}".encode())
+    h.update(payload)
+    return h.hexdigest()
+
+
+def digest_tree(prefix: str, obj, out: dict) -> None:
+    """Digest every array and number reachable through dataclasses, dicts and sequences."""
+    if isinstance(obj, np.ndarray):
+        arr = np.ascontiguousarray(obj)
+        out[prefix] = _sha(arr.dtype.str, arr.shape, arr.tobytes())
+    elif isinstance(obj, (bool, np.bool_)):
+        out[prefix] = _sha("bool", (), bytes([bool(obj)]))
+    elif isinstance(obj, (int, np.integer)):
+        out[prefix] = _sha("int", (), int(obj).to_bytes(16, "little", signed=True))
+    elif isinstance(obj, (float, np.floating)):
+        out[prefix] = _sha("float", (), np.float64(obj).tobytes())
+    elif isinstance(obj, str):
+        out[prefix] = _sha("str", (), obj.encode())
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for field in dataclasses.fields(obj):
+            digest_tree(f"{prefix}.{field.name}", getattr(obj, field.name), out)
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            digest_tree(f"{prefix}.{key}", value, out)
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            digest_tree(f"{prefix}[{i}]", value, out)
+
+
+def run_workload(name: str, seed: int, shrink: int) -> dict:
+    """Run one pipeline with every RECORDED call wrapped; digest what it returned."""
+    sizes = workloads.scaled(name, shrink)
+    spec, grid = workloads.setup(name, sizes)
+    seeds = workloads.path_seeds(name, seed)
+    calls = []
+    originals = []
+
+    def recorder(label, fn):
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            calls.append((label, result))
+            return result
+
+        return wrapped
+
+    try:
+        for module_name, attr in RECORDED:
+            module = importlib.import_module(module_name)
+            original = getattr(module, attr)
+            originals.append((module, attr, original))
+            setattr(module, attr, recorder(attr, original))
+        out = workloads.PIPELINES[name](spec, grid, seeds, sizes, spans.StageClock(), spec)
+    finally:
+        for module, attr, original in reversed(originals):
+            setattr(module, attr, original)
+
+    digests = {}
+    seen = {}
+    for label, result in calls:
+        i = seen[label] = seen.get(label, -1) + 1
+        digest_tree(f"{label}[{i}]", result, digests)
+    digest_tree("run.values", out.values, digests)
+    digest_tree("run.counts", out.counts, digests)
+    digest_tree("run.failures", out.failures, digests)
+    return dict(sorted(digests.items()))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", default="all", choices=("all", *workloads.PIPELINES))
+    parser.add_argument("--seed", type=int, default=0, help="benchmark seed (as perfbench/run.py --seed)")
+    parser.add_argument("--shrink", type=int, default=1, help="divide grid and path sizes by this")
+    args = parser.parse_args(argv)
+    if args.seed < 0 or args.shrink < 1:
+        parser.error("--seed must be non-negative and --shrink at least 1")
+    names = list(workloads.PIPELINES) if args.workload == "all" else [args.workload]
+    report = {
+        "seed": args.seed,
+        "shrink": args.shrink,
+        "workloads": {name: run_workload(name, args.seed, args.shrink) for name in names},
+    }
+    print(json.dumps(report, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
