@@ -13,15 +13,9 @@ from __future__ import annotations
 from .expr import EvalError, ExpressionTree, ParseError, parse_expression
 from .hamilton import (
     TIE_TOL,
-    HamiltonianValue,
     TruncationIndex,
-    cutoff,
-    hamiltonian,
-    sup_hamiltonian,
     sup_hamiltonian_batch,
     truncate_values,
-    truncated_sup_hamiltonian,
-    unit_direction,
     unit_direction_batch,
 )
 from .model import (
@@ -32,7 +26,6 @@ from .model import (
     build_builtin,
     compile_coefficients,
     dominating_constant,
-    dominating_generator,
     validate,
 )
 from .paths import (
@@ -77,18 +70,11 @@ __all__ = [
     "build_builtin",
     "compile_coefficients",
     "dominating_constant",
-    "dominating_generator",
     "validate",
-    "HamiltonianValue",
     "TruncationIndex",
     "TIE_TOL",
-    "hamiltonian",
-    "sup_hamiltonian",
     "sup_hamiltonian_batch",
-    "cutoff",
     "truncate_values",
-    "truncated_sup_hamiltonian",
-    "unit_direction",
     "unit_direction_batch",
     "TimeGrid",
     "PathBatch",

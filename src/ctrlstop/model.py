@@ -32,7 +32,7 @@ __all__ = [
     "build_builtin",
     "sigma_apply",
     "validate",
-    "dominating_generator",
+    "dominating_generator_batch",
     "BUILTIN_NAMES",
 ]
 
@@ -229,9 +229,13 @@ class ProblemSpec:
         One call per coefficient with a_j bound to the column points[idx, j],
         so the work is n rows whatever the coefficient reads.  A part turned
         off with ``drift``/``reward`` is not evaluated and comes back as None.
+        An index outside [0, k) raises ValueError instead of wrapping around.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        A = self.controls.points[np.asarray(idx, dtype=np.int64)]
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.controls.k):
+            raise ValueError(f"control indices must lie in [0, {self.controls.k})")
+        A = self.controls.points[idx]
         n = X.shape[0]
         F = G = None
         if drift:
@@ -585,24 +589,20 @@ def dominating_constant(spec: ProblemSpec) -> float:
     return max(g.C_f * g.C_sigma_inv, g.C_poly)
 
 
-def dominating_generator(spec: ProblemSpec, t: float, x, z) -> float:
-    """phi(t,x,z) = c (1+|x|) |z| + c (1+|x|^p) with c = max(C_f*C_sigma_inv, C_poly).
-
-    Dominates |H*| for every spec passing validation.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+def dominating_weights(spec: ProblemSpec, X: np.ndarray):
+    """(c (1+|x|), c (1+|x|^p)) per row of X, the two weights of phi."""
     c = dominating_constant(spec)
-    xn = float(np.linalg.norm(x))
-    zn = float(np.linalg.norm(z))
-    return c * (1.0 + xn) * zn + c * (1.0 + xn ** spec.growth.p)
+    xn = np.linalg.norm(X, axis=1)
+    return c * (1.0 + xn), c * (1.0 + xn ** spec.growth.p)
 
 
 def dominating_generator_batch(spec: ProblemSpec, t: float, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    c = dominating_constant(spec)
-    xn = np.linalg.norm(X, axis=1)
-    zn = np.linalg.norm(Z, axis=1)
-    return c * (1.0 + xn) * zn + c * (1.0 + xn ** spec.growth.p)
+    """phi(t,x,z) = c (1+|x|) |z| + c (1+|x|^p) per row, c = max(C_f*C_sigma_inv, C_poly).
+
+    Dominates |H*| for every spec passing validation.
+    """
+    drift_w, const_w = dominating_weights(spec, X)
+    return drift_w * np.linalg.norm(Z, axis=1) + const_w
 
 
 # -- validation ----------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .hamilton import TruncationIndex, cutoff_batch, sup_hamiltonian_batch, truncate_values
-from .model import Box, ProblemSpec, dominating_constant, sigma_apply
+from .model import Box, ProblemSpec, dominating_weights, sigma_apply
 
 __all__ = [
     "SpaceTimeGrid",
@@ -170,6 +170,15 @@ def _covariance(sig: np.ndarray):
     return diag, cross
 
 
+def _per_slice(t_free: bool, build):
+    """The coefficient of slice t as a function of t: ``build`` itself, or,
+    when the spec says the coefficient ignores t, ``build(0.0)`` made once."""
+    if not t_free:
+        return build
+    value = build(0.0)
+    return lambda t: value
+
+
 class _Scheme:
     """Precomputed arrays and the single explicit backward step."""
 
@@ -179,7 +188,6 @@ class _Scheme:
         if generator not in GENERATORS:
             raise ValueError(f"generator must be one of {GENERATORS}")
         self.spec = spec
-        self.grid = grid
         self.trunc = trunc
         self.generator = generator
         self.shape = grid.shape
@@ -187,59 +195,45 @@ class _Scheme:
         self.dxs = grid.dxs
         self.dt = grid.dt
         self.X = grid.nodes()
-        self.n = self.X.shape[0]
         coeffs = spec.coefficients
 
         if trunc is not None:
             self.rho_n = cutoff_batch(trunc.n, self.X).reshape(self.shape)
             self.rho_m = cutoff_batch(trunc.m, self.X).reshape(self.shape)
 
-        self.sigma_const = coeffs.sigma_constant
-        if self.sigma_const:
-            self._set_diffusion(spec.sigma(0.0, self.X))
-
+        self.diffusion = _per_slice(coeffs.sigma_constant, lambda t: self._diffusion(spec.sigma(t, self.X)))
+        self.h_slice = _per_slice(coeffs.h_t_free, lambda t: spec.h(t, self.X).reshape(self.shape))
         if generator == "dominating":
-            c = dominating_constant(spec)
-            xn = np.linalg.norm(self.X, axis=1).reshape(self.shape)
-            self.phi_drift = c * (1.0 + xn)                      # multiplies |grad v . sigma|
-            self.phi_const = c * (1.0 + xn ** spec.growth.p)     # zero-order part
-
-        self.table = None
-        if generator == "hstar" and coeffs.f_t_free and coeffs.gamma_t_free:
-            self.table = self._control_table(0.0)
-        self.h_hoisted = spec.h(0.0, self.X).reshape(self.shape) if coeffs.h_t_free else None
+            # phi = phi_drift |grad v . sigma| + phi_const
+            self.phi_drift, self.phi_const = (w.reshape(self.shape) for w in dominating_weights(spec, self.X))
+        else:
+            self.table = _per_slice(coeffs.f_t_free and coeffs.gamma_t_free, self._control_table)
         self.cfl_worst = 0.0
 
     # -- coefficient plumbing --------------------------------------------------
 
-    def _set_diffusion(self, sig):
-        """Cache diffusion stencil pieces for the slice covariance sigma sigma^T."""
+    def _diffusion(self, sig):
+        """Per-axis A_jj and sigma_jj and, at d=2, A_12 (else None) of one slice; A = sigma sigma^T."""
         diag, cross = _covariance(sig)
-        self.A_diag = [a.reshape(self.shape) for a in diag]
-        self.sigma_diag = [sig[:, j, j].reshape(self.shape) for j in range(self.d)]
-        if self.d == 2:
-            self.A_cross = cross.reshape(self.shape)
-            off = max(float(np.max(np.abs(sig[:, 0, 1]))), float(np.max(np.abs(sig[:, 1, 0]))))
-            self.sigma_off_diag = off
-            # monotone cross stencil needs grid-aligned diagonal dominance
-            dd = np.minimum(
-                self.A_diag[0] / self.dxs[0] ** 2 - np.abs(self.A_cross) / (self.dxs[0] * self.dxs[1]),
-                self.A_diag[1] / self.dxs[1] ** 2 - np.abs(self.A_cross) / (self.dxs[0] * self.dxs[1]),
+        A_diag = [a.reshape(self.shape) for a in diag]
+        sigma_diag = [sig[:, j, j].reshape(self.shape) for j in range(self.d)]
+        if self.d == 1:
+            return A_diag, sigma_diag, None
+        A_cross = cross.reshape(self.shape)
+        # monotone cross stencil needs grid-aligned diagonal dominance
+        dd = np.minimum(
+            A_diag[0] / self.dxs[0] ** 2 - np.abs(A_cross) / (self.dxs[0] * self.dxs[1]),
+            A_diag[1] / self.dxs[1] ** 2 - np.abs(A_cross) / (self.dxs[0] * self.dxs[1]),
+        )
+        if float(np.min(dd)) < -1e-12:
+            raise ValueError(
+                "diffusion matrix is not diagonally dominant on the grid; "
+                "the cross-derivative stencil would lose monotonicity"
             )
-            if float(np.min(dd)) < -1e-12:
-                raise ValueError(
-                    "diffusion matrix is not diagonally dominant on the grid; "
-                    "the cross-derivative stencil would lose monotonicity"
-                )
-        else:
-            self.A_cross = None
-            self.sigma_off_diag = 0.0
-
-    def _slice_coeffs(self, t: float):
-        if not self.sigma_const:
-            self._set_diffusion(self.spec.sigma(t, self.X))
-        if self.generator == "dominating" and self.sigma_off_diag > 1e-12:
+        off = max(float(np.max(np.abs(sig[:, 0, 1]))), float(np.max(np.abs(sig[:, 1, 0]))))
+        if self.generator == "dominating" and off > 1e-12:
             raise ValueError("dominating-generator solves require diagonal sigma")
+        return A_diag, sigma_diag, A_cross
 
     def _control_table(self, t: float):
         """Drift components, each [k, *shape], and reward [k, *shape] at time t;
@@ -247,14 +241,9 @@ class _Scheme:
         F, G = self.spec.control_table(t, self.X)
 
         def spatial(A):
-            return A.reshape(A.shape[0], *(self.shape if A.shape[1] == self.n else (1,) * self.d))
+            return A.reshape(A.shape[0], *(self.shape if A.shape[1] == self.X.shape[0] else (1,) * self.d))
 
         return [spatial(F[:, :, j]) for j in range(self.d)], spatial(G)
-
-    def h_slice(self, t: float) -> np.ndarray:
-        if self.h_hoisted is not None:
-            return self.h_hoisted
-        return self.spec.h(t, self.X).reshape(self.shape)
 
     # -- stencil views ----------------------------------------------------------
 
@@ -275,15 +264,15 @@ class _Scheme:
 
         Returns vtilde; the caller projects on the obstacle.
         """
-        self._slice_coeffs(t)
+        A_diag, sigma_diag, A_cross = self.diffusion(t)
         Wp, up, dn = self._views(W)
         dxs = self.dxs
 
         diff = np.zeros_like(W)
         for j in range(self.d):
-            diff = diff + 0.5 * self.A_diag[j] * (up[j] - 2.0 * W + dn[j]) / dxs[j] ** 2
-        if self.d == 2 and self.A_cross is not None and np.any(self.A_cross != 0.0):
-            al = self.A_cross
+            diff = diff + 0.5 * A_diag[j] * (up[j] - 2.0 * W + dn[j]) / dxs[j] ** 2
+        if A_cross is not None and np.any(A_cross != 0.0):
+            al = A_cross
             quad = 2.0 * dxs[0] * dxs[1]
             pp, mm = Wp[2:, 2:], Wp[:-2, :-2]
             pm, mp = Wp[2:, :-2], Wp[:-2, 2:]
@@ -295,21 +284,21 @@ class _Scheme:
         fwd = [(up[j] - W) / dxs[j] for j in range(self.d)]
         bwd = [(dn[j] - W) / dxs[j] for j in range(self.d)]
 
-        outflow = sum(self.A_diag[j] / dxs[j] ** 2 for j in range(self.d))
-        if self.d == 2 and self.A_cross is not None:
-            outflow = outflow - np.abs(self.A_cross) / (dxs[0] * dxs[1])
+        outflow = sum(A_diag[j] / dxs[j] ** 2 for j in range(self.d))
+        if A_cross is not None:
+            outflow = outflow - np.abs(A_cross) / (dxs[0] * dxs[1])
 
         if self.generator == "dominating":
             acc = np.zeros_like(W)
             for j in range(self.d):
                 gj = np.maximum(np.maximum(fwd[j], bwd[j]), 0.0)
-                acc = acc + (self.sigma_diag[j] * gj) ** 2
+                acc = acc + (sigma_diag[j] * gj) ** 2
             gen = self.phi_drift * np.sqrt(acc) + self.phi_const
             outflow = outflow + self.phi_drift * sum(
-                np.abs(self.sigma_diag[j]) / dxs[j] for j in range(self.d)
+                np.abs(sigma_diag[j]) / dxs[j] for j in range(self.d)
             )
         else:
-            F, G = self.table if self.table is not None else self._control_table(t)
+            F, G = self.table(t)
             adv = scale = 0.0  # [k, *shape] once the controls enter
             for j in range(self.d):
                 adv = adv + np.maximum(F[j], 0.0) * fwd[j] + np.maximum(-F[j], 0.0) * bwd[j]
@@ -348,10 +337,9 @@ def _rate_bound(spec: ProblemSpec, box: Box, nx, generator: str) -> float:
         diag, _ = _covariance(sig)
         rate = sum(diag[j] / dxs[j] ** 2 for j in range(spec.dim))
         if generator == "dominating":
-            c = dominating_constant(spec)
-            xn = np.linalg.norm(X, axis=1)
+            drift_w, _ = dominating_weights(spec, X)
             for j in range(spec.dim):
-                rate = rate + c * (1.0 + xn) * np.abs(sig[:, j, j]) / dxs[j]
+                rate = rate + drift_w * np.abs(sig[:, j, j]) / dxs[j]
         else:
             F, _ = spec.control_table(t, X)
             scale = sum(np.abs(F[:, :, j]) / dxs[j] for j in range(spec.dim))

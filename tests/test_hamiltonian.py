@@ -10,18 +10,37 @@ from hypothesis import strategies as st
 from ctrlstop.hamilton import (
     TIE_TOL,
     TruncationIndex,
-    cutoff,
     cutoff_batch,
-    hamiltonian,
-    sup_hamiltonian,
     sup_hamiltonian_batch,
     tail_norms,
     truncate_values,
-    truncated_sup_hamiltonian,
-    unit_direction,
     unit_direction_batch,
 )
-from ctrlstop.model import build_builtin
+from ctrlstop.model import build_builtin, validate
+
+
+def _one_row(spec, t, x, z):
+    """H* and its first maximiser at a single point, as a one-row batch."""
+    vals, args = sup_hamiltonian_batch(spec, t, np.atleast_2d(x), np.atleast_2d(z))
+    return float(vals[0]), int(args[0])
+
+
+def _cutoff_oracle(m, x):
+    """rho_m(x) = clip(m + 1 - |x|, 0, 1) at one point, in plain Python floats."""
+    return float(np.clip(m + 1.0 - np.linalg.norm(np.atleast_1d(x)), 0.0, 1.0))
+
+
+def _unit_direction_oracle(z):
+    """ell(z) at one point by a loop over its trailing-subvector norms."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    d = z.size
+    tails = np.zeros(d + 1)
+    for i in range(d - 1, -1, -1):
+        tails[i] = np.hypot(z[i], tails[i + 1])
+    ell = np.zeros(d)
+    nz = z != 0.0
+    ell[nz] = (tails[:-1][nz] - tails[1:][nz]) / z[nz]
+    return ell
 
 
 @pytest.fixture(scope="module")
@@ -35,27 +54,25 @@ def bachelier():
 
 
 def test_uncontrolled_hamiltonian_is_zero(bachelier):
-    hv = sup_hamiltonian(bachelier, 0.3, [1.2], [5.0])
-    assert hv.value == 0.0
-    assert hv.argmax_index == 0
-    assert hv.ties == 1
+    assert bachelier.controls.k == 1
+    assert _one_row(bachelier, 0.3, [1.2], [5.0]) == (0.0, 0)
 
 
 def test_controlled_sup_is_absolute_value(controlled):
     # sigma = 1, f = a in {-1, 0, 1}, gamma = 0 => H*(z) = |z|
     for z in (-2.5, -0.3, 0.4, 7.0):
-        hv = sup_hamiltonian(controlled, 0.0, [0.5], [z])
-        assert hv.value == abs(z)
-        assert hv.argmax[0] == np.sign(z)
-        assert hv.ties == 1
+        value, arg = _one_row(controlled, 0.0, [0.5], [z])
+        assert value == abs(z)
+        assert controlled.controls.points[arg, 0] == np.sign(z)
 
 
 def test_tie_resolution_takes_first_control(controlled):
-    hv = sup_hamiltonian(controlled, 0.0, [0.5], [0.0])
-    assert hv.value == 0.0
-    assert hv.ties == 3
-    assert hv.argmax_index == 0
-    assert np.array_equal(hv.argmax, [-1.0])
+    # at z = 0 all three controls tie; the first in control-set order wins
+    assert _one_row(controlled, 0.0, [0.5], [0.0]) == (0.0, 0)
+    assert np.array_equal(controlled.controls.points[0], [-1.0])
+    # values within TIE_TOL of the max count as maximisers, beyond it they do not
+    assert _one_row(controlled, 0.0, [0.0], [TIE_TOL / 4.0])[1] == 0
+    assert _one_row(controlled, 0.0, [0.0], [4.0 * TIE_TOL])[1] == 2
 
 
 def test_sup_matches_bruteforce_max(controlled):
@@ -63,10 +80,13 @@ def test_sup_matches_bruteforce_max(controlled):
     for _ in range(25):
         x = rng.normal(size=1)
         z = rng.normal(size=1) * 10.0
+        X = x[None, :]
+        sig = controlled.sigma(0.1, X)[0]
         brute = max(
-            hamiltonian(controlled, 0.1, x, z, a) for a in controlled.controls.points
+            float(z @ np.linalg.solve(sig, controlled.f(0.1, X, a)[0]) + controlled.gamma(0.1, X, a)[0])
+            for a in controlled.controls.points
         )
-        assert sup_hamiltonian(controlled, 0.1, x, z).value == brute
+        assert _one_row(controlled, 0.1, x, z)[0] == brute
 
 
 def test_batch_agrees_with_pointwise(controlled):
@@ -75,17 +95,18 @@ def test_batch_agrees_with_pointwise(controlled):
     Z = rng.normal(size=(64, 1)) * 3.0
     vals, args = sup_hamiltonian_batch(controlled, 0.2, X, Z)
     for i in range(64):
-        hv = sup_hamiltonian(controlled, 0.2, X[i], Z[i])
-        assert vals[i] == hv.value
-        assert args[i] == hv.argmax_index
+        assert (vals[i], args[i]) == _one_row(controlled, 0.2, X[i], Z[i])
 
 
-def test_batch_tie_tolerance_matches_scalar(controlled):
-    # values within TIE_TOL of the max count as maximisers
-    z = np.array([[TIE_TOL / 4.0]])
-    _, args = sup_hamiltonian_batch(controlled, 0.0, np.zeros((1, 1)), z)
-    hv = sup_hamiltonian(controlled, 0.0, [0.0], z[0])
-    assert args[0] == hv.argmax_index == 0
+def test_kernel_rejects_rows_that_do_not_match():
+    spec = build_builtin("controlled_drift_abs", {"d": 2})
+    with pytest.raises(ValueError, match=r"must both be \[n, 2\]"):
+        sup_hamiltonian_batch(spec, 0.0, np.zeros((3, 2)), np.ones((2, 2)))
+    with pytest.raises(ValueError, match=r"must both be \[n, 2\]"):
+        sup_hamiltonian_batch(spec, 0.0, np.zeros((3, 1)), np.ones((3, 1)))
+    with pytest.raises(ValueError, match=r"must both be \[n, 2\]"):
+        sup_hamiltonian_batch(spec, 0.0, np.zeros((3, 1)), np.ones((3, 2)))
+    assert sup_hamiltonian_batch(spec, 0.0, np.zeros(2), np.ones(2))[0].shape == (1,)
 
 
 def _random_spec(d: int, x_in_f: bool, x_in_gamma: bool, k: int, rng) -> object:
@@ -157,18 +178,13 @@ def test_kernel_matches_bruteforce_solve_per_control(d, x_in_f, x_in_gamma, per_
             assert args[i] == int(np.argmax(brute))
 
 
-def test_hamiltonian_rejects_foreign_control(controlled):
-    with pytest.raises(ValueError, match="not in the control set"):
-        hamiltonian(controlled, 0.0, [0.0], [1.0], [0.5])
-
-
-def test_hamiltonian_rejects_singular_sigma():
-    spec = build_builtin(
+def _two_dim_spec(sigma):
+    return build_builtin(
         "custom",
         {
             "dim": 2,
             "T": 1.0,
-            "sigma": ["1", "1", "1", "1"],
+            "sigma": sigma,
             "f": ["a1", "a2"],
             "gamma": "0",
             "g": "0",
@@ -179,20 +195,23 @@ def test_hamiltonian_rejects_singular_sigma():
             "hi": 2.0,
         },
     )
-    with pytest.raises(ValueError, match="singular"):
-        hamiltonian(spec, 0.0, [0.0, 0.0], [1.0, 1.0], [0.0, 0.0])
+
+
+def test_hamiltonian_rejects_singular_sigma():
+    # cond(sigma) = 4e9 is above the 1e8 cap: validation fails by name
+    near = validate(_two_dim_spec(["1", "1", "1", "1.000000001"]), samples=64)
+    assert [c.name for c in near.failing()] == ["sigma_condition_cap"]
+    with pytest.raises(np.linalg.LinAlgError):
+        sup_hamiltonian_batch(_two_dim_spec(["1", "1", "1", "1"]), 0.0, [[0.0, 0.0]], [[1.0, 1.0]])
 
 
 def test_cutoff_profile():
-    assert cutoff(3, [2.0]) == 1.0
-    assert cutoff(3, [3.0]) == 1.0
-    assert cutoff(3, [3.5]) == 0.5
-    assert cutoff(3, [4.0]) == 0.0
-    assert cutoff(3, [-7.0]) == 0.0
+    for x, rho in (([2.0], 1.0), ([3.0], 1.0), ([3.5], 0.5), ([4.0], 0.0), ([-7.0], 0.0)):
+        assert cutoff_batch(3, [x])[0] == rho
     # euclidean radius in higher dimension
-    assert cutoff(1, [1.0, 1.0]) == pytest.approx(2.0 - np.sqrt(2.0))
+    assert cutoff_batch(1, [[1.0, 1.0]])[0] == pytest.approx(2.0 - np.sqrt(2.0))
     with pytest.raises(ValueError, match=">= 1"):
-        cutoff(0.5, [0.0])
+        cutoff_batch(0.5, [[0.0]])
     with pytest.raises(ValueError, match=">= 1"):
         TruncationIndex(0, 1)
 
@@ -200,7 +219,7 @@ def test_cutoff_profile():
 def test_cutoff_batch_matches_scalar():
     X = np.linspace(-5.0, 5.0, 41)[:, None]
     batch = cutoff_batch(2, X)
-    assert np.array_equal(batch, [cutoff(2, row) for row in X])
+    assert np.array_equal(batch, [_cutoff_oracle(2, row) for row in X])
 
 
 def test_truncate_values_two_sided():
@@ -212,20 +231,25 @@ def test_truncate_values_two_sided():
 
 def test_truncation_identity_inside_radius(controlled):
     trunc = TruncationIndex(2, 2)
+
+    def truncated(x, z):
+        X = np.array([[x]])
+        vals, _ = sup_hamiltonian_batch(controlled, 0.1, X, np.array([[z]]))
+        return truncate_values(vals, cutoff_batch(trunc.n, X), cutoff_batch(trunc.m, X))[0]
+
     for x, z in ((0.5, 1.7), (-1.9, -0.3), (2.0, 4.0)):
-        full = sup_hamiltonian(controlled, 0.1, [x], [z]).value
-        assert truncated_sup_hamiltonian(controlled, trunc, 0.1, [x], [z]) == full
+        assert truncated(x, z) == _one_row(controlled, 0.1, [x], [z])[0]
     # fully damped beyond n+1
-    assert truncated_sup_hamiltonian(controlled, trunc, 0.1, [3.5], [1.0]) == 0.0
+    assert truncated(3.5, 1.0) == 0.0
     # half damped at radius n + 1/2
-    assert truncated_sup_hamiltonian(controlled, trunc, 0.1, [2.5], [1.0]) == 0.5
+    assert truncated(2.5, 1.0) == 0.5
 
 
 def test_unit_direction_small_cases():
-    assert np.array_equal(unit_direction([3.0, 4.0]), [1.0 / 3.0, 1.0])
-    assert np.array_equal(unit_direction([0.0, -2.0]), [0.0, -1.0])
-    assert np.array_equal(unit_direction([-5.0]), [-1.0])
-    assert np.array_equal(unit_direction([0.0, 0.0, 0.0]), np.zeros(3))
+    assert np.array_equal(unit_direction_batch([[3.0, 4.0]]), [[1.0 / 3.0, 1.0]])
+    assert np.array_equal(unit_direction_batch([[0.0, -2.0]]), [[0.0, -1.0]])
+    assert np.array_equal(unit_direction_batch([[-5.0]]), [[-1.0]])
+    assert np.array_equal(unit_direction_batch([[0.0, 0.0, 0.0]]), np.zeros((1, 3)))
 
 
 def test_unit_direction_batch_matches_single():
@@ -235,7 +259,7 @@ def test_unit_direction_batch_matches_single():
     Z[0] = 0.0
     batch = unit_direction_batch(Z)
     for i in range(0, 200, 13):
-        assert np.array_equal(batch[i], unit_direction(Z[i]))
+        assert np.array_equal(batch[i], _unit_direction_oracle(Z[i]))
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])

@@ -14,8 +14,8 @@ from ctrlstop.model import (
     ProblemSpec,
     build_builtin,
     dominating_constant,
-    dominating_generator,
     dominating_generator_batch,
+    dominating_weights,
     validate,
     _sample_points,
 )
@@ -136,7 +136,9 @@ def test_dominating_generator_closed_form():
     )
     assert dominating_constant(spec) == 2.0
     # c (1+|x|) |z| + c (1+|x|^p) with c=2, x=3, z=4, p=2
-    assert dominating_generator(spec, 0.0, [3.0], [4.0]) == 2.0 * 4.0 * 4.0 + 2.0 * 10.0
+    drift_w, const_w = dominating_weights(spec, np.array([[3.0]]))
+    assert (drift_w[0], const_w[0]) == (2.0 * 4.0, 2.0 * 10.0)
+    assert dominating_generator_batch(spec, 0.0, np.array([[3.0]]), np.array([[4.0]]))[0] == 2.0 * 4.0 * 4.0 + 2.0 * 10.0
     batch = dominating_generator_batch(
         spec, 0.0, np.array([[3.0], [0.0]]), np.array([[4.0], [0.0]])
     )
@@ -331,3 +333,14 @@ def test_control_rows_match_per_control_coefficients(
         a = spec.controls.points[idx[i]]
         assert np.array_equal(F[i], spec.f(float(ts[i]), X[i : i + 1], a)[0])
         assert np.array_equal(G[i], spec.gamma(float(ts[i]), X[i : i + 1], a)[0])
+
+
+def test_control_rows_reject_indices_outside_the_control_set():
+    spec = build_builtin("controlled_drift_abs")
+    X = np.zeros((2, 1))
+    for idx in ([0, -1], [3, 0]):
+        with pytest.raises(ValueError, match=r"control indices must lie in \[0, 3\)"):
+            spec.control_rows(0.0, X, idx)
+    # an empty batch has no index to check
+    F, G = spec.control_rows(0.0, np.zeros((0, 1)), np.zeros(0, dtype=np.int64))
+    assert F.shape == (0, 1) and G.shape == (0,)

@@ -33,3 +33,18 @@ def test_digest_tree_separates_dtype_shape_and_sign_of_zero():
     tool.digest_tree("b", [0.0, -0.0], out)
     assert len({out["a.x"], out["a.y"], out["a.z"]}) == 3
     assert out["b[0]"] != out["b[1]"]
+
+
+def test_diff_digests_names_moved_and_one_sided_keys():
+    tool = _load()
+    a = {"w1": {"x": "1", "y": "2", "z": "3"}, "w2": {"x": "1"}}
+    b = {"w1": {"x": "1", "y": "9", "v": "4"}, "w3": {"x": "1"}}
+    assert tool.diff_digests(a, a) == []
+    assert tool.diff_digests(a, b) == [
+        "only-b w1 v",
+        "moved w1 y",
+        "only-a w1 z",
+        "only-a w2 x",
+        "only-b w3 x",
+    ]
+    assert tool.diff_digests({}, {}) == []

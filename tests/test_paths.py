@@ -107,6 +107,15 @@ def test_girsanov_requires_controls(bachelier):
         girsanov_log_batch(bachelier, batch)
 
 
+def test_girsanov_rejects_out_of_range_control(controlled):
+    g = TimeGrid(0.0, 1.0, 4)
+    batch = simulate_uncontrolled(controlled, 0.0, [0.0], g, 10, seed=0)
+    # -1 would otherwise wrap around to the last control
+    for index in (-1, controlled.controls.k):
+        with pytest.raises(ValueError, match=r"control indices must lie in \[0, 3\)"):
+            girsanov_log_terms(controlled, attach_controls(batch, ConstantPolicy(index)))
+
+
 def test_zero_drift_density_is_exactly_one(bachelier):
     g = TimeGrid(0.0, 1.0, 6)
     batch = simulate_uncontrolled(bachelier, 0.0, [1.0], g, 50, seed=2)

@@ -1,0 +1,35 @@
+"""Public names: every exported name resolves, and the removed scalar entry points stay gone."""
+
+from __future__ import annotations
+
+import importlib
+import pkgutil
+
+import pytest
+
+import ctrlstop
+
+MODULES = ("ctrlstop", *(f"ctrlstop.{m.name}" for m in pkgutil.iter_modules(ctrlstop.__path__)))
+
+# single-point entry points whose batch kernels are the only evaluation path
+_TWINS = ("HamiltonianValue", "hamiltonian", "sup_hamiltonian", "truncated_sup_hamiltonian", "cutoff", "unit_direction")
+REMOVED = {
+    "ctrlstop": (*_TWINS, "dominating_generator"),
+    "ctrlstop.hamilton": (*_TWINS, "_one_row"),
+    "ctrlstop.model": ("dominating_generator",),
+}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("module", sorted(REMOVED))
+def test_removed_scalar_entry_points_are_not_importable(module):
+    mod = importlib.import_module(module)
+    for name in REMOVED[module]:
+        assert name not in getattr(mod, "__all__", ())
+        with pytest.raises(ImportError):
+            exec(f"from {module} import {name}", {})

@@ -133,6 +133,13 @@ def test_martingale_check_constant_drift():
     assert abs(est.q_moment / oracle - 1.0) < 0.05
 
 
+def test_evaluate_rejects_out_of_range_control():
+    spec = build_builtin("controlled_drift_abs")
+    for index in (-1, spec.controls.k):
+        with pytest.raises(ValueError, match=r"control indices must lie in \[0, 3\)"):
+            evaluate(spec, ConstantPolicy(index), TimeGrid(0.0, 1.0, 4), [0.5], 10, seed=0)
+
+
 def test_constant_policy_interface():
     p = ConstantPolicy(2)
     X = np.zeros((5, 1))

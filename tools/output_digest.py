@@ -3,6 +3,7 @@
 
     python3 tools/output_digest.py --seed 0 --shrink 8
     python3 tools/output_digest.py --workload policy-2d-localvol --seed 3
+    python3 tools/output_digest.py --seed 0 --shrink 8 --against HEAD~1
 
 Runs each pipeline of ``perfbench/workloads.py`` once at the given benchmark
 seed and size divisor and prints one JSON object: for every workload, the
@@ -17,7 +18,11 @@ package nor the benchmark is edited.
 Two trees compute the same bits exactly when their outputs diff clean, so
 running this on a copy of the parent commit and on a change is the evidence
 for a bit-identical refactor; running it twice on one tree checks
-determinism.
+determinism.  ``--against REV`` does the first in one call: it checks REV
+out into a temporary git worktree, runs REV's copy of this tool there with
+the same workload, seed and size, removes the worktree, and prints instead
+of the report one line per key that moved or that only one side has; the
+exit code is 1 when any line is printed.
 """
 
 from __future__ import annotations
@@ -27,7 +32,9 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -122,22 +129,70 @@ def run_workload(name: str, seed: int, shrink: int) -> dict:
     return dict(sorted(digests.items()))
 
 
+def diff_digests(a: dict, b: dict) -> list[str]:
+    """Keys whose digests differ between two ``workloads`` maps, one line each.
+
+    ``a`` and ``b`` map workload -> {key: digest}, as in the printed report.
+    A line reads ``moved <workload> <key>``, ``only-a ...`` or ``only-b ...``;
+    an empty list means both sides computed the same bits.
+    """
+    flat_a = {(w, k): v for w, keys in a.items() for k, v in keys.items()}
+    flat_b = {(w, k): v for w, keys in b.items() for k, v in keys.items()}
+    lines = []
+    for key in sorted(flat_a.keys() | flat_b.keys()):
+        if key not in flat_b:
+            lines.append(f"only-a {key[0]} {key[1]}")
+        elif key not in flat_a:
+            lines.append(f"only-b {key[0]} {key[1]}")
+        elif flat_a[key] != flat_b[key]:
+            lines.append(f"moved {key[0]} {key[1]}")
+    return lines
+
+
+def _report_at(rev: str, argv: list[str]) -> dict:
+    """The report of REV's copy of this tool, run in a temporary git worktree.
+
+    Errors of git and of REV's run pass through on standard error.
+    """
+    git = ["git", "-C", str(ROOT), "worktree"]
+    with tempfile.TemporaryDirectory(prefix="output-digest-") as tmp:
+        tree = Path(tmp) / "tree"
+        subprocess.run([*git, "add", "--quiet", "--detach", str(tree), rev], check=True)
+        try:
+            proc = subprocess.run(
+                [sys.executable, str(tree / "tools" / "output_digest.py"), *argv],
+                check=True, stdout=subprocess.PIPE, text=True,
+            )
+        finally:
+            subprocess.run([*git, "remove", "--force", str(tree)], check=True)
+    return json.loads(proc.stdout)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", default="all", choices=("all", *workloads.PIPELINES))
     parser.add_argument("--seed", type=int, default=0, help="benchmark seed (as perfbench/run.py --seed)")
     parser.add_argument("--shrink", type=int, default=1, help="divide grid and path sizes by this")
+    parser.add_argument("--against", metavar="REV", help="print only the keys that differ from git revision REV")
     args = parser.parse_args(argv)
     if args.seed < 0 or args.shrink < 1:
         parser.error("--seed must be non-negative and --shrink at least 1")
     names = list(workloads.PIPELINES) if args.workload == "all" else [args.workload]
+    if args.against:
+        base = _report_at(args.against, ["--workload", args.workload, "--seed", str(args.seed), "--shrink", str(args.shrink)])
     report = {
         "seed": args.seed,
         "shrink": args.shrink,
         "workloads": {name: run_workload(name, args.seed, args.shrink) for name in names},
     }
-    print(json.dumps(report, indent=1))
-    return 0
+    if not args.against:
+        print(json.dumps(report, indent=1))
+        return 0
+    lines = diff_digests(base["workloads"], report["workloads"])
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} keys differ from {args.against}", file=sys.stderr)
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":
