@@ -165,7 +165,7 @@ def _check_method_triangle(shared):
 
     est = strategy.evaluate(spec, policy, tg, x0, 100_000, seed=12)
 
-    budget = 0.015 * max(0.1, abs(v_pde))
+    budget = strategy.SCHEME_BUDGET_REL * max(0.1, abs(v_pde))
     pairs = [
         ("pde-mc", v_pde, back.y0, back.se_y0),
         ("pde-forward", v_pde, est.mean, est.stderr),

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance, mc, pde, strategy
-from .hamilton import TruncationIndex
+from .hamilton import GENERATORS, TruncationIndex
 from .model import ProblemSpec, build_builtin, validate
 from .paths import TimeGrid, girsanov_log_terms, simulate_controlled, simulate_uncontrolled
 
@@ -492,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nx", type=int, default=201)
     sp.add_argument("--nt", type=int, default=None)
     sp.add_argument("--cfl", type=float, default=0.9)
-    sp.add_argument("--generator", choices=pde.GENERATORS, default="hstar")
+    sp.add_argument("--generator", choices=GENERATORS, default="hstar")
     sp.add_argument("--trunc-n", type=int, default=None)
     sp.add_argument("--trunc-m", type=int, default=None)
     sp.add_argument("--x0", default=None)
@@ -505,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=50)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--basis", default="local:25")
-    sp.add_argument("--generator", choices=pde.GENERATORS, default="hstar")
+    sp.add_argument("--generator", choices=GENERATORS, default="hstar")
     sp.add_argument("--trunc-n", type=int, default=None)
     sp.add_argument("--trunc-m", type=int, default=None)
     sp.add_argument("--x0", default=None)

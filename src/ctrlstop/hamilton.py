@@ -22,6 +22,8 @@ import numpy as np
 from .model import ProblemSpec
 
 __all__ = [
+    "GENERATORS",
+    "check_generator",
     "TruncationIndex",
     "sup_hamiltonian_batch",
     "cutoff_batch",
@@ -33,6 +35,8 @@ __all__ = [
 
 # relative tolerance under which two control values count as tied
 TIE_TOL = 1e-12
+# drivers of both solvers: H* (optionally truncated) or the majorant phi
+GENERATORS = ("hstar", "dominating")
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,14 @@ class TruncationIndex:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("truncation radii must be >= 1")
+
+
+def check_generator(generator: str, trunc: TruncationIndex | None) -> None:
+    """Raise ValueError for a generator outside GENERATORS or a truncated phi."""
+    if generator not in GENERATORS:
+        raise ValueError(f"generator must be one of {GENERATORS}")
+    if generator == "dominating" and trunc is not None:
+        raise ValueError("the dominating generator takes no truncation; drop trunc")
 
 
 def _control_values(spec: ProblemSpec, t, X: np.ndarray, Z: np.ndarray) -> np.ndarray:

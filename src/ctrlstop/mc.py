@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamilton import TruncationIndex, cutoff_batch, sup_hamiltonian_batch, truncate_values
+from .hamilton import TruncationIndex, check_generator, cutoff_batch, sup_hamiltonian_batch, truncate_values
 from .model import Box, ProblemSpec, dominating_generator_batch
 from .paths import PathBatch
 
@@ -41,7 +41,11 @@ __all__ = [
     "skorokhod_residual",
     "truncation_ladder_mc",
     "SingularRegressionError",
+    "COND_THRESHOLD",
 ]
+
+# a polynomial design whose condition number exceeds this is singular
+COND_THRESHOLD = 1e10
 
 
 class SingularRegressionError(RuntimeError):
@@ -63,7 +67,6 @@ class RegressionBasis:
     cells_per_axis: int = 25
     degree: int = 5
     box: Box | None = None
-    cond_threshold: float = 1e10
 
     def __post_init__(self):
         if self.kind not in ("local-partition", "polynomial"):
@@ -144,7 +147,7 @@ def _regress(basis: RegressionBasis, box: Box, X: np.ndarray, node: int):
     U, sv, _ = np.linalg.svd(phi, full_matrices=False)
     rank = int(np.sum(sv > sv[0] * np.finfo(float).eps * max(phi.shape)))
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-    if cond > basis.cond_threshold or rank < phi.shape[1]:
+    if cond > COND_THRESHOLD or rank < phi.shape[1]:
         raise SingularRegressionError(node, cond)
 
     def project_poly(targets):
@@ -191,8 +194,7 @@ def solve_rbsde(
     ``generator`` selects the driver: 'hstar' (optionally truncated via
     ``trunc``) or 'dominating' for the growth-bound majorant.
     """
-    if generator not in ("hstar", "dominating"):
-        raise ValueError("generator must be 'hstar' or 'dominating'")
+    check_generator(generator, trunc)
     if batch.dim != spec.dim:
         raise ValueError("batch dimension does not match the problem")
     basis = basis or RegressionBasis()

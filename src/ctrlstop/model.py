@@ -13,6 +13,7 @@ expression trees so that problem files round-trip exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -406,10 +407,42 @@ def _pop_params(params: dict, defaults: dict, family: str) -> dict:
     return out
 
 
-def _axis_grid(values, d):
-    """Cartesian power of a 1-d value list, rows ordered lexicographically."""
-    grids = np.meshgrid(*([np.asarray(values, dtype=float)] * d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+def _put_family(name: str, params: dict) -> dict:
+    """Custom parameters of bachelier_put, or of decaying_obstacle: the same
+    with the obstacle scaled by (1+beta(T-t)) and C_poly scaled to match."""
+    decaying = name == "decaying_obstacle"
+    defaults = {"sigma0": 0.2, "K": 1.0, "T": 1.0, "lo": -3.0, "hi": 5.0}
+    p = _pop_params(
+        params,
+        {"beta": 0.5, **defaults} if decaying else defaults,
+        name,
+    )
+    if p["sigma0"] <= 0:
+        raise ValueError("sigma0 must be positive")
+    bind = {"sigma0": float(p["sigma0"]), "K": float(p["K"])}
+    h_expr = "max(K-x1,0)"
+    C_poly = max(1.0, float(p["K"]))
+    if decaying:
+        if p["beta"] < 0:
+            raise ValueError("beta must be >= 0")
+        bind.update(beta=float(p["beta"]), T=float(p["T"]))
+        h_expr += "*(1+beta*(T-t))"
+        C_poly *= 1.0 + float(p["beta"]) * float(p["T"])
+    return {
+        "name": name,
+        "dim": 1,
+        "T": p["T"],
+        "sigma": ("sigma0",),
+        "f": ("0",),
+        "gamma": "0",
+        "g": "max(K-x1,0)",
+        "h": h_expr,
+        "controls": [[0.0]],
+        "growth": {"C_f": 0.0, "C_sigma_inv": 1.0 / bind["sigma0"], "C_poly": C_poly, "p": 1.0},
+        "lo": p["lo"],
+        "hi": p["hi"],
+        "params": bind,
+    }
 
 
 def build_builtin(name: str, params: Mapping[str, float] | None = None) -> ProblemSpec:
@@ -420,44 +453,14 @@ def build_builtin(name: str, params: Mapping[str, float] | None = None) -> Probl
                         terminal |x|, constant obstacle floor
     decaying_obstacle   bachelier_put with obstacle inflated by (1+beta(T-t))
     custom              explicit expression strings and constants
+
+    A named family checks its parameters and becomes a ``custom`` parameter
+    dict, so every spec is assembled by the ``custom`` path.
     """
     params = dict(params or {})
-    if name == "bachelier_put":
-        p = _pop_params(
-            params,
-            {"sigma0": 0.2, "K": 1.0, "T": 1.0, "lo": -3.0, "hi": 5.0},
-            name,
-        )
-        if p["sigma0"] <= 0:
-            raise ValueError("sigma0 must be positive")
-        bind = {"sigma0": float(p["sigma0"]), "K": float(p["K"])}
-        coeffs = compile_coefficients(
-            dim=1,
-            sigma_exprs=("sigma0",),
-            f_exprs=("0",),
-            gamma_expr="0",
-            g_expr="max(K-x1,0)",
-            h_expr="max(K-x1,0)",
-            params=bind,
-            ka=1,
-        )
-        growth = Growth(
-            C_f=0.0,
-            C_sigma_inv=1.0 / float(p["sigma0"]),
-            C_poly=max(1.0, float(p["K"])),
-            p=1.0,
-        )
-        return ProblemSpec(
-            dim=1,
-            horizon_T=float(p["T"]),
-            coefficients=coeffs,
-            controls=ControlSet(np.array([[0.0]])),
-            growth=growth,
-            domain=Box(np.array([p["lo"]]), np.array([p["hi"]])),
-            name=name,
-        )
-
-    if name == "controlled_drift_abs":
+    if name in ("bachelier_put", "decaying_obstacle"):
+        params = _put_family(name, params)
+    elif name == "controlled_drift_abs":
         p = _pop_params(
             params,
             {"kappa": 1.0, "d": 1, "h_floor": -10.0, "T": 1.0, "lo": -4.0, "hi": 4.0},
@@ -469,116 +472,62 @@ def build_builtin(name: str, params: Mapping[str, float] | None = None) -> Probl
         kappa = float(p["kappa"])
         if kappa <= 0:
             raise ValueError("kappa must be positive")
-        bind = {"h_floor": float(p["h_floor"])}
+        h_floor = float(p["h_floor"])
         if d == 1:
             g_expr = "abs(x1)"
         else:
             g_expr = "sqrt(" + "+".join(f"x{j + 1}*x{j + 1}" for j in range(d)) + ")"
-        sigma_exprs = tuple("1" if i == j else "0" for i in range(d) for j in range(d))
-        coeffs = compile_coefficients(
-            dim=d,
-            sigma_exprs=sigma_exprs,
-            f_exprs=tuple(f"a{j + 1}" for j in range(d)),
-            gamma_expr="0",
-            g_expr=g_expr,
-            h_expr="h_floor",
-            params=bind,
-            ka=d,
-        )
-        growth = Growth(
-            C_f=kappa * math.sqrt(d),
-            C_sigma_inv=1.0,
-            C_poly=max(1.0, abs(float(p["h_floor"]))),
-            p=1.0,
-        )
-        return ProblemSpec(
-            dim=d,
-            horizon_T=float(p["T"]),
-            coefficients=coeffs,
-            controls=ControlSet(_axis_grid([-kappa, 0.0, kappa], d)),
-            growth=growth,
-            domain=Box(np.full(d, float(p["lo"])), np.full(d, float(p["hi"]))),
-            name=name,
-        )
-
-    if name == "decaying_obstacle":
-        p = _pop_params(
-            params,
-            {"beta": 0.5, "sigma0": 0.2, "K": 1.0, "T": 1.0, "lo": -3.0, "hi": 5.0},
-            name,
-        )
-        if p["sigma0"] <= 0:
-            raise ValueError("sigma0 must be positive")
-        if p["beta"] < 0:
-            raise ValueError("beta must be >= 0")
-        bind = {
-            "sigma0": float(p["sigma0"]),
-            "K": float(p["K"]),
-            "beta": float(p["beta"]),
-            "T": float(p["T"]),
+        params = {
+            "name": name,
+            "dim": d,
+            "T": p["T"],
+            "sigma": tuple("1" if i == j else "0" for i in range(d) for j in range(d)),
+            "f": tuple(f"a{j + 1}" for j in range(d)),
+            "gamma": "0",
+            "g": g_expr,
+            "h": "h_floor",
+            "controls": list(itertools.product((-kappa, 0.0, kappa), repeat=d)),
+            "growth": {"C_f": kappa * math.sqrt(d), "C_sigma_inv": 1.0, "C_poly": max(1.0, abs(h_floor)), "p": 1.0},
+            "lo": p["lo"],
+            "hi": p["hi"],
+            "params": {"h_floor": h_floor},
         }
-        coeffs = compile_coefficients(
-            dim=1,
-            sigma_exprs=("sigma0",),
-            f_exprs=("0",),
-            gamma_expr="0",
-            g_expr="max(K-x1,0)",
-            h_expr="max(K-x1,0)*(1+beta*(T-t))",
-            params=bind,
-            ka=1,
-        )
-        growth = Growth(
-            C_f=0.0,
-            C_sigma_inv=1.0 / float(p["sigma0"]),
-            C_poly=max(1.0, float(p["K"])) * (1.0 + float(p["beta"]) * float(p["T"])),
-            p=1.0,
-        )
-        return ProblemSpec(
-            dim=1,
-            horizon_T=float(p["T"]),
-            coefficients=coeffs,
-            controls=ControlSet(np.array([[0.0]])),
-            growth=growth,
-            domain=Box(np.array([p["lo"]]), np.array([p["hi"]])),
-            name=name,
-        )
+    elif name != "custom":
+        raise ValueError(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
 
-    if name == "custom":
-        required = {"dim", "T", "sigma", "f", "gamma", "g", "h", "controls", "growth", "lo", "hi"}
-        missing = required - set(params)
-        if missing:
-            raise ValueError(f"custom spec missing parameters: {sorted(missing)}")
-        dim = int(params["dim"])
-        controls = ControlSet(np.asarray(params["controls"], dtype=float))
-        bind = dict(params.get("params", {}))
-        coeffs = compile_coefficients(
-            dim=dim,
-            sigma_exprs=tuple(params["sigma"]),
-            f_exprs=tuple(params["f"]),
-            gamma_expr=params["gamma"],
-            g_expr=params["g"],
-            h_expr=params["h"],
-            params=bind,
-            ka=controls.ka,
-        )
-        gr = params["growth"]
-        growth = gr if isinstance(gr, Growth) else Growth(**gr)
-        lo = np.atleast_1d(np.asarray(params["lo"], dtype=float))
-        hi = np.atleast_1d(np.asarray(params["hi"], dtype=float))
-        if lo.size == 1 and dim > 1:
-            lo = np.full(dim, lo[0])
-            hi = np.full(dim, hi[0])
-        return ProblemSpec(
-            dim=dim,
-            horizon_T=float(params["T"]),
-            coefficients=coeffs,
-            controls=controls,
-            growth=growth,
-            domain=Box(lo, hi),
-            name=str(params.get("name", "custom")),
-        )
-
-    raise ValueError(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
+    required = {"dim", "T", "sigma", "f", "gamma", "g", "h", "controls", "growth", "lo", "hi"}
+    missing = required - set(params)
+    if missing:
+        raise ValueError(f"custom spec missing parameters: {sorted(missing)}")
+    dim = int(params["dim"])
+    controls = ControlSet(np.asarray(params["controls"], dtype=float))
+    bind = dict(params.get("params", {}))
+    coeffs = compile_coefficients(
+        dim=dim,
+        sigma_exprs=tuple(params["sigma"]),
+        f_exprs=tuple(params["f"]),
+        gamma_expr=params["gamma"],
+        g_expr=params["g"],
+        h_expr=params["h"],
+        params=bind,
+        ka=controls.ka,
+    )
+    gr = params["growth"]
+    growth = gr if isinstance(gr, Growth) else Growth(**gr)
+    lo = np.atleast_1d(np.asarray(params["lo"], dtype=float))
+    hi = np.atleast_1d(np.asarray(params["hi"], dtype=float))
+    if lo.size == 1 and dim > 1:
+        lo = np.full(dim, lo[0])
+        hi = np.full(dim, hi[0])
+    return ProblemSpec(
+        dim=dim,
+        horizon_T=float(params["T"]),
+        coefficients=coeffs,
+        controls=controls,
+        growth=growth,
+        domain=Box(lo, hi),
+        name=str(params.get("name", "custom")),
+    )
 
 
 # -- dominating generator -----------------------------------------------------

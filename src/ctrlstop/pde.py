@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .hamilton import TruncationIndex, cutoff_batch, sup_hamiltonian_batch, truncate_values
+from .hamilton import TruncationIndex, check_generator, cutoff_batch, sup_hamiltonian_batch, truncate_values
 from .model import Box, ProblemSpec, dominating_weights, sigma_apply
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "comparison_check",
 ]
 
-GENERATORS = ("hstar", "dominating")
 # strict binding margin: obstacle pushes below this are treated as round-off
 BINDING_FLOOR = 1e-9
 # rows per kernel call in extract_policy; bounds its working set
@@ -185,8 +184,7 @@ class _Scheme:
     def __init__(self, spec: ProblemSpec, grid: SpaceTimeGrid, trunc, generator):
         if spec.dim > 2:
             raise ValueError("the finite-difference solver handles d <= 2 only")
-        if generator not in GENERATORS:
-            raise ValueError(f"generator must be one of {GENERATORS}")
+        check_generator(generator, trunc)
         self.spec = spec
         self.trunc = trunc
         self.generator = generator
@@ -201,49 +199,65 @@ class _Scheme:
             self.rho_n = cutoff_batch(trunc.n, self.X).reshape(self.shape)
             self.rho_m = cutoff_batch(trunc.m, self.X).reshape(self.shape)
 
-        self.diffusion = _per_slice(coeffs.sigma_constant, lambda t: self._diffusion(spec.sigma(t, self.X)))
-        self.h_slice = _per_slice(coeffs.h_t_free, lambda t: spec.h(t, self.X).reshape(self.shape))
         if generator == "dominating":
             # phi = phi_drift |grad v . sigma| + phi_const
             self.phi_drift, self.phi_const = (w.reshape(self.shape) for w in dominating_weights(spec, self.X))
         else:
             self.table = _per_slice(coeffs.f_t_free and coeffs.gamma_t_free, self._control_table)
+        self.diffusion = _per_slice(coeffs.sigma_constant, lambda t: self._diffusion(spec.sigma(t, self.X)))
+        self.h_slice = _per_slice(coeffs.h_t_free, lambda t: spec.h(t, self.X).reshape(self.shape))
         self.cfl_worst = 0.0
 
     # -- coefficient plumbing --------------------------------------------------
 
     def _diffusion(self, sig):
-        """Per-axis A_jj and sigma_jj and, at d=2, A_12 (else None) of one slice; A = sigma sigma^T."""
+        """Per-axis A_jj and sigma_jj, at d=2 A_12 (else None), and the slice's
+        diffusion share of the outflow rate [*shape], phi's included; A = sigma sigma^T."""
         diag, cross = _covariance(sig)
         A_diag = [a.reshape(self.shape) for a in diag]
         sigma_diag = [sig[:, j, j].reshape(self.shape) for j in range(self.d)]
-        if self.d == 1:
-            return A_diag, sigma_diag, None
-        A_cross = cross.reshape(self.shape)
-        # monotone cross stencil needs grid-aligned diagonal dominance
-        dd = np.minimum(
-            A_diag[0] / self.dxs[0] ** 2 - np.abs(A_cross) / (self.dxs[0] * self.dxs[1]),
-            A_diag[1] / self.dxs[1] ** 2 - np.abs(A_cross) / (self.dxs[0] * self.dxs[1]),
-        )
-        if float(np.min(dd)) < -1e-12:
-            raise ValueError(
-                "diffusion matrix is not diagonally dominant on the grid; "
-                "the cross-derivative stencil would lose monotonicity"
+        rate = sum(A_diag[j] / self.dxs[j] ** 2 for j in range(self.d))
+        A_cross = None
+        if self.d == 2:
+            A_cross = cross.reshape(self.shape)
+            cross_rate = np.abs(A_cross) / (self.dxs[0] * self.dxs[1])
+            # monotone cross stencil needs grid-aligned diagonal dominance
+            dd = np.minimum(
+                A_diag[0] / self.dxs[0] ** 2 - cross_rate,
+                A_diag[1] / self.dxs[1] ** 2 - cross_rate,
             )
-        off = max(float(np.max(np.abs(sig[:, 0, 1]))), float(np.max(np.abs(sig[:, 1, 0]))))
-        if self.generator == "dominating" and off > 1e-12:
-            raise ValueError("dominating-generator solves require diagonal sigma")
-        return A_diag, sigma_diag, A_cross
+            if float(np.min(dd)) < -1e-12:
+                raise ValueError(
+                    "diffusion matrix is not diagonally dominant on the grid; "
+                    "the cross-derivative stencil would lose monotonicity"
+                )
+            off = max(float(np.max(np.abs(sig[:, 0, 1]))), float(np.max(np.abs(sig[:, 1, 0]))))
+            if self.generator == "dominating" and off > 1e-12:
+                raise ValueError("dominating-generator solves require diagonal sigma")
+            rate = rate - cross_rate
+        if self.generator == "dominating":
+            rate = rate + self.phi_drift * sum(np.abs(sigma_diag[j]) / self.dxs[j] for j in range(self.d))
+        return A_diag, sigma_diag, A_cross, rate
 
     def _control_table(self, t: float):
-        """Drift components, each [k, *shape], and reward [k, *shape] at time t;
+        """Drift components, each [k, *shape], reward [k, *shape] and the drift
+        share of the outflow rate, max(max_k sum_j |F_kj|/dx_j, 0), at time t;
         a coefficient that ignores the state keeps unit spatial axes."""
         F, G = self.spec.control_table(t, self.X)
 
         def spatial(A):
             return A.reshape(A.shape[0], *(self.shape if A.shape[1] == self.X.shape[0] else (1,) * self.d))
 
-        return [spatial(F[:, :, j]) for j in range(self.d)], spatial(G)
+        F = [spatial(F[:, :, j]) for j in range(self.d)]
+        scale = sum(np.abs(F[j]) / self.dxs[j] for j in range(self.d))
+        return F, spatial(G), np.maximum(np.max(scale, axis=0), 0.0)
+
+    def rate(self, t: float) -> float:
+        """Largest outflow rate of slice t; the step is monotone while dt times it is <= 1."""
+        rate = self.diffusion(t)[-1]
+        if self.generator != "dominating":
+            rate = rate + self.table(t)[-1]
+        return float(np.max(rate))
 
     # -- stencil views ----------------------------------------------------------
 
@@ -264,7 +278,7 @@ class _Scheme:
 
         Returns vtilde; the caller projects on the obstacle.
         """
-        A_diag, sigma_diag, A_cross = self.diffusion(t)
+        A_diag, sigma_diag, A_cross, outflow = self.diffusion(t)
         Wp, up, dn = self._views(W)
         dxs = self.dxs
 
@@ -284,32 +298,23 @@ class _Scheme:
         fwd = [(up[j] - W) / dxs[j] for j in range(self.d)]
         bwd = [(dn[j] - W) / dxs[j] for j in range(self.d)]
 
-        outflow = sum(A_diag[j] / dxs[j] ** 2 for j in range(self.d))
-        if A_cross is not None:
-            outflow = outflow - np.abs(A_cross) / (dxs[0] * dxs[1])
-
         if self.generator == "dominating":
             acc = np.zeros_like(W)
             for j in range(self.d):
                 gj = np.maximum(np.maximum(fwd[j], bwd[j]), 0.0)
                 acc = acc + (sigma_diag[j] * gj) ** 2
             gen = self.phi_drift * np.sqrt(acc) + self.phi_const
-            outflow = outflow + self.phi_drift * sum(
-                np.abs(sigma_diag[j]) / dxs[j] for j in range(self.d)
-            )
         else:
-            F, G = self.table(t)
-            adv = scale = 0.0  # [k, *shape] once the controls enter
+            F, G, drift_rate = self.table(t)
+            adv = 0.0  # [k, *shape] once the controls enter
             for j in range(self.d):
                 adv = adv + np.maximum(F[j], 0.0) * fwd[j] + np.maximum(-F[j], 0.0) * bwd[j]
-                scale = scale + np.abs(F[j]) / dxs[j]
             best = np.max(adv + G, axis=0)
-            drift_scale = np.maximum(np.max(scale, axis=0), 0.0)
             if self.trunc is not None:
                 gen = truncate_values(best, self.rho_n, self.rho_m)
             else:
                 gen = best
-            outflow = outflow + drift_scale
+            outflow = outflow + drift_rate
 
         ratio = self.dt * float(np.max(outflow))
         self.cfl_worst = max(self.cfl_worst, ratio)
@@ -321,46 +326,20 @@ class _Scheme:
         return W + self.dt * (diff + gen)
 
 
-def _rate_bound(spec: ProblemSpec, box: Box, nx, generator: str) -> float:
-    """Conservative max outflow rate used to pick nt."""
-    probe = SpaceTimeGrid(box=box, nx=nx, nt=1, horizon_T=spec.horizon_T)
-    X = probe.nodes()
-    dxs = probe.dxs
-    times = (
-        [0.0]
-        if spec.coefficients.sigma_constant and spec.coefficients.f_t_free
-        else [0.0, 0.5 * spec.horizon_T, spec.horizon_T]
-    )
-    worst = 0.0
-    for t in times:
-        sig = spec.sigma(t, X)
-        diag, _ = _covariance(sig)
-        rate = sum(diag[j] / dxs[j] ** 2 for j in range(spec.dim))
-        if generator == "dominating":
-            drift_w, _ = dominating_weights(spec, X)
-            for j in range(spec.dim):
-                rate = rate + drift_w * np.abs(sig[:, j, j]) / dxs[j]
-        else:
-            F, _ = spec.control_table(t, X)
-            scale = sum(np.abs(F[:, :, j]) / dxs[j] for j in range(spec.dim))
-            rate = rate + np.maximum(np.max(scale, axis=0), 0.0)
-        worst = max(worst, float(np.max(rate)))
-    return worst
-
-
 def make_grid(
     spec: ProblemSpec,
     nx,
     nt: int | None = None,
     cfl: float = 0.9,
     generator: str = "hstar",
-    box: Box | None = None,
 ) -> SpaceTimeGrid:
-    """Build a grid; when nt is omitted it is set from the CFL bound."""
-    box = box or spec.domain
+    """Build a grid on ``spec.domain``; when nt is omitted, the smallest count
+    with dt times the sweep's own outflow rate at t = 0, T/2 and T at most cfl."""
+    box = spec.domain
     nx = (nx,) * box.dim if isinstance(nx, int) else tuple(nx)
     if nt is None:
-        rate = _rate_bound(spec, box, nx, generator)
+        probe = _Scheme(spec, SpaceTimeGrid(box=box, nx=nx, nt=1, horizon_T=spec.horizon_T), None, generator)
+        rate = max(probe.rate(t) for t in (0.0, 0.5 * spec.horizon_T, spec.horizon_T))
         nt = max(1, math.ceil(spec.horizon_T * rate / cfl))
     return SpaceTimeGrid(box=box, nx=nx, nt=int(nt), horizon_T=spec.horizon_T)
 

@@ -33,7 +33,11 @@ __all__ = [
     "default_challengers",
     "optimality_gap",
     "martingale_check",
+    "SCHEME_BUDGET_REL",
 ]
+
+# discretisation budget of optimality_gap and acceptance check 2: relative share of max(0.1, |v|)
+SCHEME_BUDGET_REL = 0.015
 
 
 @dataclass(frozen=True)
@@ -200,8 +204,6 @@ def optimality_gap(
     x0,
     count: int,
     seed: int = 0,
-    challengers=None,
-    scheme_budget_rel: float = 0.015,
 ) -> OptimalityReport:
     """Check the extracted policy against the field value and challengers.
 
@@ -211,11 +213,9 @@ def optimality_gap(
     """
     optimal = evaluate(spec, policy, grid, x0, count, seed)
     v0 = float(field.at(float(grid.t0), np.asarray(x0, dtype=float)))
-    budget = 2.0 * optimal.stderr + scheme_budget_rel * max(0.1, abs(v0))
-    if challengers is None:
-        challengers = default_challengers(spec, policy, seed=seed)
+    budget = 2.0 * optimal.stderr + SCHEME_BUDGET_REL * max(0.1, abs(v0))
     rows = []
-    for j, (name, ch) in enumerate(challengers):
+    for j, (name, ch) in enumerate(default_challengers(spec, policy, seed=seed)):
         est = evaluate(spec, ch, grid, x0, count, seed + 1000 + j)
         se = math.hypot(est.stderr, optimal.stderr)
         rows.append(ChallengerRow(name=name, estimate=est, gap=est.mean - optimal.mean, se_combined=se))

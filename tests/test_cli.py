@@ -163,6 +163,16 @@ def test_solve_pde_stop_column_is_the_solved_binding_record(tmp_path, builtin, p
     assert np.array_equal(stop, expected)
 
 
+@pytest.mark.parametrize(
+    "command, sizes",
+    [("solve-pde", ["--nx", "81"]), ("solve-mc", ["--paths", "200", "--steps", "4"])],
+)
+def test_dominating_generator_rejects_truncation_flags(command, sizes, capsys):
+    argv = [command, "--builtin", "controlled_drift_abs", "--param", "h_floor=0.8", "--generator", "dominating"]
+    assert main(argv + ["--trunc-n", "1", "--trunc-m", "1"] + sizes) == 2
+    assert "takes no truncation" in capsys.readouterr().err
+
+
 def test_solve_mc_reports_and_writes(tmp_path, capsys):
     argv = [
         "solve-mc",

@@ -136,6 +136,13 @@ def test_dominating_generator_dominates_on_the_same_batch():
     assert majorant.y0 > base.y0
 
 
+def test_dominating_generator_rejects_a_truncation():
+    spec = build_builtin("controlled_drift_abs", {"h_floor": 0.8})
+    batch = _batch(spec, [0.0], steps=4, count=200, seed=7)
+    with pytest.raises(ValueError, match="takes no truncation"):
+        solve_rbsde(spec, batch, trunc=TruncationIndex(1, 1), generator="dominating")
+
+
 def test_truncation_is_bitwise_inert_once_cutoffs_cover_the_paths():
     spec = _drift_reward_spec()
     batch = _batch(spec, [0.0], steps=10, count=2000, seed=8)

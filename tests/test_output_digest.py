@@ -24,6 +24,27 @@ def test_digests_cover_the_backward_pass_and_repeat():
     assert tool.run_workload("rbsde-5d", seed=1, shrink=8)["solve_rbsde[0].y_nodes"] != first["solve_rbsde[0].y_nodes"]
 
 
+def test_pde_variants_digest_each_solve_and_repeat(capsys):
+    import json
+
+    tool = _load()
+    first = tool.run_pde_variants()
+    solves = (
+        "decaying_obstacle-beta2-nx81-dominating",
+        "controlled_drift_abs-nx81-trunc22",
+        "controlled_drift_abs-d2-nx41-dominating",
+        "correlated-d2-nx41",
+    )
+    for name in solves:
+        for part in ("nt", "scheme_meta.cfl_ratio", "values", "binding", "argmax", "stop_mask"):
+            assert len(first[f"{name}.{part}"]) == 64
+    assert "controlled_drift_abs-nx81-trunc22.scheme_meta.trunc[0]" in first
+    assert len({first[f"{name}.values"] for name in solves}) == 4
+    assert tool.run_pde_variants() == first
+    assert tool.main(["--workload", "pde-variants"]) == 0
+    assert json.loads(capsys.readouterr().out)["workloads"] == {"pde-variants": first}
+
+
 def test_digest_tree_separates_dtype_shape_and_sign_of_zero():
     import numpy as np
 

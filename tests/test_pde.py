@@ -323,6 +323,47 @@ def test_dimension_and_generator_guards():
         solve(spec1, grid3)
 
 
+def _correlated():
+    """controlled_drift_abs at d=2 with a nonzero off-diagonal covariance, A_12 = 0.6."""
+    return _custom(
+        dim=2,
+        sigma=["1", "0.3", "0.3", "1"],
+        f=["a1", "a2"],
+        g="sqrt(x1*x1+x2*x2)",
+        h="0.8",
+        controls=[[a1, a2] for a1 in (-1.0, 0.0, 1.0) for a2 in (-1.0, 0.0, 1.0)],
+        growth={"C_f": 1.5, "C_sigma_inv": 1.5, "C_poly": 10.0, "p": 1.0},
+        lo=-4.0,
+        hi=4.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "make_spec, nx, generator",
+    [
+        (lambda: build_builtin("controlled_drift_abs", {"h_floor": 0.8}), 81, "hstar"),
+        (lambda: build_builtin("bachelier_put"), 81, "dominating"),
+        (_correlated, 41, "hstar"),
+    ],
+    ids=["hstar-1d", "dominating-1d", "correlated-2d"],
+)
+def test_make_grid_takes_the_smallest_nt_the_step_accepts(make_spec, nx, generator):
+    # the grid is sized by the step's own outflow rate, cross term included
+    spec = make_spec()
+    grid = make_grid(spec, nx, generator=generator)
+    fitted = solve(spec, grid, generator=generator).scheme_meta["cfl_ratio"]
+    coarser = solve(spec, make_grid(spec, nx, nt=grid.nt - 1), generator=generator).scheme_meta["cfl_ratio"]
+    assert fitted <= 0.9 < coarser
+
+
+def test_dominating_generator_rejects_a_truncation():
+    # phi has no truncated form, so a trunc would label a field it never shaped
+    spec = build_builtin("controlled_drift_abs", {"h_floor": 0.8})
+    grid = make_grid(spec, 81, generator="dominating")
+    with pytest.raises(ValueError, match="takes no truncation"):
+        solve(spec, grid, trunc=TruncationIndex(1, 1), generator="dominating")
+
+
 def test_cfl_violation_is_reported():
     spec = build_builtin("bachelier_put")
     grid = SpaceTimeGrid(box=spec.domain, nx=(101,), nt=1, horizon_T=1.0)
@@ -344,6 +385,9 @@ def test_dominating_generator_needs_diagonal_sigma():
     grid = SpaceTimeGrid(box=spec.domain, nx=(15, 15), nt=600, horizon_T=1.0)
     with pytest.raises(ValueError, match="diagonal sigma"):
         solve(spec, grid, generator="dominating")
+    # sizing a grid builds the scheme, so make_grid raises the same error
+    with pytest.raises(ValueError, match="diagonal sigma"):
+        make_grid(spec, 15, generator="dominating")
 
 
 def test_dominating_generator_bounds_the_value_on_the_same_grid():

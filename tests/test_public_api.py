@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -17,6 +18,12 @@ REMOVED = {
     "ctrlstop": (*_TWINS, "dominating_generator"),
     "ctrlstop.hamilton": (*_TWINS, "_one_row"),
     "ctrlstop.model": ("dominating_generator",),
+}
+# keyword options no caller set; the grid box is spec.domain and the others are module constants
+REMOVED_OPTIONS = {
+    ("ctrlstop.pde", "make_grid"): ("box",),
+    ("ctrlstop.mc", "RegressionBasis"): ("cond_threshold",),
+    ("ctrlstop.strategy", "optimality_gap"): ("challengers", "scheme_budget_rel"),
 }
 
 
@@ -33,3 +40,9 @@ def test_removed_scalar_entry_points_are_not_importable(module):
         assert name not in getattr(mod, "__all__", ())
         with pytest.raises(ImportError):
             exec(f"from {module} import {name}", {})
+
+
+@pytest.mark.parametrize("module, name", sorted(REMOVED_OPTIONS))
+def test_removed_options_are_not_accepted(module, name):
+    params = inspect.signature(getattr(importlib.import_module(module), name)).parameters
+    assert [option for option in REMOVED_OPTIONS[(module, name)] if option in params] == []

@@ -4,6 +4,7 @@
     python3 tools/output_digest.py --seed 0 --shrink 8
     python3 tools/output_digest.py --workload policy-2d-localvol --seed 3
     python3 tools/output_digest.py --seed 0 --shrink 8 --against HEAD~1
+    python3 tools/output_digest.py --workload pde-variants
 
 Runs each pipeline of ``perfbench/workloads.py`` once at the given benchmark
 seed and size divisor and prints one JSON object: for every workload, the
@@ -14,6 +15,12 @@ pass's Y, Z and reflections, the forward estimates) and of the run values,
 counters and gate messages.  The package calls are recorded by wrapping
 module attributes from outside for the length of the run; neither the
 package nor the benchmark is edited.
+
+The ``pde-variants`` entry, part of ``--workload all``, covers PDE solves the
+pipelines never reach: fixed small grids under the dominating generator, a
+truncation and a correlated sigma.  For each it digests the grid's nt, the
+scheme metadata, the field and its projection record, and the extracted
+policy's argmax and stop mask; seed and size divisor do not apply.
 
 Two trees compute the same bits exactly when their outputs diff clean, so
 running this on a copy of the parent commit and on a change is the evidence
@@ -44,6 +51,9 @@ import numpy as np  # noqa: E402
 
 import spans  # noqa: E402
 import workloads  # noqa: E402
+from ctrlstop import TruncationIndex, build_builtin, extract_policy, make_grid, solve  # noqa: E402
+
+PDE_VARIANTS = "pde-variants"
 
 # (module, attribute): the calls whose results are digested.  The workloads
 # module's own bindings cover the pipeline's layer calls; the rest are the
@@ -129,6 +139,54 @@ def run_workload(name: str, seed: int, shrink: int) -> dict:
     return dict(sorted(digests.items()))
 
 
+def _pde_variants():
+    """(key, spec, nx, trunc, generator) of each fixed PDE solve."""
+    correlated = build_builtin(
+        "custom",
+        {
+            "name": "correlated-d2",
+            "dim": 2,
+            "T": 1.0,
+            "sigma": ("1", "0.3", "0.3", "1"),
+            "f": ("a1", "a2"),
+            "gamma": "0",
+            "g": "sqrt(x1*x1+x2*x2)",
+            "h": "0.8",
+            "controls": [[a1, a2] for a1 in (-1.0, 0.0, 1.0) for a2 in (-1.0, 0.0, 1.0)],
+            "growth": {"C_f": 1.5, "C_sigma_inv": 1.5, "C_poly": 10.0, "p": 1.0},
+            "lo": -4.0,
+            "hi": 4.0,
+        },
+    )
+    decaying = build_builtin("decaying_obstacle", {"beta": 2.0})
+    drift_1d = build_builtin("controlled_drift_abs", {"h_floor": 0.8})
+    drift_2d = build_builtin("controlled_drift_abs", {"d": 2, "h_floor": 0.8})
+    return (
+        ("decaying_obstacle-beta2-nx81-dominating", decaying, 81, None, "dominating"),
+        ("controlled_drift_abs-nx81-trunc22", drift_1d, 81, TruncationIndex(2, 2), "hstar"),
+        ("controlled_drift_abs-d2-nx41-dominating", drift_2d, 41, None, "dominating"),
+        ("correlated-d2-nx41", correlated, 41, None, "hstar"),
+    )
+
+
+def run_pde_variants() -> dict:
+    """Solve each PDE variant on its own make_grid grid; digest what the solve and extraction return."""
+    digests = {}
+    for key, spec, nx, trunc, generator in _pde_variants():
+        field = solve(spec, make_grid(spec, nx, generator=generator), trunc=trunc, generator=generator)
+        policy = extract_policy(spec, field)
+        parts = {
+            "nt": field.grid.nt,
+            "scheme_meta": field.scheme_meta,
+            "values": field.values,
+            "binding": field.binding,
+            "argmax": policy.argmax,
+            "stop_mask": policy.stop_mask,
+        }
+        digest_tree(key, parts, digests)
+    return dict(sorted(digests.items()))
+
+
 def diff_digests(a: dict, b: dict) -> list[str]:
     """Keys whose digests differ between two ``workloads`` maps, one line each.
 
@@ -170,20 +228,23 @@ def _report_at(rev: str, argv: list[str]) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", default="all", choices=("all", *workloads.PIPELINES))
+    parser.add_argument("--workload", default="all", choices=("all", *workloads.PIPELINES, PDE_VARIANTS))
     parser.add_argument("--seed", type=int, default=0, help="benchmark seed (as perfbench/run.py --seed)")
     parser.add_argument("--shrink", type=int, default=1, help="divide grid and path sizes by this")
     parser.add_argument("--against", metavar="REV", help="print only the keys that differ from git revision REV")
     args = parser.parse_args(argv)
     if args.seed < 0 or args.shrink < 1:
         parser.error("--seed must be non-negative and --shrink at least 1")
-    names = list(workloads.PIPELINES) if args.workload == "all" else [args.workload]
+    names = [*workloads.PIPELINES, PDE_VARIANTS] if args.workload == "all" else [args.workload]
     if args.against:
         base = _report_at(args.against, ["--workload", args.workload, "--seed", str(args.seed), "--shrink", str(args.shrink)])
     report = {
         "seed": args.seed,
         "shrink": args.shrink,
-        "workloads": {name: run_workload(name, args.seed, args.shrink) for name in names},
+        "workloads": {
+            name: run_pde_variants() if name == PDE_VARIANTS else run_workload(name, args.seed, args.shrink)
+            for name in names
+        },
     }
     if not args.against:
         print(json.dumps(report, indent=1))
