@@ -10,7 +10,9 @@ damps the positive part beyond radius n and the negative part beyond radius m:
 Every kernel takes a batch of rows, X [n, d] and Z [n, d]; a single point is
 a one-row batch.  H* is ``sup_hamiltonian_batch``, rho_m is ``cutoff_batch``,
 the damping is ``truncate_values`` and the direction ell(z) of a linearised
-bounded generator is ``unit_direction_batch``.
+bounded generator is ``unit_direction_batch``.  ``first_maximiser`` is the
+one tie rule for a table of control values, shared with the
+finite-difference step.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "unit_direction_batch",
     "tail_norms",
     "TIE_TOL",
+    "first_maximiser",
 ]
 
 # relative tolerance under which two control values count as tied
@@ -81,7 +84,7 @@ def _control_values(spec: ProblemSpec, t, X: np.ndarray, Z: np.ndarray) -> np.nd
     return vals
 
 
-def _first_maximiser(vals: np.ndarray):
+def first_maximiser(vals: np.ndarray):
     """Column-wise max of [k, n] values and the first index within TIE_TOL of it."""
     best = np.max(vals, axis=0)
     tol = TIE_TOL * np.maximum(1.0, np.abs(best))
@@ -99,7 +102,7 @@ def sup_hamiltonian_batch(spec: ProblemSpec, t, X: np.ndarray, Z: np.ndarray):
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     if Z.shape != X.shape or X.shape[1:] != (spec.dim,):
         raise ValueError(f"X and Z must both be [n, {spec.dim}], got {X.shape} and {Z.shape}")
-    return _first_maximiser(_control_values(spec, t, X, Z))
+    return first_maximiser(_control_values(spec, t, X, Z))
 
 
 def cutoff_batch(m: float, X: np.ndarray) -> np.ndarray:

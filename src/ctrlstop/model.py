@@ -514,18 +514,23 @@ def build_builtin(name: str, params: Mapping[str, float] | None = None) -> Probl
     )
     gr = params["growth"]
     growth = gr if isinstance(gr, Growth) else Growth(**gr)
-    lo = np.atleast_1d(np.asarray(params["lo"], dtype=float))
-    hi = np.atleast_1d(np.asarray(params["hi"], dtype=float))
-    if lo.size == 1 and dim > 1:
-        lo = np.full(dim, lo[0])
-        hi = np.full(dim, hi[0])
+
+    def bound(key):
+        """Box bound ``key``: one value for every axis or one per axis."""
+        b = np.atleast_1d(np.asarray(params[key], dtype=float))
+        if b.size == 1:
+            return np.full(dim, b[0])
+        if b.shape != (dim,):
+            raise ValueError(f"custom spec {key} needs 1 or {dim} entries, got shape {b.shape}")
+        return b
+
     return ProblemSpec(
         dim=dim,
         horizon_T=float(params["T"]),
         coefficients=coeffs,
         controls=controls,
         growth=growth,
-        domain=Box(lo, hi),
+        domain=Box(bound("lo"), bound("hi")),
         name=str(params.get("name", "custom")),
     )
 

@@ -6,11 +6,12 @@ and projects onto the obstacle:
     vtilde = v + dt * [ 1/2 Tr(sigma sigma^T D^2 v) + max_a ( f(t,x,a) . D^a v + gamma(t,x,a) ) ]
     v      = max(vtilde, h(t, .))
 
-The same sweep records the projection: a node binds when the obstacle pushed
-the step up, v - vtilde > 0, by more than a round-off floor.  Binding nodes
-store v = h exactly and form the stopping region (the increasing process K of
-the reflected BSDE moves only there), so policy extraction and the
-complementarity check read the record rather than replaying the sweep.
+The same sweep records the projection and the control: a node binds when the
+obstacle pushed the step up, v - vtilde > 0, by more than a round-off floor,
+and its control is the step's maximiser, the optimal feedback of the scheme's
+Markov chain.  Binding nodes store v = h exactly and form the stopping region
+(the increasing process K of the reflected BSDE moves only there), so policy
+extraction and the complementarity check read the records.
 
 First derivatives are upwinded one-sided per drift-component sign, jointly
 with the sup over the finite control set, which keeps the scheme monotone
@@ -26,8 +27,9 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .hamilton import TruncationIndex, check_generator, cutoff_batch, sup_hamiltonian_batch, truncate_values
-from .model import Box, ProblemSpec, dominating_weights, sigma_apply
+from .hamilton import TruncationIndex, check_generator, cutoff_batch, first_maximiser, truncate_values
+from .hamilton import sup_hamiltonian_batch  # noqa: F401  unused; perfbench/spans.py wraps this binding
+from .model import Box, ProblemSpec, dominating_weights
 
 __all__ = [
     "SpaceTimeGrid",
@@ -43,8 +45,6 @@ __all__ = [
 
 # strict binding margin: obstacle pushes below this are treated as round-off
 BINDING_FLOOR = 1e-9
-# rows per kernel call in extract_policy; bounds its working set
-POLICY_BLOCK_ROWS = 2**16
 
 
 @dataclass(frozen=True)
@@ -129,11 +129,13 @@ class ValueField:
     grid: SpaceTimeGrid
     values: np.ndarray   # [nt+1, *shape]
     binding: np.ndarray  # [nt, *shape] bool; the obstacle pushed the step up
+    control: np.ndarray  # [nt+1, *shape] int16; step t_{i+1} -> t_i's maximiser, -1 under phi
     scheme_meta: dict
 
     def __post_init__(self):
         self.values.setflags(write=False)
         self.binding.setflags(write=False)
+        self.control.setflags(write=False)
 
     def at(self, t: float, x) -> float:
         return float(self.values[self.grid.time_index(t)][self.grid.space_indices(x)][0])
@@ -273,10 +275,12 @@ class _Scheme:
 
     # -- the explicit step -------------------------------------------------------
 
-    def step(self, W: np.ndarray, t: float) -> np.ndarray:
+    def step(self, W: np.ndarray, t: float):
         """One backward step from slice W with coefficients frozen at time t.
 
-        Returns vtilde; the caller projects on the obstacle.
+        Returns (vtilde, control): the caller projects vtilde on the obstacle;
+        control [*shape] is the first maximiser of the upwinded table, or -1
+        under the dominating generator, whose majorant has no control.
         """
         A_diag, sigma_diag, A_cross, outflow = self.diffusion(t)
         Wp, up, dn = self._views(W)
@@ -304,12 +308,13 @@ class _Scheme:
                 gj = np.maximum(np.maximum(fwd[j], bwd[j]), 0.0)
                 acc = acc + (sigma_diag[j] * gj) ** 2
             gen = self.phi_drift * np.sqrt(acc) + self.phi_const
+            control = -1
         else:
             F, G, drift_rate = self.table(t)
             adv = 0.0  # [k, *shape] once the controls enter
             for j in range(self.d):
                 adv = adv + np.maximum(F[j], 0.0) * fwd[j] + np.maximum(-F[j], 0.0) * bwd[j]
-            best = np.max(adv + G, axis=0)
+            best, control = first_maximiser(adv + G)
             if self.trunc is not None:
                 gen = truncate_values(best, self.rho_n, self.rho_m)
             else:
@@ -323,7 +328,7 @@ class _Scheme:
                 f"CFL violation: dt * outflow = {ratio:.4f} > 1 at t={t:.6g}; refine nt"
             )
 
-        return W + self.dt * (diff + gen)
+        return W + self.dt * (diff + gen), control
 
 
 def make_grid(
@@ -356,6 +361,8 @@ def solve(
     the push v - vtilde exceeds BINDING_FLOOR * (1 + max |v|).  The push is
     h - vtilde where the obstacle binds and 0 elsewhere; the floor needs the
     whole field, so the push is thresholded once the sweep ends.
+    ``ValueField.control`` keeps each step's control; the terminal slice,
+    where every path stops, repeats slice nt-1.
     """
     if spec.dim != grid.dim:
         raise ValueError("grid dimension does not match the problem")
@@ -364,11 +371,13 @@ def solve(
     times = grid.times
     values = np.empty((nt + 1, *grid.shape))
     push = np.empty((nt, *grid.shape))
+    control = np.empty((nt + 1, *grid.shape), dtype=np.int16)
     values[nt] = spec.g(sch.X).reshape(grid.shape)
     for i in range(nt - 1, -1, -1):
-        vt = sch.step(values[i + 1], float(times[i + 1]))
+        vt, control[i] = sch.step(values[i + 1], float(times[i + 1]))
         np.maximum(vt, sch.h_slice(float(times[i])), out=values[i])
         np.subtract(values[i], vt, out=push[i])
+    control[nt] = control[nt - 1]
     # max |v| as max(max v, -min v): no field-sized temporary
     binding = push > BINDING_FLOOR * (1.0 + max(float(np.max(values)), -float(np.min(values))))
     meta = {
@@ -379,40 +388,25 @@ def solve(
         "boundary": "zero-gradient edge extension",
         "coeff_time": "source slice",
     }
-    return ValueField(grid=grid, values=values, binding=binding, scheme_meta=meta)
+    return ValueField(grid=grid, values=values, binding=binding, control=control, scheme_meta=meta)
 
 
 def extract_policy(spec: ProblemSpec, field: ValueField) -> PolicyField:
-    """Feedback control and stopping region read off a solved value field.
+    """Feedback control and stopping region of a solved value field.
 
-    The control at a node maximises H(t, x, grad v . sigma, a), with grad v
-    by central differences (one-sided at the edges); gradient and kernel run
-    on blocks of whole slices.  The stopping region is the sweep's projection
-    record ``field.binding``, so it follows whatever generator and truncation
-    produced the field; the final slice stops by convention.
+    Both are the sweep's own records: the control is ``field.control``, shared
+    without a copy (-1 under the dominating generator, which a forward run
+    rejects), and the stopping region is ``field.binding``, so both follow
+    whatever generator and truncation produced the field; the final slice
+    stops by convention.
     """
     grid = field.grid
-    nt = grid.nt
-    nodes = grid.nodes()
-    n = nodes.shape[0]
-    times = grid.times
-    argmax = np.empty((nt + 1) * n, dtype=np.int16)
-    per = max(1, POLICY_BLOCK_ROWS // n)
-    for i0 in range(0, nt + 1, per):
-        i1 = min(i0 + per, nt + 1)
-        grads = np.gradient(field.values[i0:i1], *grid.axes, axis=tuple(range(1, grid.dim + 1)))
-        G = np.stack([g.ravel() for g in (grads if grid.dim > 1 else [grads])], axis=1)
-        t = np.repeat(times[i0:i1], n)
-        X = np.tile(nodes, (i1 - i0, 1))
-        Z = sigma_apply(np.swapaxes(spec.sigma(t, X), 1, 2), G)
-        argmax[i0 * n : i1 * n] = sup_hamiltonian_batch(spec, t, X, Z)[1]
-
-    stop = np.ones((nt + 1, *grid.shape), dtype=bool)
+    stop = np.ones((grid.nt + 1, *grid.shape), dtype=bool)
     stop[:-1] = field.binding
     return PolicyField(
         grid=grid,
         control_points=spec.controls.points,
-        argmax=argmax.reshape(nt + 1, *grid.shape),
+        argmax=field.control,
         stop_mask=stop,
     )
 

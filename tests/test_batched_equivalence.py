@@ -3,7 +3,8 @@
 Each oracle below evaluates the coefficients one control (or one slice) at a
 time, the way the layers did before they were batched; the batched layers
 must reproduce them bit for bit on a 2-d problem whose sigma depends on the
-state and on time.
+state and on time.  The policy oracle replays each step of the sweep that
+recorded it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from ctrlstop import pde
-from ctrlstop.hamilton import sup_hamiltonian_batch
+from ctrlstop.hamilton import TruncationIndex, first_maximiser
 from ctrlstop.model import build_builtin
 from ctrlstop.paths import (
     TimeGrid,
@@ -60,26 +61,69 @@ def policy(spec, field):
     return pde.extract_policy(spec, field)
 
 
-def _old_argmax(spec, field):
-    """One gradient, one sigma and one kernel call per time slice."""
+def _correlated_spec():
+    """The correlated d=2 spec of tools/output_digest.py's pde-variants."""
+    return build_builtin(
+        "custom",
+        {
+            "dim": 2,
+            "T": 1.0,
+            "sigma": ("1", "0.3", "0.3", "1"),
+            "f": ("a1", "a2"),
+            "gamma": "0",
+            "g": "sqrt(x1*x1+x2*x2)",
+            "h": "0.8",
+            "controls": [[a1, a2] for a1 in (-1.0, 0.0, 1.0) for a2 in (-1.0, 0.0, 1.0)],
+            "growth": {"C_f": 1.5, "C_sigma_inv": 1.5, "C_poly": 10.0, "p": 1.0},
+            "lo": -4.0,
+            "hi": 4.0,
+        },
+    )
+
+
+def _replayed_control(spec, field):
+    """Per slice, the first maximiser of the upwind table rebuilt one control
+    at a time from values[i+1] at times[i+1]."""
     grid = field.grid
     X = grid.nodes()
-    out = np.empty((grid.nt + 1, *grid.shape), dtype=np.int16)
-    for i, t in enumerate(grid.times):
-        grads = np.gradient(field.values[i], *grid.axes, edge_order=1)
-        G = np.stack([g.ravel() for g in grads], axis=1)
-        Z = np.einsum("ni,nij->nj", G, spec.sigma(float(t), X))
-        out[i] = sup_hamiltonian_batch(spec, float(t), X, Z)[1].reshape(grid.shape)
+    out = np.empty((grid.nt, *grid.shape), dtype=np.int16)
+    for i in range(grid.nt):
+        W = field.values[i + 1]
+        t = float(grid.times[i + 1])
+        Wp = np.pad(W, 1, mode="edge")
+        if grid.dim == 1:
+            up, dn = [Wp[2:]], [Wp[:-2]]
+        else:
+            up, dn = [Wp[2:, 1:-1], Wp[1:-1, 2:]], [Wp[:-2, 1:-1], Wp[1:-1, :-2]]
+        table = np.empty((spec.controls.k, *grid.shape))
+        for k, a in enumerate(spec.controls.points):
+            F = spec.f(t, X, a)
+            adv = np.zeros(grid.shape)
+            for j in range(grid.dim):
+                Fj = F[:, j].reshape(grid.shape)
+                fwd = (up[j] - W) / grid.dxs[j]
+                bwd = (dn[j] - W) / grid.dxs[j]
+                adv = adv + np.maximum(Fj, 0.0) * fwd + np.maximum(-Fj, 0.0) * bwd
+            table[k] = adv + spec.gamma(t, X, a).reshape(grid.shape)
+        out[i] = first_maximiser(table)[1]
     return out
 
 
-@pytest.mark.parametrize("block_rows", [pde.POLICY_BLOCK_ROWS, 1000, 1])
-def test_slice_batched_argmax_matches_the_per_slice_loop(spec, field, monkeypatch, block_rows):
-    monkeypatch.setattr(pde, "POLICY_BLOCK_ROWS", block_rows)
-    policy = pde.extract_policy(spec, field)
-    oracle = _old_argmax(spec, field)
+@pytest.mark.parametrize("case", ["localvol", "correlated", "truncated"])
+def test_recorded_control_is_the_maximiser_of_the_replayed_step(spec, field, case):
+    if case == "correlated":
+        spec = _correlated_spec()
+        field = pde.solve(spec, pde.make_grid(spec, nx=41))
+    elif case == "truncated":
+        spec = build_builtin("controlled_drift_abs", {"h_floor": 0.8})
+        field = pde.solve(spec, pde.make_grid(spec, nx=81), trunc=TruncationIndex(2, 2))
+    oracle = _replayed_control(spec, field)
     assert len(np.unique(oracle)) > 1
-    assert np.array_equal(policy.argmax, oracle)
+    assert np.array_equal(field.control[:-1], oracle)
+    # every path stops at the horizon; the terminal slice repeats the last step
+    assert np.array_equal(field.control[-1], field.control[-2])
+    assert field.control.dtype == np.int16 and not field.control.flags.writeable
+    assert pde.extract_policy(spec, field).argmax is field.control
 
 
 def _old_simulate(spec, policy, grid, count, seed):

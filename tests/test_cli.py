@@ -161,6 +161,10 @@ def test_solve_pde_stop_column_is_the_solved_binding_record(tmp_path, builtin, p
     stop = np.array([int(line.rsplit(",", 1)[1]) for line in lines[1:]], dtype=bool)
     expected = np.concatenate([field.binding.ravel(), np.ones(int(np.prod(grid.shape)), dtype=bool)])
     assert np.array_equal(stop, expected)
+    # the a_index column is the sweep's control record: -1 throughout under phi
+    a_index = np.array([int(line.split(",")[-2]) for line in lines[1:]])
+    assert np.array_equal(a_index, field.control.ravel())
+    assert np.all(a_index == -1) == (generator == "dominating")
 
 
 @pytest.mark.parametrize(

@@ -86,6 +86,38 @@ def test_unknown_builtin_and_parameters():
         build_builtin("custom", {"dim": 1})
 
 
+def _box_spec(lo, hi):
+    return build_builtin(
+        "custom",
+        {
+            "dim": 2,
+            "T": 1.0,
+            "sigma": ["1", "0", "0", "1"],
+            "f": ["a1", "a1"],
+            "gamma": "0",
+            "g": "0",
+            "h": "0",
+            "controls": [[0.0]],
+            "growth": {"C_f": 1.0, "C_sigma_inv": 1.0, "C_poly": 1.0, "p": 1.0},
+            "lo": lo,
+            "hi": hi,
+        },
+    )
+
+
+def test_custom_box_broadcasts_each_bound_on_its_own():
+    box = _box_spec(-1.0, [1.0, 2.0]).domain
+    assert np.array_equal(box.lo, [-1.0, -1.0]) and np.array_equal(box.hi, [1.0, 2.0])
+    box = _box_spec([-1.0, -2.0], 3.0).domain
+    assert np.array_equal(box.lo, [-1.0, -2.0]) and np.array_equal(box.hi, [3.0, 3.0])
+
+
+@pytest.mark.parametrize("lo, hi, key", [([-1.0, -2.0, -3.0], 1.0, "lo"), (-1.0, [1.0, 2.0, 3.0], "hi")])
+def test_custom_box_rejects_a_bound_of_the_wrong_length(lo, hi, key):
+    with pytest.raises(ValueError, match=f"custom spec {key} needs 1 or 2 entries"):
+        _box_spec(lo, hi)
+
+
 def test_controlled_drift_control_grid():
     spec = build_builtin("controlled_drift_abs", {"d": 2, "kappa": 0.5})
     assert spec.controls.k == 9 and spec.controls.ka == 2

@@ -8,6 +8,7 @@ import pytest
 from ctrlstop import pde
 from ctrlstop.hamilton import TruncationIndex
 from ctrlstop.model import build_builtin
+from ctrlstop.paths import TimeGrid
 from ctrlstop.pde import (
     SpaceTimeGrid,
     comparison_check,
@@ -16,6 +17,7 @@ from ctrlstop.pde import (
     make_grid,
     solve,
 )
+from ctrlstop.strategy import evaluate
 
 CLOSED_FORM_ATM_PUT = 0.0797884560802865  # sigma sqrt(T / (2 pi)) at K = x0
 
@@ -67,7 +69,7 @@ def _replay(spec, field, trunc=None, generator="hstar"):
     vtilde = np.empty((grid.nt, *grid.shape))
     h_all = np.empty((grid.nt + 1, *grid.shape))
     for i in range(grid.nt):
-        vtilde[i] = sch.step(field.values[i + 1], float(times[i + 1]))
+        vtilde[i] = sch.step(field.values[i + 1], float(times[i + 1]))[0]
         h_all[i] = sch.h_slice(float(times[i]))
     h_all[grid.nt] = sch.h_slice(float(times[grid.nt]))
     return vtilde, h_all
@@ -147,6 +149,16 @@ def test_dominating_field_stops_where_its_own_sweep_binds():
     assert np.array_equal(policy.stop_mask[:-1], record)
     assert np.array_equal(policy.stop_mask[:-1], field.binding)
     assert np.all(policy.stop_mask[-1])
+
+
+def test_dominating_field_records_no_control():
+    spec = build_builtin("controlled_drift_abs", {"h_floor": 0.8})
+    grid = make_grid(spec, 81, generator="dominating")
+    field = solve(spec, grid, generator="dominating")
+    assert np.all(field.control == -1)
+    policy = extract_policy(spec, field)
+    with pytest.raises(ValueError, match="control indices must lie in"):
+        evaluate(spec, policy, TimeGrid(0.0, spec.horizon_T, 10), np.array([0.5]), 50, seed=0)
 
 
 def test_bachelier_value_near_closed_form():

@@ -18,6 +18,8 @@ REMOVED = {
     "ctrlstop": (*_TWINS, "dominating_generator"),
     "ctrlstop.hamilton": (*_TWINS, "_one_row"),
     "ctrlstop.model": ("dominating_generator",),
+    # the sweep records the control; extract_policy has no kernel pass to block
+    "ctrlstop.pde": ("POLICY_BLOCK_ROWS",),
 }
 # keyword options no caller set; the grid box is spec.domain and the others are module constants
 REMOVED_OPTIONS = {

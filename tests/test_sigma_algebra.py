@@ -241,15 +241,6 @@ def test_apply_is_the_zero_started_ascending_sum(inputs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(inputs=apply_inputs(dims=[1, 2, 3, 4, 5]))
-def test_transposed_apply_equals_the_policy_einsum_bitwise(inputs):
-    """extract_policy's Z = grad v . sigma, formerly einsum('ni,nij->nj')."""
-    sig, G = inputs
-    got = sigma_apply(np.swapaxes(sig, 1, 2), G)
-    assert got.tobytes() == np.einsum("ni,nij->nj", G, sig).tobytes()
-
-
-@settings(max_examples=60, deadline=None)
 @given(inputs=apply_inputs(dims=[1, 2]))
 def test_apply_equals_the_path_einsum_bitwise_up_to_d2(inputs):
     """The Euler step sigma dB, formerly einsum('nij,nj->ni'), and the row dots
