@@ -14,7 +14,11 @@ bit-for-bit.  Subtracting the continuation C_i before the Z regression is a
 control variate: E[C_i dB_i | X_i] = 0, but its sample noise would otherwise
 enter Z, and the max over controls in H* turns noise in Z into upward bias
 (Bender & Steiner 2012; Alanko & Avellaneda 2013).  Both regressions of a
-slice share one factorisation of its design.
+slice share one factorisation: the cell index of a partition, or for a
+polynomial basis the p x p Gram matrix of the design (the design's thin SVD
+when the slice is too ill-conditioned for the normal equations).  Y, Z, K
+and the obstacle are stored time-major, so each slice is contiguous; the
+result exposes them as read-only [n, N+1] views.
 
 The default basis is a piecewise-constant local partition (cell means are
 genuine conditional expectations); a global polynomial basis is available
@@ -79,6 +83,10 @@ class RegressionBasis:
 
 # a slice whose states are this tightly clustered regresses to a plain mean
 _DEGENERATE_SPREAD = 1e-12
+# largest design cond the Gram solve takes; above it the slice falls back to
+# the SVD.  G = phi^T phi has cond**2, and eigvalsh resolves its smallest
+# eigenvalue only while cond stays well below 1/sqrt(eps), about 7e7
+_GRAM_COND_LIMIT = 1e6
 
 
 def _design(Xs: np.ndarray, degree: int) -> np.ndarray:
@@ -86,14 +94,24 @@ def _design(Xs: np.ndarray, degree: int) -> np.ndarray:
 
     Degree-k monomials are degree-(k-1) ones times one more coordinate, the
     coordinates taken in non-decreasing order so each monomial appears once.
+    Each monomial is one contiguous row of a [p, n] buffer; the result is
+    that buffer's transpose.
     """
     n, d = Xs.shape
-    cols = [np.ones(n)]
-    prev = [(cols[0], 0)]
+    XT = np.ascontiguousarray(Xs.T)
+    out = np.empty((math.comb(d + degree, degree), n))
+    out[0] = 1.0
+    prev = [(0, 0)]
+    c = 1
     for _ in range(degree):
-        prev = [(col * Xs[:, j], j) for col, first in prev for j in range(first, d)]
-        cols.extend(col for col, _ in prev)
-    return np.stack(cols, axis=1)
+        nxt = []
+        for src, first in prev:
+            for j in range(first, d):
+                np.multiply(out[src], XT[j], out=out[c])
+                nxt.append((c, j))
+                c += 1
+        prev = nxt
+    return out.T
 
 
 def _regress(basis: RegressionBasis, box: Box, X: np.ndarray, node: int):
@@ -101,7 +119,11 @@ def _regress(basis: RegressionBasis, box: Box, X: np.ndarray, node: int):
 
     ``project(targets)`` maps targets [n] or [n, r] to their fitted values at
     each sample's own state.  The factorisation is made once, so every
-    target of the slice shares it.
+    target of the slice shares it.  A polynomial slice solves the normal
+    equations with its Gram matrix while the design's cond, taken from the
+    Gram eigenvalues, is at most _GRAM_COND_LIMIT; above it the thin SVD
+    projects, and alone decides SingularRegressionError (cond above
+    COND_THRESHOLD or rank deficient).
     """
     n, d = X.shape
     spread = float(np.max(np.ptp(X, axis=0))) if n > 1 else 0.0
@@ -137,13 +159,24 @@ def _regress(basis: RegressionBasis, box: Box, X: np.ndarray, node: int):
             "min_count": int(occ.min()) if occ.size else 0,
         }
 
-    # global polynomial, standardised per slice for conditioning; the thin
-    # SVD gives the rank, the condition number and an orthonormal basis U of
-    # the design's column space, so fitted values are U U^T targets
+    # global polynomial, standardised per slice for conditioning; fitted
+    # values solve the p x p normal equations G c = phi^T targets
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std = np.where(std < _DEGENERATE_SPREAD, 1.0, std)
     phi = _design((X - mean) / std, basis.degree)
+    G = phi.T @ phi
+    eig = np.linalg.eigvalsh(G)
+    if eig[0] > 0.0:
+        cond = math.sqrt(eig[-1] / eig[0])
+        if cond <= _GRAM_COND_LIMIT:
+            def project_gram(targets):
+                return phi @ np.linalg.solve(G, phi.T @ targets)
+
+            return project_gram, {"cells": phi.shape[1], "cond": cond, "min_count": n}
+
+    # the thin SVD gives the rank, the condition number and an orthonormal
+    # basis U of the design's column space, so fitted values are U U^T targets
     U, sv, _ = np.linalg.svd(phi, full_matrices=False)
     rank = int(np.sum(sv > sv[0] * np.finfo(float).eps * max(phi.shape)))
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
@@ -203,13 +236,15 @@ def solve_rbsde(
     dt = batch.grid.dt
     times = batch.grid.nodes
 
-    Y = np.empty((n, N + 1))
-    Z = np.zeros((n, N + 1, d))
-    K = np.zeros((n, N + 1))
-    H = np.empty((n, N + 1))
+    # time-major, so each slice is one contiguous row
+    Y = np.empty((N + 1, n))
+    Z = np.zeros((N + 1, n, d))
+    K = np.zeros((N + 1, n))
+    H = np.empty((N + 1, n))
 
-    Y[:, N] = spec.g(batch.states[:, N])
-    H[:, N] = spec.h(float(times[N]), batch.states[:, N])
+    X = np.ascontiguousarray(batch.states[:, N])
+    Y[N] = spec.g(X)
+    H[N] = spec.h(float(times[N]), X)
 
     conds = np.zeros(N)
     cells = np.zeros(N, dtype=np.int64)
@@ -218,37 +253,41 @@ def solve_rbsde(
 
     for i in range(N - 1, -1, -1):
         t = float(times[i])
-        X = batch.states[:, i]
+        X = np.ascontiguousarray(batch.states[:, i])
         project, diag = _regress(basis, box, X, i)
         conds[i] = diag["cond"]
         cells[i] = diag["cells"]
         min_counts[i] = diag["min_count"]
-        cont = project(Y[:, i + 1])
-        Z[:, i] = project((Y[:, i + 1] - cont)[:, None] * batch.increments[:, i]) / dt
+        cont = project(Y[i + 1])
+        Z[i] = project((Y[i + 1] - cont)[:, None] * batch.increments[:, i]) / dt
+        del project  # frees this slice's design before the next one is built
         if generator == "dominating":
-            gen = dominating_generator_batch(spec, t, X, Z[:, i])
+            gen = dominating_generator_batch(spec, t, X, Z[i])
         else:
-            gen, _ = sup_hamiltonian_batch(spec, t, X, Z[:, i])
+            gen, _ = sup_hamiltonian_batch(spec, t, X, Z[i])
             if trunc is not None:
                 gen = truncate_values(gen, cutoff_batch(trunc.n, X), cutoff_batch(trunc.m, X))
         if i == 0:
             gen0 = gen.copy()
         ytilde = cont + gen * dt
-        H[:, i] = spec.h(t, X)
-        Y[:, i] = np.maximum(ytilde, H[:, i])
-        K[:, i] = Y[:, i] - ytilde
+        H[i] = spec.h(t, X)
+        np.maximum(ytilde, H[i], out=Y[i])
+        np.subtract(Y[i], ytilde, out=K[i])
 
-    y0_samples = Y[:, 1] + gen0 * dt
-    y0 = float(np.mean(Y[:, 0]))
+    y0_samples = Y[1] + gen0 * dt
+    y0 = float(np.mean(Y[0]))
     se_y0 = float(np.std(y0_samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    # read-only bases, so the transposed result views have no writable owner
+    for arr in (Y, Z, K, H):
+        arr.setflags(write=False)
 
     return BackwardSolveResult(
         grid=batch.grid,
         basis=basis,
-        y_nodes=Y,
-        z_nodes=Z,
-        k_increments=K,
-        obstacle_nodes=H,
+        y_nodes=Y.T,
+        z_nodes=Z.transpose(1, 0, 2),
+        k_increments=K.T,
+        obstacle_nodes=H.T,
         y0=y0,
         se_y0=se_y0,
         y0_samples=y0_samples,

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrlstop.hamilton import TruncationIndex
 from ctrlstop.mc import (
+    COND_THRESHOLD,
     RegressionBasis,
     SingularRegressionError,
+    _design,
     _regress,
     skorokhod_residual,
     solve_rbsde,
@@ -196,6 +203,86 @@ def test_rank_deficient_design_is_reported():
     X = np.column_stack([x1, 2.0 * x1 + 1.0])  # the standardised columns coincide
     with pytest.raises(SingularRegressionError, match="node 7"):
         _regress(RegressionBasis(kind="polynomial", degree=2), Box([-9.0, -9.0], [9.0, 9.0]), X, node=7)
+
+
+def _stacked_design(Xs, degree):
+    # the np.stack construction _design replaced, kept as its oracle
+    n, d = Xs.shape
+    cols = [np.ones(n)]
+    prev = [(cols[0], 0)]
+    for _ in range(degree):
+        prev = [(col * Xs[:, j], j) for col, first in prev for j in range(first, d)]
+        cols.extend(col for col, _ in prev)
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("d,degree", [(1, 0), (1, 6), (2, 3), (3, 4), (5, 3)])
+def test_design_equals_the_stacked_columns_bitwise(d, degree):
+    Xs = np.random.default_rng(16).normal(size=(257, d))
+    phi = _design(Xs, degree)
+    assert phi.shape == (257, len(list(itertools.combinations_with_replacement(range(d + 1), degree))))
+    assert np.array_equal(phi, _stacked_design(Xs, degree))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(200, 2000),
+    d=st.integers(1, 3),
+    degree=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_projector_matches_least_squares(n, d, degree, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * rng.uniform(0.5, 2.0, size=d) + rng.uniform(-1.0, 1.0, size=d)
+    targets = np.column_stack([np.sin(X).sum(axis=1), rng.normal(size=n)])
+    # raw monomials span the same space as the standardised basis
+    raw = np.column_stack([
+        np.prod(X[:, list(idx)], axis=1)
+        for k in range(degree + 1)
+        for idx in itertools.combinations_with_replacement(range(d), k)
+    ])
+    fitted = raw @ np.linalg.lstsq(raw, targets, rcond=None)[0]
+    basis = RegressionBasis(kind="polynomial", degree=degree)
+    with mock.patch("numpy.linalg.svd", side_effect=AssertionError("SVD fallback taken")):
+        project, diag = _regress(basis, Box([-9.0] * d, [9.0] * d), X, node=0)
+        projected = project(targets)
+    assert diag["cells"] == raw.shape[1]
+    assert 1.0 <= diag["cond"] <= 1e6
+    assert np.max(np.abs(projected - fitted)) <= 1e-9 * np.max(np.abs(targets))
+
+
+def test_ill_conditioned_slice_falls_back_to_the_svd():
+    x = np.random.default_rng(17).uniform(size=2000)
+    X = x[:, None]
+    basis = RegressionBasis(kind="polynomial", degree=16)
+    project, diag = _regress(basis, Box([0.0], [1.0]), X, node=0)
+    # the SVD path reports the design's own singular-value ratio
+    sv = np.linalg.svd(_design((X - X.mean(axis=0)) / X.std(axis=0), 16), full_matrices=False)[1]
+    assert diag["cond"] == sv[0] / sv[-1]
+    assert 1e6 < diag["cond"] < COND_THRESHOLD
+    # Legendre polynomials of the same degree span the same space, well conditioned
+    targets = np.column_stack([np.exp(x) * np.sin(7.0 * x), np.random.default_rng(18).normal(size=2000)])
+    legendre = np.polynomial.legendre.legvander(2.0 * x - 1.0, 16)
+    fitted = legendre @ np.linalg.lstsq(legendre, targets, rcond=None)[0]
+    assert np.max(np.abs(project(targets) - fitted)) <= 1e-8
+
+
+def test_result_arrays_are_read_only_views_of_time_major_slices():
+    spec = build_builtin("decaying_obstacle", {"beta": 2.0})
+    batch = _batch(spec, [1.0], steps=8, count=600, seed=19)
+    result = solve_rbsde(spec, batch, RegressionBasis(kind="polynomial", degree=3))
+    n, N = 600, 8
+    assert result.y_nodes.shape == result.k_increments.shape == result.obstacle_nodes.shape == (n, N + 1)
+    assert result.z_nodes.shape == (n, N + 1, 1)
+    for arr in (result.y_nodes, result.z_nodes, result.k_increments, result.obstacle_nodes, result.y0_samples):
+        assert not arr.flags.writeable
+        assert arr.base is None or not arr.base.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    for i, t in enumerate(batch.grid.nodes):
+        assert np.array_equal(result.obstacle_nodes[:, i], spec.h(float(t), batch.states[:, i]))
+    assert np.array_equal(result.y_nodes[:, N], spec.g(batch.states[:, N]))
+    assert np.all(result.z_nodes[:, N] == 0.0)
 
 
 def test_centred_z_keeps_the_5d_value_below_its_upper_bound():
