@@ -35,7 +35,7 @@ import numpy as np
 
 from .hamilton import TruncationIndex, check_generator, cutoff_batch, sup_hamiltonian_batch, truncate_values
 from .model import Box, ProblemSpec, dominating_generator_batch
-from .paths import PathBatch
+from .paths import PathBatch, _step
 
 __all__ = [
     "RegressionBasis",
@@ -242,7 +242,8 @@ def solve_rbsde(
     K = np.zeros((N + 1, n))
     H = np.empty((N + 1, n))
 
-    X = np.ascontiguousarray(batch.states[:, N])
+    # a step of a simulated batch is already a contiguous row; a path-major one is copied
+    X = np.ascontiguousarray(_step(batch.states, N))
     Y[N] = spec.g(X)
     H[N] = spec.h(float(times[N]), X)
 
@@ -253,13 +254,13 @@ def solve_rbsde(
 
     for i in range(N - 1, -1, -1):
         t = float(times[i])
-        X = np.ascontiguousarray(batch.states[:, i])
+        X = np.ascontiguousarray(_step(batch.states, i))
         project, diag = _regress(basis, box, X, i)
         conds[i] = diag["cond"]
         cells[i] = diag["cells"]
         min_counts[i] = diag["min_count"]
         cont = project(Y[i + 1])
-        Z[i] = project((Y[i + 1] - cont)[:, None] * batch.increments[:, i]) / dt
+        Z[i] = project((Y[i + 1] - cont)[:, None] * _step(batch.increments, i)) / dt
         del project  # frees this slice's design before the next one is built
         if generator == "dominating":
             gen = dominating_generator_batch(spec, t, X, Z[i])

@@ -236,7 +236,7 @@ class ProblemSpec:
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.controls.k):
             raise ValueError(f"control indices must lie in [0, {self.controls.k})")
-        A = self.controls.points[idx]
+        A = np.take(self.controls.points, idx, axis=0)
         n = X.shape[0]
         F = G = None
         if drift:
@@ -300,6 +300,14 @@ def _env(params, t=None, X=None, a=None, rows=False):
     return env
 
 
+def _assemble_columns(n, values):
+    """[n, len(values)] with column j set to values[j]; a constant fills its column by broadcasting."""
+    out = np.empty((n, len(values)))
+    for j, val in enumerate(values):
+        out[:, j] = val
+    return out
+
+
 def _broadcast_scalar(val, n):
     arr = np.asarray(val, dtype=float)
     if arr.ndim == 0:
@@ -352,8 +360,7 @@ def compile_coefficients(
         def sigma_fn(t, X):
             n = X.shape[0]
             env = _env(params, t=t, X=X)
-            cols = [_broadcast_scalar(tr(env), n) for tr in sig_trees]
-            return np.stack(cols, axis=1).reshape(n, dim, dim)
+            return _assemble_columns(n, [tr(env) for tr in sig_trees]).reshape(n, dim, dim)
 
     def f_fn(t, X, a, rows=False):
         env = _env(params, t=t, X=X, a=a, rows=rows)
@@ -361,7 +368,7 @@ def compile_coefficients(
         if a.ndim == 2 and not rows:
             shape = np.broadcast_shapes((a.shape[0], 1), *(np.shape(c) for c in comps))
             return np.stack([np.broadcast_to(c, shape) for c in comps], axis=-1)
-        return np.stack([_broadcast_scalar(c, X.shape[0]) for c in comps], axis=1)
+        return _assemble_columns(X.shape[0], comps)
 
     def gamma_fn(t, X, a, rows=False):
         val = gamma_tree(_env(params, t=t, X=X, a=a, rows=rows))

@@ -3,11 +3,21 @@
 Brownian increments are drawn in fixed blocks of 8192 paths, each block from
 its own ``SeedSequence((seed, block))`` stream, so a batch is reproducible
 bit-for-bit for a given (spec, arguments, seed) no matter how the work is
-scheduled, and enlarging the batch keeps existing blocks unchanged.
+scheduled, and enlarging the batch keeps existing blocks unchanged.  Each
+block is drawn path-major and written transposed into the time-major
+increments, so the bits do not depend on the storage order.
 
-The diffusion step sigma dB is ``model.sigma_apply`` and the change-of-measure
-direction theta = sigma^{-1} f is ``ProblemSpec.sigma_solve``: one summation
-order and one inversion rule for every sigma.
+A batch is stored time-major: states [N+1, n, d], increments [N, n, d] and
+controls [N, n], so one step of every path is one contiguous row.  The public
+fields are the transposed, path-major views of those read-only buffers.
+Every consumer reads step i through ``_step``; a hand-built path-major batch
+goes through the same code as a strided view and gives the same bits.
+
+The diffusion step sigma dB is ``model.sigma_apply``, or one product with
+the diagonal when ``CoefficientField.sigma_diagonal`` is set (same bits), and
+the change-of-measure direction theta = sigma^{-1} f is
+``ProblemSpec.sigma_solve``: one summation order and one inversion rule for
+every sigma.
 """
 
 from __future__ import annotations
@@ -58,7 +68,9 @@ class PathBatch:
     """Simulated batch: states [n, N+1, d], increments [n, N, d].
 
     ``controls`` holds per-step control indices [n, N] for controlled
-    batches and is None otherwise.
+    batches and is None otherwise.  Simulated fields are views of read-only
+    time-major buffers ([N+1, n, d], [N, n, d], [N, n]); ``_step(field, i)``
+    is step i of every path, a contiguous row for those buffers.
     """
 
     grid: TimeGrid
@@ -83,13 +95,33 @@ class PathBatch:
         return self.states.shape[2]
 
 
+def _step(arr: np.ndarray, i: int) -> np.ndarray:
+    """Step i of every path: row i of a path-major [n, N(+1), ...] field."""
+    return arr.swapaxes(0, 1)[i]
+
+
+def _frozen_view(buf: np.ndarray) -> np.ndarray:
+    """The path-major view of a time-major buffer, which is made read-only first."""
+    buf.setflags(write=False)
+    return buf.swapaxes(0, 1)
+
+
 def _draw_increments(count: int, steps: int, dim: int, dt: float, seed: int) -> np.ndarray:
-    out = np.empty((count, steps, dim))
+    """Time-major [steps, count, dim] increments; each block is drawn path-major."""
+    out = np.empty((steps, count, dim))
     root = np.sqrt(dt)
+    # one opaque item per (path, step) moves its dim values in one copy, so
+    # the transposed write is not an inner loop of length dim
+    item = np.dtype((np.void, out.itemsize * dim))
+    items = out.view(item)[..., 0]
+    # one draw buffer for every block; a fresh draw per block grew the heap
+    buf = np.empty((min(BLOCK, count), steps, dim))
     for b, start in enumerate(range(0, count, BLOCK)):
         stop = min(start + BLOCK, count)
         rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
-        out[start:stop] = rng.standard_normal((stop - start, steps, dim)) * root
+        block = rng.standard_normal(out=buf[: stop - start])
+        block *= root
+        items[:, start:stop] = block.view(item)[..., 0].T
     return out
 
 
@@ -98,10 +130,24 @@ def _prepare(spec: ProblemSpec, t0: float, x0, grid: TimeGrid, count: int):
         raise ValueError("grid.t0 must equal t0")
     if count < 1:
         raise ValueError("count must be positive")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = np.array(np.atleast_1d(x0), dtype=float)  # an owned copy: the caller keeps theirs
     if x0.size != spec.dim:
         raise ValueError(f"x0 has dimension {x0.size}, spec has {spec.dim}")
+    x0.setflags(write=False)
     return x0
+
+
+def _diffusion(spec: ProblemSpec, sig: np.ndarray, dW: np.ndarray) -> np.ndarray:
+    """Rows of sigma dB; a diagonal sigma is one product with ``sigma_apply``'s bits.
+
+    ``+ 0.0`` is ``sigma_apply``'s signed-zero rule: its exact-zero
+    off-diagonal products only ever turn a -0.0 into +0.0.
+    """
+    if spec.coefficients.sigma_diagonal:
+        out = np.diagonal(sig, axis1=1, axis2=2) * dW
+        out += 0.0
+        return out
+    return sigma_apply(sig, dW)
 
 
 def simulate_uncontrolled(
@@ -110,16 +156,18 @@ def simulate_uncontrolled(
     """Euler scheme for the driftless reference dynamics dX = sigma(t,X) dB."""
     x0 = _prepare(spec, t0, x0, grid, count)
     dW = _draw_increments(count, grid.steps, spec.dim, grid.dt, seed)
-    states = np.empty((count, grid.steps + 1, spec.dim))
-    states[:, 0] = x0
+    states = np.empty((grid.steps + 1, count, spec.dim))
+    states[0] = x0
     times = grid.nodes
     const_sig = spec.coefficients.sigma_constant
-    sig = spec.sigma(t0, states[:, 0]) if const_sig else None
+    sig = spec.sigma(t0, states[0]) if const_sig else None
     for i in range(grid.steps):
         if not const_sig:
-            sig = spec.sigma(float(times[i]), states[:, i])
-        states[:, i + 1] = states[:, i] + sigma_apply(sig, dW[:, i])
-    return PathBatch(grid=grid, states=states, increments=dW, seed=seed, x0=x0)
+            sig = spec.sigma(float(times[i]), states[i])
+        states[i + 1] = states[i] + _diffusion(spec, sig, dW[i])
+    return PathBatch(
+        grid=grid, states=_frozen_view(states), increments=_frozen_view(dW), seed=seed, x0=x0
+    )
 
 
 def simulate_controlled(
@@ -133,24 +181,29 @@ def simulate_controlled(
     """
     x0 = _prepare(spec, t0, x0, grid, count)
     dW = _draw_increments(count, grid.steps, spec.dim, grid.dt, seed)
-    states = np.empty((count, grid.steps + 1, spec.dim))
-    controls = np.empty((count, grid.steps), dtype=np.int64)
-    states[:, 0] = x0
+    states = np.empty((grid.steps + 1, count, spec.dim))
+    controls = np.empty((grid.steps, count), dtype=np.int64)
+    states[0] = x0
     times = grid.nodes
     dt = grid.dt
     const_sig = spec.coefficients.sigma_constant
-    sig = spec.sigma(t0, states[:, 0]) if const_sig else None
+    sig = spec.sigma(t0, states[0]) if const_sig else None
     for i in range(grid.steps):
         t = float(times[i])
-        X = states[:, i]
+        X = states[i]
         idx = np.asarray(policy.control_indices(t, X), dtype=np.int64)
-        controls[:, i] = idx
+        controls[i] = idx
         drift, _ = spec.control_rows(t, X, idx, reward=False)
         if not const_sig:
             sig = spec.sigma(t, X)
-        states[:, i + 1] = X + drift * dt + sigma_apply(sig, dW[:, i])
+        states[i + 1] = X + drift * dt + _diffusion(spec, sig, dW[i])
     return PathBatch(
-        grid=grid, states=states, increments=dW, seed=seed, x0=x0, controls=controls
+        grid=grid,
+        states=_frozen_view(states),
+        increments=_frozen_view(dW),
+        seed=seed,
+        x0=x0,
+        controls=_frozen_view(controls),
     )
 
 
@@ -159,7 +212,7 @@ def _neumaier_sum(terms: np.ndarray) -> np.ndarray:
     total = np.zeros(terms.shape[0])
     comp = np.zeros(terms.shape[0])
     for i in range(terms.shape[1]):
-        t = terms[:, i]
+        t = _step(terms, i)
         s = total + t
         big = np.abs(total) >= np.abs(t)
         comp += np.where(big, (total - s) + t, (t - s) + total)
@@ -173,7 +226,8 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def girsanov_log_terms(spec: ProblemSpec, batch: PathBatch) -> np.ndarray:
-    """Per-step log-density increments [n, N]; their compensated sum is log M_T.
+    """Per-step log-density increments [n, N], a view of a time-major buffer;
+    their compensated sum is log M_T.
 
     Step i contributes theta_i . dB_i - 0.5 |theta_i|^2 dt with
     theta_i = sigma^{-1}(tau_i, X_i) f(tau_i, X_i, a_i).
@@ -183,14 +237,14 @@ def girsanov_log_terms(spec: ProblemSpec, batch: PathBatch) -> np.ndarray:
     times = batch.grid.nodes
     dt = batch.grid.dt
     n, N, _ = batch.increments.shape
-    terms = np.empty((n, N))
+    terms = np.empty((N, n))
     for i in range(N):
         t = float(times[i])
-        X = batch.states[:, i]
-        fv, _ = spec.control_rows(t, X, batch.controls[:, i], reward=False)
+        X = _step(batch.states, i)
+        fv, _ = spec.control_rows(t, X, _step(batch.controls, i), reward=False)
         theta = spec.sigma_solve(spec.sigma(t, X), fv)
-        terms[:, i] = _row_dot(theta, batch.increments[:, i]) - 0.5 * dt * _row_dot(theta, theta)
-    return terms
+        terms[i] = _row_dot(theta, _step(batch.increments, i)) - 0.5 * dt * _row_dot(theta, theta)
+    return terms.T
 
 
 def girsanov_log_batch(spec: ProblemSpec, batch: PathBatch) -> np.ndarray:
@@ -209,7 +263,7 @@ def attach_controls(batch: PathBatch, policy) -> PathBatch:
     policy would pick there, which is what the change-of-measure weight needs.
     """
     times = batch.grid.nodes
-    controls = np.empty((batch.count, batch.grid.steps), dtype=np.int64)
+    controls = np.empty((batch.grid.steps, batch.count), dtype=np.int64)
     for i in range(batch.grid.steps):
-        controls[:, i] = policy.control_indices(float(times[i]), batch.states[:, i])
-    return replace(batch, controls=controls)
+        controls[i] = policy.control_indices(float(times[i]), _step(batch.states, i))
+    return replace(batch, controls=_frozen_view(controls))

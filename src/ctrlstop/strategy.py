@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ProblemSpec
-from .paths import TimeGrid, attach_controls, girsanov_log_batch, simulate_controlled, simulate_uncontrolled
+from .paths import TimeGrid, _step, attach_controls, girsanov_log_batch, simulate_controlled, simulate_uncontrolled
 
 __all__ = [
     "Breakdown",
@@ -121,7 +121,7 @@ def evaluate(
 
     for i in range(N):
         t = float(times[i])
-        X = batch.states[:, i]
+        X = _step(batch.states, i)
         fire = alive & np.asarray(policy.stop_at(t, X), dtype=bool)
         if fire.any():
             collected[fire] = spec.h(t, X[fire])
@@ -129,12 +129,12 @@ def evaluate(
             alive[fire] = False
         if not alive.any():
             break
-        _, G = spec.control_rows(t, X[alive], batch.controls[alive, i], drift=False)
+        _, G = spec.control_rows(t, X[alive], _step(batch.controls, i)[alive], drift=False)
         running[alive] += G * dt
 
     terminal = np.zeros(count)
     if alive.any():
-        terminal[alive] = spec.g(batch.states[:, N][alive])
+        terminal[alive] = spec.g(_step(batch.states, N)[alive])
 
     reward = running + collected + terminal
     mean_run = float(np.mean(running))

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctrlstop.expr import parse_expression
 from ctrlstop.model import (
     Box,
     ControlSet,
     Growth,
     ProblemSpec,
     build_builtin,
+    compile_coefficients,
     dominating_constant,
     dominating_generator_batch,
     dominating_weights,
@@ -376,3 +378,69 @@ def test_control_rows_reject_indices_outside_the_control_set():
     # an empty batch has no index to check
     F, G = spec.control_rows(0.0, np.zeros((0, 1)), np.zeros(0, dtype=np.int64))
     assert F.shape == (0, 1) and G.shape == (0,)
+
+
+# -- coefficient assembly ----------------------------------------------------------
+
+
+def _stacked_columns(trees, env, n):
+    """The former assembly: each value made a full column with np.full, then np.stack."""
+    cols = []
+    for tr in trees:
+        val = np.asarray(tr(env), dtype=float)
+        cols.append(np.full(n, float(val)) if val.ndim == 0 else val)
+    return np.stack(cols, axis=1)
+
+
+def _expressions(d, ka):
+    """Small random expressions over x, t, a parameter and, with ka > 0, the controls."""
+    names = ["x" + str(j + 1) for j in range(d)] + ["t", "rho"] + ["a" + str(j + 1) for j in range(ka)]
+    atoms = st.sampled_from(["0", "(-0)", "0.5", "(-1.25)", *names])
+    return st.recursive(
+        atoms,
+        lambda inner: st.one_of(
+            st.tuples(inner, inner, st.sampled_from("+-*")).map(lambda p: f"({p[0]}{p[2]}{p[1]})"),
+            inner.map(lambda e: f"tanh({e})"),
+            inner.map(lambda e: f"(-{e})"),
+            inner.map(lambda e: f"abs({e})"),
+        ),
+        max_leaves=4,
+    )
+
+
+@st.composite
+def assembled_specs(draw):
+    d = draw(st.integers(1, 3))
+    ka = draw(st.integers(1, 2))
+    sigma = [draw(_expressions(d, 0)) for _ in range(d * d)]
+    sigma[0] = f"0.8+0.2*tanh(x1)+({sigma[0]})"  # reads the state: the assembled branch
+    if d > 1:
+        sigma[1] = "-0"
+    f = [draw(_expressions(d, ka)) for _ in range(d)]
+    f[-1] = draw(st.sampled_from(["-0", f[-1]]))
+    return d, ka, tuple(sigma), tuple(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=assembled_specs(), n=st.integers(1, 40), per_row_t=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_coefficient_columns_equal_the_stacked_assembly_bitwise(case, n, per_row_t, seed):
+    d, ka, sigma, f = case
+    params = {"rho": -0.75}
+    coeffs = compile_coefficients(d, sigma, f, "0", "0", "0", params, ka)
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2.0, 2.0, size=(n, d))
+    A = rng.uniform(-1.0, 1.0, size=(n, ka))
+    t = rng.uniform(0.0, 1.0, size=n) if per_row_t else float(rng.uniform(0.0, 1.0))
+    env = {**params, "t": t, **{f"x{j + 1}": X[:, j] for j in range(d)}}
+    sig_trees = [parse_expression(s, {"rho", "t", *(f"x{j + 1}" for j in range(d))}) for s in sigma]
+    ref = _stacked_columns(sig_trees, env, n).reshape(n, d, d)
+    got = coeffs.sigma(t, X)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    if d > 1:
+        assert np.all(np.signbit(got[:, 0, 1]))  # "-0" stays -0.0
+
+    env.update({f"a{j + 1}": A[:, j] for j in range(ka)})
+    f_names = {"rho", "t", *(f"x{j + 1}" for j in range(d)), *(f"a{j + 1}" for j in range(ka))}
+    ref = _stacked_columns([parse_expression(s, f_names) for s in f], env, n)
+    got = coeffs.f(t, X, A, rows=True)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()

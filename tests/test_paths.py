@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctrlstop.model import build_builtin
+from ctrlstop.mc import RegressionBasis, solve_rbsde
+from ctrlstop.model import build_builtin, sigma_apply
 from ctrlstop.paths import (
     BLOCK,
     TimeGrid,
     PathBatch,
+    _diffusion,
+    _draw_increments,
     attach_controls,
     girsanov_log_batch,
     girsanov_log_terms,
@@ -175,3 +180,148 @@ def test_controlled_drift_enters_the_mean(controlled):
     )
     end = np.mean(push.states[:, -1, 0])
     assert abs(end - 1.0) < 0.05
+
+
+# -- time-major storage ----------------------------------------------------------
+
+
+def _old_draw_increments(count, steps, dim, dt, seed):
+    """The path-major construction: each block written straight into [count, steps, dim]."""
+    out = np.empty((count, steps, dim))
+    root = np.sqrt(dt)
+    for b, start in enumerate(range(0, count, BLOCK)):
+        stop = min(start + BLOCK, count)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
+        out[start:stop] = rng.standard_normal((stop - start, steps, dim)) * root
+    return out
+
+
+@pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 808])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_time_major_increments_are_the_path_major_draws_transposed(count, dim):
+    got = _draw_increments(count, 3, dim, 0.1, seed=17)
+    assert got.shape == (3, count, dim) and got.flags.c_contiguous
+    ref = np.ascontiguousarray(_old_draw_increments(count, 3, dim, 0.1, seed=17).swapaxes(0, 1))
+    assert got.tobytes() == ref.tobytes()
+
+
+class _SignPolicy:
+    """Control 0 where x1 <= 0 and the last control elsewhere."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def control_indices(self, t, X):
+        return np.where(X[:, 0] > 0.0, self.k - 1, 0)
+
+
+def _simulated_batches(spec):
+    g = TimeGrid(0.0, 1.0, 5)
+    free = simulate_uncontrolled(spec, 0.0, [0.1], g, 40, seed=4)
+    policy = _SignPolicy(spec.controls.k)
+    return {
+        "uncontrolled": free,
+        "controlled": simulate_controlled(spec, policy, 0.0, [0.1], g, 40, seed=4),
+        "attached": attach_controls(free, policy),
+    }
+
+
+@pytest.mark.parametrize("kind", ["uncontrolled", "controlled", "attached"])
+def test_each_step_of_a_batch_is_a_contiguous_row(controlled, kind):
+    batch = _simulated_batches(controlled)[kind]
+    assert batch.states.shape == (40, 6, 1) and batch.increments.shape == (40, 5, 1)
+    assert batch.states.swapaxes(0, 1).flags.c_contiguous
+    assert batch.increments.swapaxes(0, 1).flags.c_contiguous
+    if kind != "uncontrolled":
+        assert batch.controls.shape == (40, 5)
+        assert batch.controls.T.flags.c_contiguous
+
+
+@pytest.mark.parametrize("kind", ["uncontrolled", "controlled", "attached"])
+def test_batch_buffers_have_no_writable_owner(controlled, kind):
+    batch = _simulated_batches(controlled)[kind]
+    fields = [batch.states, batch.increments, batch.x0]
+    if kind != "uncontrolled":
+        fields.append(batch.controls)
+    for arr in fields:
+        assert not arr.flags.writeable
+        assert arr.base is None or not arr.base.flags.writeable
+
+
+@pytest.mark.parametrize("shape", [(), (1,)])
+def test_batch_keeps_its_own_copy_of_x0(controlled, shape):
+    g = TimeGrid(0.0, 1.0, 3)
+    for simulate in (
+        lambda x0: simulate_uncontrolled(controlled, 0.0, x0, g, 10, seed=1),
+        lambda x0: simulate_controlled(controlled, ConstantPolicy(2), 0.0, x0, g, 10, seed=1),
+    ):
+        x0 = np.full(shape, 0.25)
+        batch = simulate(x0)
+        x0[...] = 9.0
+        assert np.array_equal(batch.x0, [0.25])
+        assert np.all(batch.states[:, 0, 0] == 0.25)
+        assert not batch.x0.flags.writeable and batch.x0.base is None
+
+
+def _path_major(batch):
+    """The same batch held path-major: C-contiguous copies of every field."""
+    copy = PathBatch(
+        grid=batch.grid,
+        states=np.ascontiguousarray(batch.states),
+        increments=np.ascontiguousarray(batch.increments),
+        seed=batch.seed,
+        x0=batch.x0,
+        controls=None if batch.controls is None else np.ascontiguousarray(batch.controls),
+    )
+    assert copy.states.flags.c_contiguous and copy.increments.flags.c_contiguous
+    return copy
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(200, 3000),
+    steps=st.integers(1, 8),
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_path_major_copy_gives_the_same_bits(n, steps, d, seed):
+    spec = build_builtin("controlled_drift_abs", {"d": d})
+    policy = _SignPolicy(spec.controls.k)
+    g = TimeGrid(0.0, 1.0, steps)
+    free = simulate_uncontrolled(spec, 0.0, [0.1] * d, g, n, seed=seed)
+    labelled = attach_controls(free, policy)
+    pm = _path_major(labelled)
+
+    def same_bits(a, b):
+        return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+    assert same_bits(attach_controls(_path_major(free), policy).controls, labelled.controls)
+    assert same_bits(girsanov_log_terms(spec, pm), girsanov_log_terms(spec, labelled))
+    basis = RegressionBasis(kind="polynomial", degree=2)
+    a = solve_rbsde(spec, free, basis)
+    b = solve_rbsde(spec, _path_major(free), basis)
+    assert same_bits(a.y_nodes, b.y_nodes) and same_bits(a.z_nodes, b.z_nodes)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_diagonal_euler_step_equals_sigma_apply_bitwise(d):
+    spec = build_builtin("controlled_drift_abs", {"d": d})
+    assert spec.coefficients.sigma_diagonal
+    rng = np.random.default_rng(d)
+    n = 200_000
+
+    def signed(shape):
+        """Both signs, magnitudes 1e-3 .. 1e3, about a tenth of them +0.0 or -0.0."""
+        vals = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+        zero = rng.random(shape) < 0.1
+        vals[zero] = rng.choice([0.0, -0.0], shape)[zero]
+        return vals
+
+    sig = rng.choice([0.0, -0.0], (n, d, d))
+    sig[:, np.arange(d), np.arange(d)] = signed((n, d))
+    V = signed((n, d))
+    product = np.diagonal(sig, axis1=1, axis2=2) * V
+    assert np.any((product == 0.0) & np.signbit(product))  # the +0.0 rule has work to do
+    for s in (sig, np.broadcast_to(sig[0], (n, d, d))):
+        got = _diffusion(spec, s, V)
+        assert got.tobytes() == sigma_apply(s, V).tobytes()
