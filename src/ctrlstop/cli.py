@@ -267,8 +267,7 @@ def write_strategy_csv(path: Path, rows_in) -> None:
     _write_csv(path, header, rows)
 
 
-def write_paths_csv(path: Path, spec: ProblemSpec, batch, limit: int = 200) -> None:
-    n = min(batch.count, limit)
+def write_paths_csv(path: Path, spec: ProblemSpec, batch) -> None:
     d = batch.dim
     steps = batch.grid.steps
     times = batch.grid.nodes
@@ -276,7 +275,7 @@ def write_paths_csv(path: Path, spec: ProblemSpec, batch, limit: int = 200) -> N
     terms = girsanov_log_terms(spec, batch) if batch.controls is not None else None
 
     def rows():
-        for p in range(n):
+        for p in range(batch.count):
             log_m = 0.0
             for i in range(steps + 1):
                 a = int(batch.controls[p, i]) if batch.controls is not None and i < steps else -1
@@ -351,7 +350,7 @@ def _out_dir(args) -> Path:
 
 def _cmd_solve_pde(args) -> int:
     spec = _resolve_spec(args)
-    grid = pde.make_grid(spec, args.nx, nt=args.nt, cfl=args.cfl, generator=args.generator)
+    grid = pde.make_grid(spec, args.nx, nt=args.nt, generator=args.generator)
     field = pde.solve(spec, grid, trunc=_trunc_from(args), generator=args.generator)
     policy = pde.extract_policy(spec, field)
     x0 = _parse_x0(args.x0, spec)
@@ -386,9 +385,11 @@ def _cmd_solve_mc(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.dump_paths < 1:
+        raise ValueError(f"--dump-paths must be at least 1, got {args.dump_paths}")
     spec = _resolve_spec(args)
     x0 = _parse_x0(args.x0, spec)
-    grid = pde.make_grid(spec, args.nx, nt=args.nt, cfl=args.cfl)
+    grid = pde.make_grid(spec, args.nx, nt=args.nt)
     field = pde.solve(spec, grid)
     policy = pde.extract_policy(spec, field)
     tg = TimeGrid(0.0, spec.horizon_T, args.steps)
@@ -408,7 +409,7 @@ def _cmd_simulate(args) -> int:
         rows = [("extracted policy", opt)] + [(r.name, r.estimate) for r in report.rows]
         write_strategy_csv(out / "strategy.csv", rows)
         batch = simulate_controlled(spec, policy, 0.0, x0, tg, min(args.paths, args.dump_paths), args.seed)
-        write_paths_csv(out / "paths.csv", spec, batch, limit=args.dump_paths)
+        write_paths_csv(out / "paths.csv", spec, batch)
         print(f"wrote {out / 'strategy.csv'} and {out / 'paths.csv'}")
     return 0 if report.passed else 1
 
@@ -491,7 +492,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_problem_args(sp)
     sp.add_argument("--nx", type=int, default=201)
     sp.add_argument("--nt", type=int, default=None)
-    sp.add_argument("--cfl", type=float, default=0.9)
     sp.add_argument("--generator", choices=GENERATORS, default="hstar")
     sp.add_argument("--trunc-n", type=int, default=None)
     sp.add_argument("--trunc-m", type=int, default=None)
@@ -516,7 +516,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_problem_args(sp)
     sp.add_argument("--nx", type=int, default=201)
     sp.add_argument("--nt", type=int, default=None)
-    sp.add_argument("--cfl", type=float, default=0.9)
     sp.add_argument("--paths", type=int, default=20000)
     sp.add_argument("--steps", type=int, default=50)
     sp.add_argument("--seed", type=int, default=0)
@@ -557,10 +556,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ProblemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ProblemFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,8 @@ fields are the transposed, path-major views of those read-only buffers.
 Every consumer reads step i through ``_step``; a hand-built path-major batch
 goes through the same code as a strided view and gives the same bits.
 
+Every Euler step is ``_euler``'s, also ``strategy.evaluate``'s on its live
+rows, which stores no batch; a constant sigma is evaluated once, as one row.
 The diffusion step sigma dB is ``model.sigma_apply``, or one product with
 the diagonal when ``CoefficientField.sigma_diagonal`` is set (same bits), and
 the change-of-measure direction theta = sigma^{-1} f is
@@ -150,6 +152,17 @@ def _diffusion(spec: ProblemSpec, sig: np.ndarray, dW: np.ndarray) -> np.ndarray
     return sigma_apply(sig, dW)
 
 
+def _constant_sigma(spec: ProblemSpec, t0: float, x0: np.ndarray):
+    """A constant sigma as one row [1, d, d], which broadcasts against any rows; else None."""
+    return spec.sigma(t0, x0) if spec.coefficients.sigma_constant else None
+
+
+def _euler(spec: ProblemSpec, t: float, X: np.ndarray, dW: np.ndarray, sig=None, drift=None, dt=0.0):
+    """Rows of X + drift dt + sigma(t, X) dB, driftless without ``drift``; ``sig`` is ``_constant_sigma``'s."""
+    start = X if drift is None else X + drift * dt
+    return start + _diffusion(spec, spec.sigma(t, X) if sig is None else sig, dW)
+
+
 def simulate_uncontrolled(
     spec: ProblemSpec, t0: float, x0, grid: TimeGrid, count: int, seed: int
 ) -> PathBatch:
@@ -158,13 +171,9 @@ def simulate_uncontrolled(
     dW = _draw_increments(count, grid.steps, spec.dim, grid.dt, seed)
     states = np.empty((grid.steps + 1, count, spec.dim))
     states[0] = x0
-    times = grid.nodes
-    const_sig = spec.coefficients.sigma_constant
-    sig = spec.sigma(t0, states[0]) if const_sig else None
-    for i in range(grid.steps):
-        if not const_sig:
-            sig = spec.sigma(float(times[i]), states[i])
-        states[i + 1] = states[i] + _diffusion(spec, sig, dW[i])
+    sig = _constant_sigma(spec, t0, x0)
+    for i, t in enumerate(grid.nodes[:-1].tolist()):
+        states[i + 1] = _euler(spec, t, states[i], dW[i], sig)
     return PathBatch(
         grid=grid, states=_frozen_view(states), increments=_frozen_view(dW), seed=seed, x0=x0
     )
@@ -184,19 +193,13 @@ def simulate_controlled(
     states = np.empty((grid.steps + 1, count, spec.dim))
     controls = np.empty((grid.steps, count), dtype=np.int64)
     states[0] = x0
-    times = grid.nodes
-    dt = grid.dt
-    const_sig = spec.coefficients.sigma_constant
-    sig = spec.sigma(t0, states[0]) if const_sig else None
-    for i in range(grid.steps):
-        t = float(times[i])
+    sig = _constant_sigma(spec, t0, x0)
+    for i, t in enumerate(grid.nodes[:-1].tolist()):
         X = states[i]
         idx = np.asarray(policy.control_indices(t, X), dtype=np.int64)
         controls[i] = idx
         drift, _ = spec.control_rows(t, X, idx, reward=False)
-        if not const_sig:
-            sig = spec.sigma(t, X)
-        states[i + 1] = X + drift * dt + _diffusion(spec, sig, dW[i])
+        states[i + 1] = _euler(spec, t, X, dW[i], sig, drift, grid.dt)
     return PathBatch(
         grid=grid,
         states=_frozen_view(states),

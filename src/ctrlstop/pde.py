@@ -45,6 +45,8 @@ __all__ = [
 
 # strict binding margin: obstacle pushes below this are treated as round-off
 BINDING_FLOOR = 1e-9
+# make_grid's bound on dt times the outflow rate: the step raises above 1, and the rate is probed at three times only
+CFL_TARGET = 0.9
 
 
 @dataclass(frozen=True)
@@ -335,17 +337,16 @@ def make_grid(
     spec: ProblemSpec,
     nx,
     nt: int | None = None,
-    cfl: float = 0.9,
     generator: str = "hstar",
 ) -> SpaceTimeGrid:
     """Build a grid on ``spec.domain``; when nt is omitted, the smallest count
-    with dt times the sweep's own outflow rate at t = 0, T/2 and T at most cfl."""
+    with dt times the sweep's own outflow rate at t = 0, T/2 and T at most CFL_TARGET."""
     box = spec.domain
     nx = (nx,) * box.dim if isinstance(nx, int) else tuple(nx)
     if nt is None:
         probe = _Scheme(spec, SpaceTimeGrid(box=box, nx=nx, nt=1, horizon_T=spec.horizon_T), None, generator)
         rate = max(probe.rate(t) for t in (0.0, 0.5 * spec.horizon_T, spec.horizon_T))
-        nt = max(1, math.ceil(spec.horizon_T * rate / cfl))
+        nt = max(1, math.ceil(spec.horizon_T * rate / CFL_TARGET))
     return SpaceTimeGrid(box=box, nx=nx, nt=int(nt), horizon_T=spec.horizon_T)
 
 

@@ -3,7 +3,8 @@
 A strategy is anything with ``control_indices(t, X) -> int array`` and
 ``stop_at(t, X) -> bool array``; extracted policy fields qualify, and the
 wrappers here build challenger variants (constant control, random control,
-immediate or suppressed stopping) around them.
+immediate or suppressed stopping) around them.  ``evaluate`` asks ``stop_at``
+first at each step, and both only about live rows: a policy answers row by row.
 
 The reward of one path stopped at node i is
 
@@ -21,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ProblemSpec
-from .paths import TimeGrid, _step, attach_controls, girsanov_log_batch, simulate_controlled, simulate_uncontrolled
+from .paths import TimeGrid, attach_controls, girsanov_log_batch, simulate_uncontrolled
+from .paths import _constant_sigma, _draw_increments, _euler, _prepare
+from .paths import simulate_controlled  # noqa: F401  unused; perfbench/spans.py wraps this binding
 
 __all__ = [
     "Breakdown",
@@ -108,33 +111,30 @@ def evaluate(
     count: int,
     seed: int = 0,
 ) -> PayoffEstimate:
-    """Simulate ``count`` controlled paths and average the stopped reward."""
-    batch = simulate_controlled(spec, policy, float(grid.t0), x0, grid, count, seed)
-    times = grid.nodes
-    dt = grid.dt
-    N = grid.steps
+    """Simulate ``count`` controlled paths, stepping only the live ones, and average the stopped reward."""
+    x0 = _prepare(spec, float(grid.t0), x0, grid, count)
+    dW = _draw_increments(count, grid.steps, spec.dim, grid.dt, seed)
+    sig = _constant_sigma(spec, float(grid.t0), x0)
 
     running = np.zeros(count)
     collected = np.zeros(count)
-    alive = np.ones(count, dtype=bool)
-    stopped_early = np.zeros(count, dtype=bool)
+    live = np.arange(count)  # original row of each live path, ascending
+    X = np.tile(x0, (count, 1))
 
-    for i in range(N):
-        t = float(times[i])
-        X = _step(batch.states, i)
-        fire = alive & np.asarray(policy.stop_at(t, X), dtype=bool)
+    for i, t in enumerate(grid.nodes[:-1].tolist()):
+        fire = np.asarray(policy.stop_at(t, X), dtype=bool)
         if fire.any():
-            collected[fire] = spec.h(t, X[fire])
-            stopped_early[fire] = True
-            alive[fire] = False
-        if not alive.any():
-            break
-        _, G = spec.control_rows(t, X[alive], _step(batch.controls, i)[alive], drift=False)
-        running[alive] += G * dt
+            collected[live[fire]] = spec.h(t, X[fire])
+            live, X = live[~fire], X[~fire]
+            if live.size == 0:
+                break
+        drift, G = spec.control_rows(t, X, policy.control_indices(t, X))
+        running[live] += G * grid.dt
+        X = _euler(spec, t, X, dW[i][live], sig, drift, grid.dt)
 
     terminal = np.zeros(count)
-    if alive.any():
-        terminal[alive] = spec.g(_step(batch.states, N)[alive])
+    if live.size:
+        terminal[live] = spec.g(X)
 
     reward = running + collected + terminal
     mean_run = float(np.mean(running))
@@ -149,7 +149,7 @@ def evaluate(
             running=mean_run,
             obstacle=mean_obs,
             terminal=mean_term,
-            fraction_stopped_early=float(np.mean(stopped_early)),
+            fraction_stopped_early=(count - live.size) / count,
         ),
     )
 

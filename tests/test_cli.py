@@ -223,6 +223,23 @@ def test_simulate_reports_the_gap(tmp_path, capsys):
     assert len(path_lines) == 1 + 200 * 41
 
 
+def test_simulate_rejects_dump_paths_below_one_before_any_work(tmp_path, capsys):
+    argv = ["simulate", "--builtin", "controlled_drift_abs", "--nx", "41", "--paths", "2000"]
+    assert main([*argv, "--dump-paths", "0", "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--dump-paths must be at least 1" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve-pde", "simulate"])
+def test_cfl_flag_is_gone(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--builtin", "bachelier_put", "--cfl", "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cfl" in capsys.readouterr().err
+
+
 def test_ladder_command(capsys):
     argv = [
         "ladder",

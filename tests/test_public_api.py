@@ -23,7 +23,7 @@ REMOVED = {
 }
 # keyword options no caller set; the grid box is spec.domain and the others are module constants
 REMOVED_OPTIONS = {
-    ("ctrlstop.pde", "make_grid"): ("box",),
+    ("ctrlstop.pde", "make_grid"): ("box", "cfl"),
     ("ctrlstop.mc", "RegressionBasis"): ("cond_threshold",),
     ("ctrlstop.strategy", "optimality_gap"): ("challengers", "scheme_budget_rel"),
 }

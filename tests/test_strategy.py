@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from ctrlstop.model import build_builtin
-from ctrlstop.paths import TimeGrid
+from ctrlstop.paths import BLOCK, TimeGrid, _diffusion, _draw_increments
 from ctrlstop.pde import extract_policy, make_grid, solve
 from ctrlstop.strategy import (
+    Breakdown,
     ConstantPolicy,
+    PayoffEstimate,
     default_challengers,
     evaluate,
     martingale_check,
@@ -145,3 +149,132 @@ def test_constant_policy_interface():
     X = np.zeros((5, 1))
     assert np.all(p.control_indices(0.0, X) == 2)
     assert not np.any(p.stop_at(0.0, X))
+
+
+class _Band:
+    """Control by the sign of x1; stops from ``stop_from`` on wherever x1 + x2 > ``level``."""
+
+    def __init__(self, level, stop_from=0.0):
+        self.level = level
+        self.stop_from = stop_from
+
+    def control_indices(self, t, X):
+        return np.where(X[:, 0] > 0.0, 0, 2)
+
+    def stop_at(self, t, X):
+        return (t >= self.stop_from) & (X[:, 0] + X[:, 1] > self.level)
+
+
+class _Recorder:
+    """Wraps a policy and records (method, t, rows asked about, rows that stop)."""
+
+    def __init__(self, base):
+        self.base = base
+        self.calls = []
+
+    def control_indices(self, t, X):
+        self.calls.append(("control", t, X.shape[0], 0))
+        return self.base.control_indices(t, X)
+
+    def stop_at(self, t, X):
+        fire = self.base.stop_at(t, X)
+        self.calls.append(("stop", t, X.shape[0], int(np.count_nonzero(fire))))
+        return fire
+
+
+@pytest.fixture(scope="module")
+def correlated():
+    """d = 2 with a constant, non-diagonal sigma and a state-dependent reward."""
+    spec = build_builtin(
+        "custom",
+        {
+            "dim": 2,
+            "T": 1.0,
+            "sigma": ["0.9", "0.3", "-0.2", "0.7"],
+            "f": ["a1", "0.5*a1"],
+            "gamma": "-0.1*a1*a1+0.05*x1",
+            "g": "max(1-0.5*x1-0.5*x2,0)",
+            "h": "max(1-0.5*x1-0.5*x2,0)*(1+0.5*(1-t))",
+            "controls": [[1.0], [0.0], [-1.0]],
+            "growth": {"C_f": 1.5, "C_sigma_inv": 2.0, "C_poly": 10.0, "p": 1.0},
+            "lo": -4.0,
+            "hi": 4.0,
+        },
+    )
+    assert spec.coefficients.sigma_constant and not spec.coefficients.sigma_diagonal
+    return spec
+
+
+def _two_pass(spec, policy, grid, x0, count, seed):
+    """Simulate every path to T on the full batch, then find where each stops."""
+    dW = _draw_increments(count, grid.steps, spec.dim, grid.dt, seed)
+    states = np.empty((grid.steps + 1, count, spec.dim))
+    controls = np.empty((grid.steps, count), dtype=np.int64)
+    states[0] = x0
+    sig = spec.sigma(grid.t0, states[0])  # the full [n, d, d] batch
+    for i in range(grid.steps):
+        t = float(grid.nodes[i])
+        controls[i] = policy.control_indices(t, states[i])
+        drift, _ = spec.control_rows(t, states[i], controls[i], reward=False)
+        states[i + 1] = states[i] + drift * grid.dt + _diffusion(spec, sig, dW[i])
+    running = np.zeros(count)
+    collected = np.zeros(count)
+    alive = np.ones(count, dtype=bool)
+    stopped_early = np.zeros(count, dtype=bool)
+    for i in range(grid.steps):
+        t = float(grid.nodes[i])
+        X = states[i]
+        fire = alive & np.asarray(policy.stop_at(t, X), dtype=bool)
+        if fire.any():
+            collected[fire] = spec.h(t, X[fire])
+            stopped_early[fire] = True
+            alive[fire] = False
+        if not alive.any():
+            break
+        _, G = spec.control_rows(t, X[alive], controls[i][alive], drift=False)
+        running[alive] += G * grid.dt
+    terminal = np.zeros(count)
+    if alive.any():
+        terminal[alive] = spec.g(states[grid.steps][alive])
+    reward = running + collected + terminal
+    parts = [float(np.mean(part)) for part in (running, collected, terminal)]
+    return PayoffEstimate(
+        mean=sum(parts),
+        stderr=float(np.std(reward, ddof=1) / math.sqrt(count)),
+        count=count,
+        breakdown=Breakdown(*parts, fraction_stopped_early=float(np.mean(stopped_early))),
+    )
+
+
+@pytest.mark.parametrize(
+    "policy, stopped",
+    [
+        (_Band(1.1), (0.3, 0.7)),  # about half the paths stop
+        (_Band(-9.0, stop_from=0.5), (1.0, 1.0)),  # every path stops at t = 0.5: the loop ends early
+        (_Band(99.0), (0.0, 0.0)),  # none stops
+    ],
+)
+def test_one_pass_equals_the_two_pass_evaluation(correlated, policy, stopped):
+    grid = TimeGrid(0.0, 1.0, 10)
+    count = BLOCK + 1808
+    est = evaluate(correlated, policy, grid, [0.2, 0.1], count, seed=11)
+    assert stopped[0] <= est.breakdown.fraction_stopped_early <= stopped[1]
+    assert est == _two_pass(correlated, policy, grid, np.array([0.2, 0.1]), count, 11)
+
+
+def test_policy_is_asked_about_live_rows_only(correlated):
+    policy = _Recorder(_Band(1.1))
+    grid = TimeGrid(0.0, 1.0, 10)
+    est = evaluate(correlated, policy, grid, [0.2, 0.1], 3000, seed=11)
+    live = 3000
+    steps = iter(grid.nodes[:-1])
+    calls = iter(policy.calls)
+    for (kind, t, rows, fired), (kind2, t2, rows2, _) in zip(calls, calls):
+        # stop_at comes first, then control_indices on the survivors only
+        assert (kind, kind2) == ("stop", "control")
+        assert t == t2 == next(steps)
+        assert rows == live and rows2 == live - fired
+        live = rows2
+    assert len(policy.calls) == 2 * grid.steps
+    assert 0 < live < 3000
+    assert est.breakdown.fraction_stopped_early == (3000 - live) / 3000

@@ -35,6 +35,7 @@ exit code is 1 when any line is printed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import importlib
@@ -65,7 +66,6 @@ RECORDED = (
     ("workloads", "solve_rbsde"),
     ("workloads", "evaluate"),
     ("workloads", "martingale_check"),
-    ("ctrlstop.strategy", "simulate_controlled"),
     ("ctrlstop.strategy", "attach_controls"),
     ("ctrlstop.paths", "girsanov_log_terms"),
 )
@@ -207,22 +207,29 @@ def diff_digests(a: dict, b: dict) -> list[str]:
     return lines
 
 
-def _report_at(rev: str, argv: list[str]) -> dict:
-    """The report of REV's copy of this tool, run in a temporary git worktree.
-
-    Errors of git and of REV's run pass through on standard error.
-    """
+@contextlib.contextmanager
+def worktree(rev: str):
+    """A temporary git worktree of REV, removed on exit."""
     git = ["git", "-C", str(ROOT), "worktree"]
     with tempfile.TemporaryDirectory(prefix="output-digest-") as tmp:
         tree = Path(tmp) / "tree"
         subprocess.run([*git, "add", "--quiet", "--detach", str(tree), rev], check=True)
         try:
-            proc = subprocess.run(
-                [sys.executable, str(tree / "tools" / "output_digest.py"), *argv],
-                check=True, stdout=subprocess.PIPE, text=True,
-            )
+            yield tree
         finally:
             subprocess.run([*git, "remove", "--force", str(tree)], check=True)
+
+
+def _report_at(rev: str, argv: list[str]) -> dict:
+    """The report of REV's copy of this tool, run in a temporary git worktree.
+
+    Errors of git and of REV's run pass through on standard error.
+    """
+    with worktree(rev) as tree:
+        proc = subprocess.run(
+            [sys.executable, str(tree / "tools" / "output_digest.py"), *argv],
+            check=True, stdout=subprocess.PIPE, text=True,
+        )
     return json.loads(proc.stdout)
 
 
