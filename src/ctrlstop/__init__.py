@@ -31,7 +31,6 @@ from .model import (
 from .paths import (
     PathBatch,
     TimeGrid,
-    attach_controls,
     girsanov_log_batch,
     simulate_controlled,
     simulate_uncontrolled,
@@ -80,7 +79,6 @@ __all__ = [
     "PathBatch",
     "simulate_uncontrolled",
     "simulate_controlled",
-    "attach_controls",
     "girsanov_log_batch",
     "SpaceTimeGrid",
     "ValueField",

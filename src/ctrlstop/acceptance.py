@@ -333,8 +333,9 @@ def _check_change_of_measure(shared):
 
     theta = 0.5
     spec_c = _constant_drift_spec(theta)
-    const = strategy.martingale_check(spec_c, strategy.ConstantPolicy(0), tg, np.array([0.0]), 100_000, seed=82, q=1.5)
-    oracle = math.exp(1.5 * 0.5 * theta**2 * 1.0 / 2.0)
+    const = strategy.martingale_check(spec_c, strategy.ConstantPolicy(0), tg, np.array([0.0]), 100_000, seed=82)
+    q = strategy.MOMENT_Q
+    oracle = math.exp(q * (q - 1.0) * theta**2 * 1.0 / 2.0)
     const_ok = abs(const.mean - 1.0) <= 3.0 * const.stderr
     moment_ok = abs(const.q_moment - oracle) <= 0.05 * oracle
 

@@ -7,24 +7,26 @@ scheduled, and enlarging the batch keeps existing blocks unchanged.  Each
 block is drawn path-major and written transposed into the time-major
 increments, so the bits do not depend on the storage order.
 
-A batch is stored time-major: states [N+1, n, d], increments [N, n, d] and
-controls [N, n], so one step of every path is one contiguous row.  The public
-fields are the transposed, path-major views of those read-only buffers.
-Every consumer reads step i through ``_step``; a hand-built path-major batch
-goes through the same code as a strided view and gives the same bits.
+A batch is stored time-major: states [N+1, n, d], increments [N, n, d] and,
+from ``simulate_controlled`` only, controls [N, n], so one step of every path
+is one contiguous row.  The public fields are the transposed, path-major
+views of those read-only buffers.  Every consumer reads step i through
+``_step``; a hand-built path-major batch goes through the same code as a
+strided view and gives the same bits.
 
 Every Euler step is ``_euler``'s, also ``strategy.evaluate``'s on its live
-rows, which stores no batch; a constant sigma is evaluated once, as one row.
-The diffusion step sigma dB is ``model.sigma_apply``, or one product with
-the diagonal when ``CoefficientField.sigma_diagonal`` is set (same bits), and
-the change-of-measure direction theta = sigma^{-1} f is
+rows and ``girsanov_log_batch``'s, neither of which stores a batch; a
+constant sigma is evaluated once, as one row.  The diffusion step sigma dB
+is ``model.sigma_apply``, or one product with the diagonal when
+``CoefficientField.sigma_diagonal`` is set (same bits), and the
+change-of-measure direction theta = sigma^{-1} f is
 ``ProblemSpec.sigma_solve``: one summation order and one inversion rule for
-every sigma.
+every sigma.  Each step's log-density term is ``_log_density_step``'s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +37,6 @@ __all__ = [
     "PathBatch",
     "simulate_uncontrolled",
     "simulate_controlled",
-    "attach_controls",
     "girsanov_log_terms",
     "girsanov_log_batch",
     "BLOCK",
@@ -69,10 +70,11 @@ class TimeGrid:
 class PathBatch:
     """Simulated batch: states [n, N+1, d], increments [n, N, d].
 
-    ``controls`` holds per-step control indices [n, N] for controlled
-    batches and is None otherwise.  Simulated fields are views of read-only
-    time-major buffers ([N+1, n, d], [N, n, d], [N, n]); ``_step(field, i)``
-    is step i of every path, a contiguous row for those buffers.
+    ``controls`` holds the per-step control indices [n, N] that
+    ``simulate_controlled`` recorded and is None otherwise.  Simulated
+    fields are views of read-only time-major buffers ([N+1, n, d],
+    [N, n, d], [N, n]); ``_step(field, i)`` is step i of every path, a
+    contiguous row for those buffers.
     """
 
     grid: TimeGrid
@@ -210,63 +212,61 @@ def simulate_controlled(
     )
 
 
-def _neumaier_sum(terms: np.ndarray) -> np.ndarray:
-    """Compensated summation along axis 1; terms [n, N] -> [n]."""
-    total = np.zeros(terms.shape[0])
-    comp = np.zeros(terms.shape[0])
-    for i in range(terms.shape[1]):
-        t = _step(terms, i)
-        s = total + t
-        big = np.abs(total) >= np.abs(t)
-        comp += np.where(big, (total - s) + t, (t - s) + total)
-        total = s
-    return total + comp
-
-
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise a . b as ``sigma_apply`` of the 1 x d matrix a: same summation order."""
     return sigma_apply(a[:, None, :], b)[:, 0]
 
 
-def girsanov_log_terms(spec: ProblemSpec, batch: PathBatch) -> np.ndarray:
-    """Per-step log-density increments [n, N], a view of a time-major buffer;
-    their compensated sum is log M_T.
+def _log_density_step(spec: ProblemSpec, t: float, X: np.ndarray, sig, idx, dB: np.ndarray, dt: float):
+    """Rows of theta . dB - 0.5 |theta|^2 dt with theta = sigma^{-1} f(t, X, a_idx); ``sig`` is sigma(t, X)."""
+    fv, _ = spec.control_rows(t, X, idx, reward=False)
+    theta = spec.sigma_solve(sig, fv)
+    return _row_dot(theta, dB) - 0.5 * dt * _row_dot(theta, theta)
 
-    Step i contributes theta_i . dB_i - 0.5 |theta_i|^2 dt with
-    theta_i = sigma^{-1}(tau_i, X_i) f(tau_i, X_i, a_i).
+
+def girsanov_log_terms(spec: ProblemSpec, batch: PathBatch) -> np.ndarray:
+    """Per-step log-density increments [n, N] of a batch with recorded controls,
+    a view of a time-major buffer; ``_log_density_step`` gives step i.
     """
     if batch.controls is None:
         raise ValueError("batch has no recorded controls; simulate with a policy first")
     times = batch.grid.nodes
-    dt = batch.grid.dt
     n, N, _ = batch.increments.shape
     terms = np.empty((N, n))
     for i in range(N):
         t = float(times[i])
         X = _step(batch.states, i)
-        fv, _ = spec.control_rows(t, X, _step(batch.controls, i), reward=False)
-        theta = spec.sigma_solve(spec.sigma(t, X), fv)
-        terms[i] = _row_dot(theta, _step(batch.increments, i)) - 0.5 * dt * _row_dot(theta, theta)
+        terms[i] = _log_density_step(
+            spec, t, X, spec.sigma(t, X), _step(batch.controls, i), _step(batch.increments, i), batch.grid.dt
+        )
     return terms.T
 
 
-def girsanov_log_batch(spec: ProblemSpec, batch: PathBatch) -> np.ndarray:
-    """log M_T per path for the drift the recorded controls induce.
+def girsanov_log_batch(
+    spec: ProblemSpec, policy, t0: float, x0, grid: TimeGrid, count: int, seed: int
+) -> np.ndarray:
+    """log M_T per path of the driftless dynamics, for the drift ``policy`` picks along them.
 
     M_T = exp( sum_i theta_i . dB_i - 0.5 |theta_i|^2 dt ); an exact discrete
-    martingale, E[M_T] = 1 for any adapted control sequence.
+    martingale, E[M_T] = 1 for any adapted control sequence.  The increments
+    are ``simulate_uncontrolled``'s for the same seed.  One pass keeps only
+    the current states: each step evaluates sigma once for both the log
+    term and the Euler step, asks the policy, and adds the term to a
+    compensated (Neumaier) sum.
     """
-    return _neumaier_sum(girsanov_log_terms(spec, batch))
-
-
-def attach_controls(batch: PathBatch, policy) -> PathBatch:
-    """Controls looked up along an existing (typically uncontrolled) batch.
-
-    The drift is *not* replayed; this labels each node with the control the
-    policy would pick there, which is what the change-of-measure weight needs.
-    """
-    times = batch.grid.nodes
-    controls = np.empty((batch.grid.steps, batch.count), dtype=np.int64)
-    for i in range(batch.grid.steps):
-        controls[i] = policy.control_indices(float(times[i]), _step(batch.states, i))
-    return replace(batch, controls=_frozen_view(controls))
+    x0 = _prepare(spec, t0, x0, grid, count)
+    dW = _draw_increments(count, grid.steps, spec.dim, grid.dt, seed)
+    const = _constant_sigma(spec, t0, x0)
+    X = np.tile(x0, (count, 1))
+    total = np.zeros(count)
+    comp = np.zeros(count)
+    for i, t in enumerate(grid.nodes[:-1].tolist()):
+        sig = spec.sigma(t, X) if const is None else const
+        idx = policy.control_indices(t, X)
+        term = _log_density_step(spec, t, X, sig, idx, dW[i], grid.dt)
+        s = total + term
+        big = np.abs(total) >= np.abs(term)
+        comp += np.where(big, (total - s) + term, (term - s) + total)
+        total = s
+        X = _euler(spec, t, X, dW[i], sig)
+    return total + comp

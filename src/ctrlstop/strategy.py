@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ProblemSpec
-from .paths import TimeGrid, attach_controls, girsanov_log_batch, simulate_uncontrolled
+from .paths import TimeGrid, girsanov_log_batch
 from .paths import _constant_sigma, _draw_increments, _euler, _prepare
 from .paths import simulate_controlled  # noqa: F401  unused; perfbench/spans.py wraps this binding
 
@@ -37,10 +37,13 @@ __all__ = [
     "optimality_gap",
     "martingale_check",
     "SCHEME_BUDGET_REL",
+    "MOMENT_Q",
 ]
 
 # discretisation budget of optimality_gap and acceptance check 2: relative share of max(0.1, |v|)
 SCHEME_BUDGET_REL = 0.015
+# order q of the density moment E[M_T^q] that martingale_check reports
+MOMENT_Q = 1.5
 
 
 @dataclass(frozen=True)
@@ -235,17 +238,13 @@ def martingale_check(
     x0,
     count: int,
     seed: int = 0,
-    q: float = 1.5,
 ) -> PayoffEstimate:
-    """Mean and q-th moment of the change-of-measure density for a policy.
+    """Mean and ``MOMENT_Q``-th moment of the change-of-measure density for a policy.
 
-    Paths are driftless; the policy only labels them with controls.  The
-    density mean must sit within Monte-Carlo noise of one.
+    Paths are driftless; the policy only picks the drift theta is built
+    from.  The density mean must sit within Monte-Carlo noise of one.
     """
-    batch = simulate_uncontrolled(spec, float(grid.t0), x0, grid, count, seed)
-    labelled = attach_controls(batch, policy)
-    log_m = girsanov_log_batch(spec, labelled)
-    m = np.exp(log_m)
+    m = np.exp(girsanov_log_batch(spec, policy, float(grid.t0), x0, grid, count, seed))
     mean = float(np.mean(m))
     stderr = float(np.std(m, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
     return PayoffEstimate(
@@ -253,5 +252,5 @@ def martingale_check(
         stderr=stderr,
         count=count,
         breakdown=Breakdown(running=0.0, obstacle=0.0, terminal=mean, fraction_stopped_early=0.0),
-        q_moment=float(np.mean(m**q)),
+        q_moment=float(np.mean(m**MOMENT_Q)),
     )

@@ -71,3 +71,16 @@ def test_parse_seeds():
     assert tool.parse_seeds("101-103,7") == [101, 102, 103, 7]
     with pytest.raises(ValueError):
         tool.parse_seeds("5-4")
+
+
+def test_parse_verify_reads_each_check_line_of_the_report():
+    from ctrlstop.acceptance import CheckResult, render
+
+    results = [
+        CheckResult(cid=2, name="forward value (d=1)", passed=True, detail="gap (1.5s) ok", seconds=3.456),
+        CheckResult(cid=12, name="last", passed=False, detail="", seconds=0.5),
+    ]
+    assert _load().parse_verify(render(results)) == {
+        "2": {"seconds": 3.46, "passed": True},
+        "12": {"seconds": 0.5, "passed": False},
+    }

@@ -9,6 +9,7 @@ recorded it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,9 +19,9 @@ from ctrlstop import pde
 from ctrlstop.hamilton import TruncationIndex, first_maximiser
 from ctrlstop.model import build_builtin
 from ctrlstop.paths import (
+    BLOCK,
     TimeGrid,
-    _neumaier_sum,
-    attach_controls,
+    girsanov_log_batch,
     girsanov_log_terms,
     simulate_controlled,
     simulate_uncontrolled,
@@ -208,9 +209,35 @@ def _old_log_terms(spec, batch):
     return terms
 
 
+def _labelled(batch, policy):
+    """``batch`` with the control ``policy`` picks at each node; the drift is not replayed."""
+    controls = np.empty((batch.count, batch.grid.steps), dtype=np.int64)
+    for i in range(batch.grid.steps):
+        controls[:, i] = policy.control_indices(float(batch.grid.nodes[i]), batch.states[:, i])
+    return dataclasses.replace(batch, controls=controls)
+
+
+def _neumaier_sum(terms):
+    """Compensated (Neumaier) sum of terms [n, N] along the steps."""
+    total = np.zeros(terms.shape[0])
+    comp = np.zeros(terms.shape[0])
+    for i in range(terms.shape[1]):
+        t = terms[:, i]
+        s = total + t
+        comp += np.where(np.abs(total) >= np.abs(t), (total - s) + t, (t - s) + total)
+        total = s
+    return total + comp
+
+
+def _staged_log_density(spec, policy, x0, grid, count, seed):
+    """log M_T from a stored driftless batch, labelled, then summed: three passes."""
+    batch = _labelled(simulate_uncontrolled(spec, 0.0, x0, grid, count, seed), policy)
+    return _neumaier_sum(girsanov_log_terms(spec, batch))
+
+
 def test_martingale_check_matches_the_per_control_loop(spec, policy):
     grid = TimeGrid(0.0, 1.0, 12)
-    labelled = attach_controls(simulate_uncontrolled(spec, 0.0, X0, grid, 3000, 7), policy)
+    labelled = _labelled(simulate_uncontrolled(spec, 0.0, X0, grid, 3000, 7), policy)
     assert len(np.unique(labelled.controls)) > 2
     terms = _old_log_terms(spec, labelled)
     assert np.array_equal(girsanov_log_terms(spec, labelled), terms)
@@ -219,3 +246,72 @@ def test_martingale_check_matches_the_per_control_loop(spec, policy):
     assert est.mean == float(np.mean(m))
     assert est.stderr == float(np.std(m, ddof=1) / math.sqrt(3000))
     assert est.q_moment == float(np.mean(m**1.5))
+
+
+class _SplitPolicy:
+    """Control k-1, 1 or 0 by a time-dependent split of the plane."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def control_indices(self, t, X):
+        return np.where(X[:, 0] > X[:, 1] * t, self.k - 1, np.where(X[:, 1] > 0.0, 1, 0))
+
+
+def _density_case(name, spec):
+    """(spec, policy, x0, grid, count, seed) of one one-pass density case."""
+    if name == "localvol-policy":
+        # the policy-2d-localvol benchmark problem and its extracted policy, at full size
+        gain = "max(1-0.5*x1-0.5*x2,0)"
+        local = build_builtin(
+            "custom",
+            {
+                "dim": 2,
+                "T": 1.0,
+                "sigma": ("0.8+0.2*tanh(x1)", "0", "0", "0.8+0.2*tanh(x2+t)"),
+                "f": ("a1", "a2"),
+                "gamma": "-0.2*(a1*a1+a2*a2)",
+                "g": gain,
+                "h": f"{gain}*(1+0.5*(1-t))",
+                "controls": [[a1, a2] for a1 in (-1.0, 0.0, 1.0) for a2 in (-1.0, 0.0, 1.0)],
+                "growth": {"C_f": 1.5, "C_sigma_inv": 1.0 / 0.6, "C_poly": 10.0, "p": 1.0},
+                "lo": -4.0,
+                "hi": 4.0,
+            },
+        )
+        policy = pde.extract_policy(local, pde.solve(local, pde.make_grid(local, nx=81)))
+        return local, policy, np.array([0.8, 0.8]), TimeGrid(0.0, 1.0, 50), 50_000, 3
+    if name == "state-dependent-sigma":
+        return spec, _SplitPolicy(spec.controls.k), np.array([0.3, -0.2]), TimeGrid(0.0, 1.0, 12), BLOCK + 900, 11
+    if name == "constant-sigma":
+        const = build_builtin(
+            "custom",
+            {
+                "dim": 2,
+                "T": 1.0,
+                "sigma": ("0.9", "0.3", "-0.2", "0.7"),
+                "f": ("a1+0.1*tanh(x2)", "a2"),
+                "gamma": "0",
+                "g": "0",
+                "h": "0",
+                "controls": [[a1, a2] for a1 in (-1.0, 0.0, 1.0) for a2 in (-1.0, 0.0, 1.0)],
+                "growth": {"C_f": 2.0, "C_sigma_inv": 3.0, "C_poly": 10.0, "p": 1.0},
+                "lo": -3.0,
+                "hi": 3.0,
+            },
+        )
+        assert const.coefficients.sigma_constant and not const.coefficients.sigma_diagonal
+        return const, _SplitPolicy(9), np.array([0.3, -0.2]), TimeGrid(0.0, 1.0, 12), BLOCK + 900, 12
+    # the feedback policy of acceptance check 8
+    push = build_builtin("controlled_drift_abs")
+    policy = pde.extract_policy(push, pde.solve(push, pde.make_grid(push, 201)))
+    return push, policy, np.array([0.5]), TimeGrid(0.0, 1.0, 50), 100_000, 83
+
+
+@pytest.mark.parametrize("name", ["localvol-policy", "state-dependent-sigma", "constant-sigma", "check-8-feedback"])
+def test_one_pass_density_equals_the_staged_passes(spec, name):
+    spec, policy, x0, grid, count, seed = _density_case(name, spec)
+    got = girsanov_log_batch(spec, policy, 0.0, x0, grid, count, seed)
+    want = _staged_log_density(spec, policy, x0, grid, count, seed)
+    assert np.any(want != 0.0)
+    assert got.shape == (count,) and got.tobytes() == want.tobytes()

@@ -17,6 +17,7 @@ from ctrlstop.cli import (
 )
 from ctrlstop.hamilton import TruncationIndex
 from ctrlstop.model import build_builtin
+from ctrlstop.paths import TimeGrid, simulate_controlled
 
 GOOD_FILE = """
 # a plain at-the-money put
@@ -221,6 +222,59 @@ def test_simulate_reports_the_gap(tmp_path, capsys):
     path_lines = (tmp_path / "paths.csv").read_text().splitlines()
     assert path_lines[0] == "path,node,t,x1,a,logM"
     assert len(path_lines) == 1 + 200 * 41
+
+
+LOCALVOL_FILE = """
+[problem] dim=2 T=1.0 name="policy-2d-localvol"
+[controls] points=-1.0,-1.0;-1.0,0.0;-1.0,1.0;0.0,-1.0;0.0,0.0;0.0,1.0;1.0,-1.0;1.0,0.0;1.0,1.0
+[sigma] expr="0.8+0.2*tanh(x1), 0, 0, 0.8+0.2*tanh(x2+t)"
+[f] expr="a1, a2"
+[gamma] expr="-0.2*(a1*a1+a2*a2)"
+[g] expr="max(1-0.5*x1-0.5*x2,0)"
+[h] expr="max(1-0.5*x1-0.5*x2,0)*(1+0.5*(1-t))"
+[growth] C_f=1.5 C_sigma_inv=1.6666666666666667 C_poly=10.0 p=1.0
+[domain] lo=-4.0,-4.0 hi=4.0,4.0
+"""
+
+
+def _per_control_log_terms(spec, batch):
+    """theta . dB - 0.5 |theta|^2 dt per path and step [n, N], theta solved one control at a time."""
+    n, N, d = batch.increments.shape
+    terms = np.empty((n, N))
+    for i in range(N):
+        t = float(batch.grid.nodes[i])
+        X, dB, idx = batch.states[:, i], batch.increments[:, i], batch.controls[:, i]
+        theta = np.zeros((n, d))
+        for k in np.unique(idx):
+            sel = idx == k
+            fv = spec.f(t, X[sel], spec.controls.points[k])
+            theta[sel] = np.linalg.solve(spec.sigma(t, X[sel]), fv[..., None])[..., 0]
+        terms[:, i] = np.einsum("nd,nd->n", theta, dB) - 0.5 * batch.grid.dt * np.einsum("nd,nd->n", theta, theta)
+    return terms
+
+
+def test_simulate_paths_csv_log_density_is_the_running_sum(tmp_path, capsys):
+    problem = tmp_path / "localvol.txt"
+    problem.write_text(LOCALVOL_FILE)
+    argv = ["simulate", "--problem", str(problem), "--nx", "41", "--paths", "400", "--steps", "8"]
+    argv += ["--seed", "4", "--x0", "0.8,0.8", "--dump-paths", "40", "--out", str(tmp_path / "sim")]
+    assert main(argv) in (0, 1)  # 1 only flags the optimality report; the CSVs are written either way
+    capsys.readouterr()
+    spec = load_problem(problem)
+    policy = pde.extract_policy(spec, pde.solve(spec, pde.make_grid(spec, 41)))
+    batch = simulate_controlled(spec, policy, 0.0, [0.8, 0.8], TimeGrid(0.0, 1.0, 8), 40, 4)
+    terms = _per_control_log_terms(spec, batch)
+    assert len(np.unique(batch.controls)) > 1 and np.any(terms != 0.0)
+    lines = (tmp_path / "sim" / "paths.csv").read_text().splitlines()
+    assert lines[0] == "path,node,t,x1,x2,a,logM" and len(lines) == 1 + 40 * 9
+    for p in range(40):
+        log_m = 0.0
+        for i in range(9):
+            row = lines[1 + 9 * p + i].split(",")
+            assert row[3:5] == [repr(float(x)) for x in batch.states[p, i]]
+            assert row[6] == repr(log_m), (p, i)
+            if i < 8:
+                log_m += float(terms[p, i])
 
 
 def test_simulate_rejects_dump_paths_below_one_before_any_work(tmp_path, capsys):

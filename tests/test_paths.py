@@ -15,7 +15,6 @@ from ctrlstop.paths import (
     PathBatch,
     _diffusion,
     _draw_increments,
-    attach_controls,
     girsanov_log_batch,
     girsanov_log_terms,
     simulate_controlled,
@@ -109,45 +108,42 @@ def test_girsanov_requires_controls(bachelier):
     g = TimeGrid(0.0, 1.0, 4)
     batch = simulate_uncontrolled(bachelier, 0.0, [1.0], g, 10, seed=0)
     with pytest.raises(ValueError, match="no recorded controls"):
-        girsanov_log_batch(bachelier, batch)
+        girsanov_log_terms(bachelier, batch)
 
 
 def test_girsanov_rejects_out_of_range_control(controlled):
     g = TimeGrid(0.0, 1.0, 4)
-    batch = simulate_uncontrolled(controlled, 0.0, [0.0], g, 10, seed=0)
     # -1 would otherwise wrap around to the last control
     for index in (-1, controlled.controls.k):
         with pytest.raises(ValueError, match=r"control indices must lie in \[0, 3\)"):
-            girsanov_log_terms(controlled, attach_controls(batch, ConstantPolicy(index)))
+            girsanov_log_batch(controlled, ConstantPolicy(index), 0.0, [0.0], g, 10, seed=0)
 
 
 def test_zero_drift_density_is_exactly_one(bachelier):
     g = TimeGrid(0.0, 1.0, 6)
-    batch = simulate_uncontrolled(bachelier, 0.0, [1.0], g, 50, seed=2)
-    batch = attach_controls(batch, ConstantPolicy(0))
-    logs = girsanov_log_batch(bachelier, batch)
+    logs = girsanov_log_batch(bachelier, ConstantPolicy(0), 0.0, [1.0], g, 50, seed=2)
     assert np.array_equal(logs, np.zeros(50))
     assert np.exp(logs[0]) == 1.0
 
 
 def test_constant_drift_log_density_closed_form(controlled):
     g = TimeGrid(0.0, 1.0, 10)
-    batch = simulate_uncontrolled(controlled, 0.0, [0.0], g, 400, seed=5)
-    batch = attach_controls(batch, ConstantPolicy(controlled.controls.index_of(1.0)))
-    logs = girsanov_log_batch(controlled, batch)
+    push = ConstantPolicy(controlled.controls.index_of(1.0))
+    logs = girsanov_log_batch(controlled, push, 0.0, [0.0], g, 400, seed=5)
+    increments = simulate_uncontrolled(controlled, 0.0, [0.0], g, 400, seed=5).increments
     # theta = 1: log M = sum dB - T/2
-    expected = np.sum(batch.increments[:, :, 0], axis=1) - 0.5
+    expected = np.sum(increments[:, :, 0], axis=1) - 0.5
     assert np.max(np.abs(logs - expected)) < 1e-12
-    terms = girsanov_log_terms(controlled, batch)
+    # theta does not depend on the state, so the drifted batch has the same terms
+    terms = girsanov_log_terms(controlled, simulate_controlled(controlled, push, 0.0, [0.0], g, 400, seed=5))
     assert terms.shape == (400, 10)
     assert np.max(np.abs(np.sum(terms, axis=1) - logs)) < 1e-12
 
 
 def test_density_is_a_discrete_martingale(controlled):
     g = TimeGrid(0.0, 1.0, 25)
-    batch = simulate_uncontrolled(controlled, 0.0, [0.0], g, 20000, seed=6)
-    batch = attach_controls(batch, ConstantPolicy(controlled.controls.index_of(1.0)))
-    weights = np.exp(girsanov_log_batch(controlled, batch))
+    push = ConstantPolicy(controlled.controls.index_of(1.0))
+    weights = np.exp(girsanov_log_batch(controlled, push, 0.0, [0.0], g, 20000, seed=6))
     mean = float(np.mean(weights))
     se = float(np.std(weights, ddof=1)) / np.sqrt(weights.size)
     assert abs(mean - 1.0) < 4.0 * se
@@ -155,19 +151,17 @@ def test_density_is_a_discrete_martingale(controlled):
 
 def test_log_batch_rows_match_single_path_batches(controlled):
     g = TimeGrid(0.0, 1.0, 8)
-    batch = simulate_controlled(
-        controlled, ConstantPolicy(2), 0.0, [0.0], g, 30, seed=8
-    )
-    logs = girsanov_log_batch(controlled, batch)
+    logs = girsanov_log_batch(controlled, ConstantPolicy(2), 0.0, [0.0], g, 30, seed=8)
+    batch = simulate_uncontrolled(controlled, 0.0, [0.0], g, 30, seed=8)
     one = PathBatch(
         grid=batch.grid,
         states=batch.states[3:4].copy(),
         increments=batch.increments[3:4].copy(),
         seed=batch.seed,
         x0=batch.x0,
-        controls=batch.controls[3:4].copy(),
+        controls=np.full((1, 8), 2),
     )
-    fresh = float(np.exp(girsanov_log_batch(controlled, one)[0]))
+    fresh = float(np.exp(np.sum(girsanov_log_terms(controlled, one))))
     assert fresh > 0.0
     assert float(np.exp(logs[3])) == pytest.approx(fresh, rel=1e-14)
     assert logs.shape == (30,)  # one density per path, none beyond the batch
@@ -218,15 +212,13 @@ class _SignPolicy:
 def _simulated_batches(spec):
     g = TimeGrid(0.0, 1.0, 5)
     free = simulate_uncontrolled(spec, 0.0, [0.1], g, 40, seed=4)
-    policy = _SignPolicy(spec.controls.k)
     return {
         "uncontrolled": free,
-        "controlled": simulate_controlled(spec, policy, 0.0, [0.1], g, 40, seed=4),
-        "attached": attach_controls(free, policy),
+        "controlled": simulate_controlled(spec, _SignPolicy(spec.controls.k), 0.0, [0.1], g, 40, seed=4),
     }
 
 
-@pytest.mark.parametrize("kind", ["uncontrolled", "controlled", "attached"])
+@pytest.mark.parametrize("kind", ["uncontrolled", "controlled"])
 def test_each_step_of_a_batch_is_a_contiguous_row(controlled, kind):
     batch = _simulated_batches(controlled)[kind]
     assert batch.states.shape == (40, 6, 1) and batch.increments.shape == (40, 5, 1)
@@ -237,7 +229,7 @@ def test_each_step_of_a_batch_is_a_contiguous_row(controlled, kind):
         assert batch.controls.T.flags.c_contiguous
 
 
-@pytest.mark.parametrize("kind", ["uncontrolled", "controlled", "attached"])
+@pytest.mark.parametrize("kind", ["uncontrolled", "controlled"])
 def test_batch_buffers_have_no_writable_owner(controlled, kind):
     batch = _simulated_batches(controlled)[kind]
     fields = [batch.states, batch.increments, batch.x0]
@@ -289,14 +281,12 @@ def test_path_major_copy_gives_the_same_bits(n, steps, d, seed):
     policy = _SignPolicy(spec.controls.k)
     g = TimeGrid(0.0, 1.0, steps)
     free = simulate_uncontrolled(spec, 0.0, [0.1] * d, g, n, seed=seed)
-    labelled = attach_controls(free, policy)
-    pm = _path_major(labelled)
+    steered = simulate_controlled(spec, policy, 0.0, [0.1] * d, g, n, seed=seed)
 
     def same_bits(a, b):
         return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
-    assert same_bits(attach_controls(_path_major(free), policy).controls, labelled.controls)
-    assert same_bits(girsanov_log_terms(spec, pm), girsanov_log_terms(spec, labelled))
+    assert same_bits(girsanov_log_terms(spec, _path_major(steered)), girsanov_log_terms(spec, steered))
     basis = RegressionBasis(kind="polynomial", degree=2)
     a = solve_rbsde(spec, free, basis)
     b = solve_rbsde(spec, _path_major(free), basis)

@@ -15,9 +15,11 @@ MODULES = ("ctrlstop", *(f"ctrlstop.{m.name}" for m in pkgutil.iter_modules(ctrl
 # single-point entry points whose batch kernels are the only evaluation path
 _TWINS = ("HamiltonianValue", "hamiltonian", "sup_hamiltonian", "truncated_sup_hamiltonian", "cutoff", "unit_direction")
 REMOVED = {
-    "ctrlstop": (*_TWINS, "dominating_generator"),
+    # girsanov_log_batch looks the controls up as it steps; nothing labels a stored batch
+    "ctrlstop": (*_TWINS, "dominating_generator", "attach_controls"),
     "ctrlstop.hamilton": (*_TWINS, "_one_row"),
     "ctrlstop.model": ("dominating_generator",),
+    "ctrlstop.paths": ("attach_controls", "_neumaier_sum"),
     # the sweep records the control; extract_policy has no kernel pass to block
     "ctrlstop.pde": ("POLICY_BLOCK_ROWS",),
 }
@@ -26,6 +28,7 @@ REMOVED_OPTIONS = {
     ("ctrlstop.pde", "make_grid"): ("box", "cfl"),
     ("ctrlstop.mc", "RegressionBasis"): ("cond_threshold",),
     ("ctrlstop.strategy", "optimality_gap"): ("challengers", "scheme_budget_rel"),
+    ("ctrlstop.strategy", "martingale_check"): ("q",),
 }
 
 

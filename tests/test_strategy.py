@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ctrlstop import strategy
 from ctrlstop.model import build_builtin
 from ctrlstop.paths import BLOCK, TimeGrid, _diffusion, _draw_increments
 from ctrlstop.pde import extract_policy, make_grid, solve
@@ -128,13 +130,41 @@ def test_martingale_check_zero_drift_is_exact():
 
 def test_martingale_check_constant_drift():
     spec = build_builtin("controlled_drift_abs")
-    est = martingale_check(
-        spec, ConstantPolicy(2), TimeGrid(0.0, 1.0, 25), [0.0], 20000, seed=6, q=1.5
-    )
+    est = martingale_check(spec, ConstantPolicy(2), TimeGrid(0.0, 1.0, 25), [0.0], 20000, seed=6)
     assert abs(est.mean - 1.0) < 4.0 * est.stderr
-    # discrete-time moment: exp(q (q - 1) theta^2 T / 2) with theta = 1
+    # discrete-time moment: exp(q (q - 1) theta^2 T / 2) with theta = 1 and q = 1.5
+    assert strategy.MOMENT_Q == 1.5
     oracle = float(np.exp(0.375))
     assert abs(est.q_moment / oracle - 1.0) < 0.05
+
+
+def test_martingale_check_stores_no_path_batch():
+    spec = build_builtin("controlled_drift_abs", {"d": 2})
+    count, steps = 20000, 20
+    increments = count * steps * spec.dim * 8
+    tracemalloc.start()
+    try:
+        martingale_check(spec, ConstantPolicy(4), TimeGrid(0.0, 1.0, steps), [0.1, -0.1], count, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the increments and one block's draw buffer; a stored batch of states,
+    # controls or per-step terms would add at least another half
+    assert peak < 1.75 * increments, peak / increments
+
+
+def test_martingale_check_makes_one_density_pass(monkeypatch):
+    calls = []
+    one_pass = strategy.girsanov_log_batch
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return one_pass(*args, **kwargs)
+
+    monkeypatch.setattr(strategy, "girsanov_log_batch", counted)
+    spec = build_builtin("controlled_drift_abs")
+    martingale_check(spec, ConstantPolicy(2), TimeGrid(0.0, 1.0, 5), [0.0], 100, seed=1)
+    assert len(calls) == 1
 
 
 def test_evaluate_rejects_out_of_range_control():

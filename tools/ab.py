@@ -12,6 +12,9 @@ base first on even pairs and the candidate first on odd ones, so a drift in
 the host's speed falls on both sides alike.  Then this checkout's
 ``tools/output_digest.py --against`` runs at seed 0 and size divisor 8, and
 the keys it prints (those that differ between the two trees) are recorded.
+Last, each side runs the tier-1 tests once (CI's pytest command) and
+``ctrlstop verify`` once; the report keeps the tier-1 wall time and summary
+line, and each acceptance check's seconds and verdict as verify prints them.
 
 Per workload and end-to-end metric (the ``end_to_end`` entries of the base
 tree's BENCHMARK.json) the report gives each side's median and quartiles,
@@ -30,9 +33,11 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -128,6 +133,46 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         return {"correct": False, "error": [repr(exc), *error]}
 
 
+def _python(tree: Path, argv: list[str]) -> subprocess.CompletedProcess:
+    """``python argv`` in ``tree``, importing that tree's package."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    return subprocess.run([sys.executable, *argv], cwd=tree, capture_output=True, text=True, env=env)
+
+
+def tier1_run(tree: Path) -> dict:
+    """The tier-1 tests once in ``tree``: wall seconds, exit status and pytest's last line."""
+    start = time.perf_counter()
+    proc = _python(tree, ["-m", "pytest", "-q", "--continue-on-collection-errors"])
+    seconds = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    return {"seconds": seconds, "returncode": proc.returncode, "summary": lines[-1] if lines else ""}
+
+
+# one line of acceptance.render: "[PASS]  8  <name>  (3.21s)  <detail>"
+_CHECK_LINE = re.compile(r"^\[(PASS|FAIL)\]\s+(\d+)\s+.*?\((\d+(?:\.\d+)?)s\)")
+
+
+def parse_verify(text: str) -> dict:
+    """Check id -> {"seconds", "passed"} from the report ``ctrlstop verify`` prints."""
+    checks = {}
+    for line in text.splitlines():
+        m = _CHECK_LINE.match(line)
+        if m:
+            checks[m.group(2)] = {"seconds": float(m.group(3)), "passed": m.group(1) == "PASS"}
+    return checks
+
+
+def verify_run(tree: Path) -> dict:
+    """``ctrlstop verify`` once in ``tree``: wall seconds, exit status and each check's line."""
+    start = time.perf_counter()
+    proc = _python(tree, ["-m", "ctrlstop.cli", "verify"])
+    seconds = time.perf_counter() - start
+    out = {"seconds": seconds, "returncode": proc.returncode, "checks": parse_verify(proc.stdout)}
+    if not out["checks"]:
+        out["error"] = proc.stderr.strip().splitlines()[-5:]
+    return out
+
+
 def digest_diff(base: str) -> dict:
     """The lines of ``output_digest.py --against base`` run in this checkout, or its error."""
     argv = [sys.executable, str(ROOT / "tools" / "output_digest.py"), *DIGEST_ARGS, "--against", base]
@@ -138,7 +183,7 @@ def digest_diff(base: str) -> dict:
     return {"lines": proc.stdout.splitlines()}
 
 
-def render(summary: dict) -> str:
+def render(summary: dict, tier1: dict, verify: dict) -> str:
     lines = []
     for workload, entry in summary.items():
         failed = ", ".join(f"{side} {entry['failed'][side]}" for side in SIDES if entry["failed"][side])
@@ -151,6 +196,12 @@ def render(summary: dict) -> str:
                 f"  ratio {m['ratio_median']:.3f}  won {m['won']}/{m['n']} lost {m['lost']}"
                 f"  {'within' if m['within_bound'] else 'BEYOND'} bound {m['bound']}"
             )
+    for side in SIDES:
+        passed = sum(c["passed"] for c in verify[side]["checks"].values())
+        lines.append(
+            f"== {side}: tier-1 {tier1[side]['seconds']:.1f} s ({tier1[side]['summary']});"
+            f" verify {verify[side]['seconds']:.1f} s, {passed}/{len(verify[side]['checks'])} checks passed"
+        )
     return "\n".join(lines)
 
 
@@ -176,6 +227,8 @@ def main(argv=None) -> int:
                     record[side] = bench_run(trees[side], workload, seed, bench["run_seconds"])
                 pairs.append(record)
                 print(f"ab: seed {seed} {workload} done", file=sys.stderr)
+        tier1 = {side: tier1_run(trees[side]) for side in SIDES}
+        verify = {side: verify_run(trees[side]) for side in SIDES}
         commits = {side: _commit(trees[side]) for side in SIDES}
     digest = {"args": list(DIGEST_ARGS), **digest_diff(args.base)}
 
@@ -189,10 +242,12 @@ def main(argv=None) -> int:
                  "machine": platform.machine()},
         "summary": summary,
         "digest": digest,
+        "tier1": tier1,
+        "verify": verify,
         "runs": pairs,
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
-    print(render(summary), file=sys.stderr)
+    print(render(summary, tier1, verify), file=sys.stderr)
     digest_note = f"{len(digest['lines'])} keys differ" if "lines" in digest else "digest run FAILED"
     print(f"digest: {digest_note}; wrote {args.out}", file=sys.stderr)
     return 0

@@ -10,7 +10,7 @@ Runs each pipeline of ``perfbench/workloads.py`` once at the given benchmark
 seed and size divisor and prints one JSON object: for every workload, the
 digest of each array and number the pipeline's layer calls return (the PDE
 field and its projection record, the policy's argmax and stop mask, path
-states, increments and controls, the change-of-measure terms, the backward
+states and increments, the change-of-measure log densities, the backward
 pass's Y, Z and reflections, the forward estimates) and of the run values,
 counters and gate messages.  The package calls are recorded by wrapping
 module attributes from outside for the length of the run; neither the
@@ -66,8 +66,7 @@ RECORDED = (
     ("workloads", "solve_rbsde"),
     ("workloads", "evaluate"),
     ("workloads", "martingale_check"),
-    ("ctrlstop.strategy", "attach_controls"),
-    ("ctrlstop.paths", "girsanov_log_terms"),
+    ("ctrlstop.strategy", "girsanov_log_batch"),
 )
 
 
