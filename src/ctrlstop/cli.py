@@ -34,7 +34,7 @@ import numpy as np
 from . import acceptance, mc, pde, strategy
 from .hamilton import GENERATORS, TruncationIndex
 from .model import ProblemSpec, build_builtin, validate
-from .paths import TimeGrid, girsanov_log_terms, simulate_controlled, simulate_uncontrolled
+from .paths import TimeGrid, _log_density_step, _step, simulate_controlled, simulate_uncontrolled
 
 __all__ = ["parse_problem_file", "emit_problem_file", "load_problem", "ProblemFileError", "main"]
 
@@ -268,20 +268,29 @@ def write_strategy_csv(path: Path, rows_in) -> None:
 
 
 def write_paths_csv(path: Path, spec: ProblemSpec, batch) -> None:
-    d = batch.dim
+    """One row per node of each path of a ``simulate_controlled`` batch.
+
+    ``logM`` is the log-likelihood ratio so far against the driftless law: each step adds
+    ``_log_density_step``'s term for the driftless increment sigma^{-1}(X_{i+1} - X_i).
+    """
     steps = batch.grid.steps
     times = batch.grid.nodes
-    header = ["path", "node", "t"] + [f"x{j + 1}" for j in range(d)] + ["a", "logM"]
-    terms = girsanov_log_terms(spec, batch) if batch.controls is not None else None
+    header = ["path", "node", "t"] + [f"x{j + 1}" for j in range(batch.dim)] + ["a", "logM"]
+    terms = np.empty((steps, batch.count))
+    for i, t in enumerate(times[:-1].tolist()):
+        X = _step(batch.states, i)
+        sig = spec.sigma(t, X)
+        dB = spec.sigma_solve(sig, _step(batch.states, i + 1) - X)
+        terms[i] = _log_density_step(spec, t, X, sig, _step(batch.controls, i), dB, batch.grid.dt)
 
     def rows():
         for p in range(batch.count):
             log_m = 0.0
             for i in range(steps + 1):
-                a = int(batch.controls[p, i]) if batch.controls is not None and i < steps else -1
+                a = int(batch.controls[p, i]) if i < steps else -1
                 yield [p, i, _fmt(times[i])] + [_fmt(x) for x in batch.states[p, i]] + [a, _fmt(log_m)]
-                if terms is not None and i < steps:
-                    log_m += float(terms[p, i])
+                if i < steps:
+                    log_m += float(terms[i, p])
 
     _write_csv(path, header, rows())
 
@@ -419,7 +428,7 @@ def _cmd_ladder(args) -> int:
     n_list = [int(v) for v in args.n_list.split(",")]
     m_list = [int(v) for v in args.m_list.split(",")]
     grid = pde.make_grid(spec, args.nx)
-    report = pde.ladder(spec, grid, n_list, m_list, core_fraction=args.core_fraction)
+    report = pde.ladder(spec, grid, n_list, m_list)
     print(f"grid ladder on {spec.name}: n in {report.n_list}, m in {report.m_list}")
     for key in sorted(report.sup_gap_core):
         print(f"  (n={key[0]}, m={key[1]}): core gap {report.sup_gap_core[key]:.3e}")
@@ -529,7 +538,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nx", type=int, default=161)
     sp.add_argument("--n-list", default="1,2,4")
     sp.add_argument("--m-list", default="1,2,4")
-    sp.add_argument("--core-fraction", type=float, default=0.6)
     sp.add_argument("--paths", type=int, default=0, help="0 skips the Monte-Carlo ladder")
     sp.add_argument("--steps", type=int, default=25)
     sp.add_argument("--seed", type=int, default=0)

@@ -88,9 +88,6 @@ class _Num:
     def names(self, out):
         pass
 
-    def text(self):
-        return repr(self.value)
-
 
 @dataclass(frozen=True)
 class _Var:
@@ -105,9 +102,6 @@ class _Var:
     def names(self, out):
         out.add(self.name)
 
-    def text(self):
-        return self.name
-
 
 @dataclass(frozen=True)
 class _Neg:
@@ -118,9 +112,6 @@ class _Neg:
 
     def names(self, out):
         self.child.names(out)
-
-    def text(self):
-        return f"-{self.child.text()}"
 
 
 @dataclass(frozen=True)
@@ -146,9 +137,6 @@ class _Bin:
     def names(self, out):
         self.left.names(out)
         self.right.names(out)
-
-    def text(self):
-        return f"({self.left.text()}{self.op}{self.right.text()})"
 
 
 @dataclass(frozen=True)
@@ -180,9 +168,6 @@ class _Call:
     def names(self, out):
         for a in self.args:
             a.names(out)
-
-    def text(self):
-        return f"{self.fn}({','.join(a.text() for a in self.args)})"
 
 
 class ExpressionTree:

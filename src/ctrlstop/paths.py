@@ -15,8 +15,9 @@ views of those read-only buffers.  Every consumer reads step i through
 strided view and gives the same bits.
 
 Every Euler step is ``_euler``'s, also ``strategy.evaluate``'s on its live
-rows and ``girsanov_log_batch``'s, neither of which stores a batch; a
-constant sigma is evaluated once, as one row.  The diffusion step sigma dB
+rows and ``girsanov_log_batch``'s, neither of which stores a batch.  Sigma
+is evaluated at every step; a constant sigma comes back as a stride-0
+broadcast view, so that costs one view per step.  The diffusion step sigma dB
 is ``model.sigma_apply``, or one product with the diagonal when
 ``CoefficientField.sigma_diagonal`` is set (same bits), and the
 change-of-measure direction theta = sigma^{-1} f is
@@ -71,7 +72,8 @@ class PathBatch:
     """Simulated batch: states [n, N+1, d], increments [n, N, d].
 
     ``controls`` holds the per-step control indices [n, N] that
-    ``simulate_controlled`` recorded and is None otherwise.  Simulated
+    ``simulate_controlled`` recorded and is None otherwise; the start point
+    is ``states[:, 0]``, and the seed stays with the caller.  Simulated
     fields are views of read-only time-major buffers ([N+1, n, d],
     [N, n, d], [N, n]); ``_step(field, i)`` is step i of every path, a
     contiguous row for those buffers.
@@ -80,8 +82,6 @@ class PathBatch:
     grid: TimeGrid
     states: np.ndarray
     increments: np.ndarray
-    seed: int
-    x0: np.ndarray
     controls: np.ndarray | None = None
 
     def __post_init__(self):
@@ -134,10 +134,9 @@ def _prepare(spec: ProblemSpec, t0: float, x0, grid: TimeGrid, count: int):
         raise ValueError("grid.t0 must equal t0")
     if count < 1:
         raise ValueError("count must be positive")
-    x0 = np.array(np.atleast_1d(x0), dtype=float)  # an owned copy: the caller keeps theirs
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.size != spec.dim:
         raise ValueError(f"x0 has dimension {x0.size}, spec has {spec.dim}")
-    x0.setflags(write=False)
     return x0
 
 
@@ -154,13 +153,8 @@ def _diffusion(spec: ProblemSpec, sig: np.ndarray, dW: np.ndarray) -> np.ndarray
     return sigma_apply(sig, dW)
 
 
-def _constant_sigma(spec: ProblemSpec, t0: float, x0: np.ndarray):
-    """A constant sigma as one row [1, d, d], which broadcasts against any rows; else None."""
-    return spec.sigma(t0, x0) if spec.coefficients.sigma_constant else None
-
-
 def _euler(spec: ProblemSpec, t: float, X: np.ndarray, dW: np.ndarray, sig=None, drift=None, dt=0.0):
-    """Rows of X + drift dt + sigma(t, X) dB, driftless without ``drift``; ``sig`` is ``_constant_sigma``'s."""
+    """Rows of X + drift dt + sigma(t, X) dB, driftless without ``drift``; ``sig`` is sigma(t, X) if known."""
     start = X if drift is None else X + drift * dt
     return start + _diffusion(spec, spec.sigma(t, X) if sig is None else sig, dW)
 
@@ -173,12 +167,9 @@ def simulate_uncontrolled(
     dW = _draw_increments(count, grid.steps, spec.dim, grid.dt, seed)
     states = np.empty((grid.steps + 1, count, spec.dim))
     states[0] = x0
-    sig = _constant_sigma(spec, t0, x0)
     for i, t in enumerate(grid.nodes[:-1].tolist()):
-        states[i + 1] = _euler(spec, t, states[i], dW[i], sig)
-    return PathBatch(
-        grid=grid, states=_frozen_view(states), increments=_frozen_view(dW), seed=seed, x0=x0
-    )
+        states[i + 1] = _euler(spec, t, states[i], dW[i])
+    return PathBatch(grid=grid, states=_frozen_view(states), increments=_frozen_view(dW))
 
 
 def simulate_controlled(
@@ -195,19 +186,16 @@ def simulate_controlled(
     states = np.empty((grid.steps + 1, count, spec.dim))
     controls = np.empty((grid.steps, count), dtype=np.int64)
     states[0] = x0
-    sig = _constant_sigma(spec, t0, x0)
     for i, t in enumerate(grid.nodes[:-1].tolist()):
         X = states[i]
         idx = np.asarray(policy.control_indices(t, X), dtype=np.int64)
         controls[i] = idx
         drift, _ = spec.control_rows(t, X, idx, reward=False)
-        states[i + 1] = _euler(spec, t, X, dW[i], sig, drift, grid.dt)
+        states[i + 1] = _euler(spec, t, X, dW[i], drift=drift, dt=grid.dt)
     return PathBatch(
         grid=grid,
         states=_frozen_view(states),
         increments=_frozen_view(dW),
-        seed=seed,
-        x0=x0,
         controls=_frozen_view(controls),
     )
 
@@ -256,12 +244,11 @@ def girsanov_log_batch(
     """
     x0 = _prepare(spec, t0, x0, grid, count)
     dW = _draw_increments(count, grid.steps, spec.dim, grid.dt, seed)
-    const = _constant_sigma(spec, t0, x0)
     X = np.tile(x0, (count, 1))
     total = np.zeros(count)
     comp = np.zeros(count)
     for i, t in enumerate(grid.nodes[:-1].tolist()):
-        sig = spec.sigma(t, X) if const is None else const
+        sig = spec.sigma(t, X)
         idx = policy.control_indices(t, X)
         term = _log_density_step(spec, t, X, sig, idx, dW[i], grid.dt)
         s = total + term

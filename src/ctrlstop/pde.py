@@ -47,6 +47,8 @@ __all__ = [
 BINDING_FLOOR = 1e-9
 # make_grid's bound on dt times the outflow rate: the step raises above 1, and the rate is probed at three times only
 CFL_TARGET = 0.9
+# share of each axis span, centred, that the ladder's core gaps are measured on
+CORE_FRACTION = 0.6
 
 
 @dataclass(frozen=True)
@@ -97,13 +99,13 @@ class SpaceTimeGrid:
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
-    def core_mask(self, fraction: float = 0.6) -> np.ndarray:
-        """Boolean mask over the spatial shape marking the inner core."""
+    def core_mask(self) -> np.ndarray:
+        """Boolean mask over the spatial shape marking the inner ``CORE_FRACTION`` core."""
         masks = []
         for j in range(self.dim):
             ax = self.axes[j]
             span = self.box.hi[j] - self.box.lo[j]
-            margin = 0.5 * (1.0 - fraction) * span
+            margin = 0.5 * (1.0 - CORE_FRACTION) * span
             masks.append((ax >= self.box.lo[j] + margin) & (ax <= self.box.hi[j] - margin))
         out = masks[0]
         for m in masks[1:]:
@@ -428,18 +430,12 @@ class LadderReport:
         return self.violation_n <= 1e-10 and self.violation_m <= 1e-10
 
 
-def ladder(
-    spec: ProblemSpec,
-    grid: SpaceTimeGrid,
-    n_list,
-    m_list,
-    core_fraction: float = 0.6,
-) -> LadderReport:
+def ladder(spec: ProblemSpec, grid: SpaceTimeGrid, n_list, m_list) -> LadderReport:
     """Solve across truncation pairs and check the comparison orderings."""
     n_list = tuple(sorted(int(v) for v in n_list))
     m_list = tuple(sorted(int(v) for v in m_list))
     base = solve(spec, grid)
-    core = grid.core_mask(core_fraction)
+    core = grid.core_mask()
 
     fields = {}
     for n in n_list:

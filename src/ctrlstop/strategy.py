@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import ProblemSpec
 from .paths import TimeGrid, girsanov_log_batch
-from .paths import _constant_sigma, _draw_increments, _euler, _prepare
+from .paths import _draw_increments, _euler, _prepare
 from .paths import simulate_controlled  # noqa: F401  unused; perfbench/spans.py wraps this binding
 
 __all__ = [
@@ -117,7 +117,6 @@ def evaluate(
     """Simulate ``count`` controlled paths, stepping only the live ones, and average the stopped reward."""
     x0 = _prepare(spec, float(grid.t0), x0, grid, count)
     dW = _draw_increments(count, grid.steps, spec.dim, grid.dt, seed)
-    sig = _constant_sigma(spec, float(grid.t0), x0)
 
     running = np.zeros(count)
     collected = np.zeros(count)
@@ -133,7 +132,7 @@ def evaluate(
                 break
         drift, G = spec.control_rows(t, X, policy.control_indices(t, X))
         running[live] += G * grid.dt
-        X = _euler(spec, t, X, dW[i][live], sig, drift, grid.dt)
+        X = _euler(spec, t, X, dW[i][live], drift=drift, dt=grid.dt)
 
     terminal = np.zeros(count)
     if live.size:

@@ -238,12 +238,17 @@ LOCALVOL_FILE = """
 
 
 def _per_control_log_terms(spec, batch):
-    """theta . dB - 0.5 |theta|^2 dt per path and step [n, N], theta solved one control at a time."""
+    """theta . dB - 0.5 |theta|^2 dt per path and step [n, N], theta solved one control at a time.
+
+    dB = sigma^{-1}(X_{i+1} - X_i) is the recorded step's increment under the
+    driftless law, so the sum is the path's log-likelihood ratio against it.
+    """
     n, N, d = batch.increments.shape
     terms = np.empty((n, N))
     for i in range(N):
         t = float(batch.grid.nodes[i])
-        X, dB, idx = batch.states[:, i], batch.increments[:, i], batch.controls[:, i]
+        X, idx = batch.states[:, i], batch.controls[:, i]
+        dB = np.linalg.solve(spec.sigma(t, X), (batch.states[:, i + 1] - X)[..., None])[..., 0]
         theta = np.zeros((n, d))
         for k in np.unique(idx):
             sel = idx == k
@@ -277,6 +282,36 @@ def test_simulate_paths_csv_log_density_is_the_running_sum(tmp_path, capsys):
                 log_m += float(terms[p, i])
 
 
+CONSTANT_DRIFT_FILE = """
+[problem] dim=1 T=1.0 name="constant-drift"
+[controls] points=0.5
+[sigma] expr="1"
+[f] expr="a1"
+[gamma] expr="0"
+[g] expr="max(1-x1,0)"
+[h] expr="max(1-x1,0)"
+[growth] C_f=0.5 C_sigma_inv=1.0 C_poly=1.0 p=1.0
+[domain] lo=-4.0 hi=4.0
+"""
+
+
+def test_simulate_paths_csv_log_density_of_a_constant_drift_is_closed_form(tmp_path, capsys):
+    """Drift theta under sigma = 1: log dP^theta/dP^0 of a path is theta (X_N - x0) - theta^2 T / 2."""
+    problem = tmp_path / "drift.txt"
+    problem.write_text(CONSTANT_DRIFT_FILE)
+    argv = ["simulate", "--problem", str(problem), "--nx", "41", "--paths", "400", "--steps", "10"]
+    argv += ["--seed", "2", "--x0", "0.3", "--dump-paths", "50", "--out", str(tmp_path / "sim")]
+    assert main(argv) in (0, 1)
+    capsys.readouterr()
+    lines = (tmp_path / "sim" / "paths.csv").read_text().splitlines()
+    assert lines[0] == "path,node,t,x1,a,logM" and len(lines) == 1 + 50 * 11
+    theta = 0.5
+    for p in range(50):
+        last = lines[1 + 11 * p + 10].split(",")
+        x_end, log_m = float(last[3]), float(last[5])
+        assert abs(log_m - (theta * (x_end - 0.3) - 0.5 * theta**2 * 1.0)) < 1e-12, p
+
+
 def test_simulate_rejects_dump_paths_below_one_before_any_work(tmp_path, capsys):
     argv = ["simulate", "--builtin", "controlled_drift_abs", "--nx", "41", "--paths", "2000"]
     assert main([*argv, "--dump-paths", "0", "--out", str(tmp_path / "out")]) == 2
@@ -292,6 +327,13 @@ def test_cfl_flag_is_gone(command, capsys):
         main([command, "--builtin", "bachelier_put", "--cfl", "0.5"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --cfl" in capsys.readouterr().err
+
+
+def test_core_fraction_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ladder", "--builtin", "controlled_drift_abs", "--core-fraction", "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --core-fraction" in capsys.readouterr().err
 
 
 def test_ladder_command(capsys):

@@ -157,8 +157,6 @@ def test_log_batch_rows_match_single_path_batches(controlled):
         grid=batch.grid,
         states=batch.states[3:4].copy(),
         increments=batch.increments[3:4].copy(),
-        seed=batch.seed,
-        x0=batch.x0,
         controls=np.full((1, 8), 2),
     )
     fresh = float(np.exp(np.sum(girsanov_log_terms(controlled, one))))
@@ -232,7 +230,7 @@ def test_each_step_of_a_batch_is_a_contiguous_row(controlled, kind):
 @pytest.mark.parametrize("kind", ["uncontrolled", "controlled"])
 def test_batch_buffers_have_no_writable_owner(controlled, kind):
     batch = _simulated_batches(controlled)[kind]
-    fields = [batch.states, batch.increments, batch.x0]
+    fields = [batch.states, batch.increments]
     if kind != "uncontrolled":
         fields.append(batch.controls)
     for arr in fields:
@@ -250,9 +248,7 @@ def test_batch_keeps_its_own_copy_of_x0(controlled, shape):
         x0 = np.full(shape, 0.25)
         batch = simulate(x0)
         x0[...] = 9.0
-        assert np.array_equal(batch.x0, [0.25])
         assert np.all(batch.states[:, 0, 0] == 0.25)
-        assert not batch.x0.flags.writeable and batch.x0.base is None
 
 
 def _path_major(batch):
@@ -261,8 +257,6 @@ def _path_major(batch):
         grid=batch.grid,
         states=np.ascontiguousarray(batch.states),
         increments=np.ascontiguousarray(batch.increments),
-        seed=batch.seed,
-        x0=batch.x0,
         controls=None if batch.controls is None else np.ascontiguousarray(batch.controls),
     )
     assert copy.states.flags.c_contiguous and copy.increments.flags.c_contiguous

@@ -19,13 +19,18 @@ REMOVED = {
     "ctrlstop": (*_TWINS, "dominating_generator", "attach_controls"),
     "ctrlstop.hamilton": (*_TWINS, "_one_row"),
     "ctrlstop.model": ("dominating_generator",),
-    "ctrlstop.paths": ("attach_controls", "_neumaier_sum"),
+    # a constant sigma is a broadcast view already, so nothing is hoisted out of the step loops
+    "ctrlstop.paths": ("attach_controls", "_neumaier_sum", "_constant_sigma"),
     # the sweep records the control; extract_policy has no kernel pass to block
     "ctrlstop.pde": ("POLICY_BLOCK_ROWS",),
 }
 # keyword options no caller set; the grid box is spec.domain and the others are module constants
 REMOVED_OPTIONS = {
     ("ctrlstop.pde", "make_grid"): ("box", "cfl"),
+    ("ctrlstop.pde", "ladder"): ("core_fraction",),
+    ("ctrlstop.pde", "SpaceTimeGrid.core_mask"): ("fraction",),
+    # fields nothing read: the start point is states[:, 0] and the seed stays with the caller
+    ("ctrlstop.paths", "PathBatch"): ("seed", "x0"),
     ("ctrlstop.mc", "RegressionBasis"): ("cond_threshold",),
     ("ctrlstop.strategy", "optimality_gap"): ("challengers", "scheme_budget_rel"),
     ("ctrlstop.strategy", "martingale_check"): ("q",),
@@ -49,5 +54,8 @@ def test_removed_scalar_entry_points_are_not_importable(module):
 
 @pytest.mark.parametrize("module, name", sorted(REMOVED_OPTIONS))
 def test_removed_options_are_not_accepted(module, name):
-    params = inspect.signature(getattr(importlib.import_module(module), name)).parameters
+    obj = importlib.import_module(module)
+    for part in name.split("."):
+        obj = getattr(obj, part)
+    params = inspect.signature(obj).parameters
     assert [option for option in REMOVED_OPTIONS[(module, name)] if option in params] == []

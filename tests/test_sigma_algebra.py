@@ -148,8 +148,6 @@ def test_zero_on_the_diagonal_raises_like_gesv():
         grid=grid,
         states=states,
         increments=np.full((1, 2, 2), 0.1),
-        seed=0,
-        x0=states[0, 0],
         controls=np.zeros((1, 2), dtype=np.int64),
     )
     with pytest.raises(np.linalg.LinAlgError):
@@ -188,8 +186,6 @@ def test_diagonal_division_matches_the_lapack_path_end_to_end(d, n, seed):
         grid=TimeGrid(0.0, 1.0, steps),
         states=states,
         increments=rng.standard_normal((n, steps, d)) * 0.5,
-        seed=0,
-        x0=states[0, 0],
         controls=rng.integers(0, spec.controls.k, size=(n, steps)),
     )
     assert girsanov_log_terms(spec, batch).tobytes() == girsanov_log_terms(lapack, batch).tobytes()
