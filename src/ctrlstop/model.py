@@ -186,29 +186,29 @@ class ProblemSpec:
     def sigma(self, t: float, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.asarray(self.coefficients.sigma(t, X), dtype=float)
-        return np.broadcast_to(out, (X.shape[0], self.dim, self.dim))
+        return _shaped(out, (X.shape[0], self.dim, self.dim))
 
     def f(self, t: float, X: np.ndarray, a) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         a = np.atleast_1d(np.asarray(a, dtype=float))
         out = np.asarray(self.coefficients.f(t, X, a), dtype=float)
-        return np.broadcast_to(out, (X.shape[0], self.dim))
+        return _shaped(out, (X.shape[0], self.dim))
 
     def gamma(self, t: float, X: np.ndarray, a) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         a = np.atleast_1d(np.asarray(a, dtype=float))
         out = np.asarray(self.coefficients.gamma(t, X, a), dtype=float)
-        return np.broadcast_to(out, (X.shape[0],))
+        return _shaped(out, (X.shape[0],))
 
     def g(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.asarray(self.coefficients.g(X), dtype=float)
-        return np.broadcast_to(out, (X.shape[0],))
+        return _shaped(out, (X.shape[0],))
 
     def h(self, t: float, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.asarray(self.coefficients.h(t, X), dtype=float)
-        return np.broadcast_to(out, (X.shape[0],))
+        return _shaped(out, (X.shape[0],))
 
     def control_table(self, t, X: np.ndarray):
         """Drift [k, n|1, d] and running reward [k, n|1] for every control.
@@ -240,9 +240,9 @@ class ProblemSpec:
         n = X.shape[0]
         F = G = None
         if drift:
-            F = np.broadcast_to(np.asarray(self.coefficients.f(t, X, A, rows=True), dtype=float), (n, self.dim))
+            F = _shaped(np.asarray(self.coefficients.f(t, X, A, rows=True), dtype=float), (n, self.dim))
         if reward:
-            G = np.broadcast_to(np.asarray(self.coefficients.gamma(t, X, A, rows=True), dtype=float), (n,))
+            G = _shaped(np.asarray(self.coefficients.gamma(t, X, A, rows=True), dtype=float), (n,))
         return F, G
 
     def sigma_solve(self, sig: np.ndarray, V: np.ndarray, *, transpose: bool = False) -> np.ndarray:
@@ -261,6 +261,19 @@ class ProblemSpec:
         if transpose:
             sig = np.swapaxes(sig, 1, 2)
         return np.linalg.solve(sig, V[..., None])[..., 0]
+
+
+def _shaped(out: np.ndarray, shape: tuple) -> np.ndarray:
+    """``out`` broadcast to ``shape``, read-only; a read-only view when it has that shape already.
+
+    The result may be a view of the caller's X (``h = "x1"``), so it is never
+    writable; skipping ``np.broadcast_to`` saves its per-call overhead.
+    """
+    if out.shape != shape:
+        return np.broadcast_to(out, shape)
+    out = out.view()
+    out.flags.writeable = False
+    return out
 
 
 def sigma_apply(sig: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -1,11 +1,16 @@
 """Euler path simulation and exponential change-of-measure weights.
 
-Brownian increments are drawn in fixed blocks of 8192 paths, each block from
-its own ``SeedSequence((seed, block))`` stream, so a batch is reproducible
-bit-for-bit for a given (spec, arguments, seed) no matter how the work is
-scheduled, and enlarging the batch keeps existing blocks unchanged.  Each
-block is drawn path-major and written transposed into the time-major
-increments, so the bits do not depend on the storage order.
+Brownian increments are drawn in fixed blocks of ``BLOCK`` (8192) paths,
+each block from its own ``SeedSequence((seed, block))`` stream, so a batch is
+reproducible bit-for-bit for a given (spec, arguments, seed) no matter how
+the work is scheduled, and enlarging the batch keeps existing blocks
+unchanged.  ``_increment_blocks`` is that one draw rule: each block is drawn
+path-major and written transposed into time-major increments, so the bits do
+not depend on the storage order.  ``_draw_increments`` writes every block
+into a whole batch's [N, n, d] array; the forward loops ask
+``_increment_chunks`` for ``CHUNK`` (two blocks of) paths at a time, written
+into one reused [N, CHUNK, d] buffer, so their memory does not grow with the
+path count.
 
 A batch is stored time-major: states [N+1, n, d], increments [N, n, d] and,
 from ``simulate_controlled`` only, controls [N, n], so one step of every path
@@ -15,12 +20,12 @@ views of those read-only buffers.  Every consumer reads step i through
 strided view and gives the same bits.
 
 Every Euler step is ``_euler``'s, also ``strategy.evaluate``'s on its live
-rows and ``girsanov_log_batch``'s, neither of which stores a batch.  Sigma
-is evaluated at every step; a constant sigma comes back as a stride-0
-broadcast view, so that costs one view per step.  The diffusion step sigma dB
-is ``model.sigma_apply``, or one product with the diagonal when
-``CoefficientField.sigma_diagonal`` is set (same bits), and the
-change-of-measure direction theta = sigma^{-1} f is
+rows and ``girsanov_log_batch``'s, neither of which stores a batch: both run
+one chunk of paths at a time.  Sigma is evaluated at every step; a constant
+sigma comes back as a stride-0 broadcast view, so that costs one view per
+step.  The diffusion step sigma dB is ``model.sigma_apply``, or one product
+with the diagonal when ``CoefficientField.sigma_diagonal`` is set (same
+bits), and the change-of-measure direction theta = sigma^{-1} f is
 ``ProblemSpec.sigma_solve``: one summation order and one inversion rule for
 every sigma.  Each step's log-density term is ``_log_density_step``'s.
 """
@@ -41,9 +46,12 @@ __all__ = [
     "girsanov_log_terms",
     "girsanov_log_batch",
     "BLOCK",
+    "CHUNK",
 ]
 
 BLOCK = 8192
+# paths per pass of the forward loops, two whole blocks
+CHUNK = 2 * BLOCK
 
 
 @dataclass(frozen=True)
@@ -110,23 +118,55 @@ def _frozen_view(buf: np.ndarray) -> np.ndarray:
     return buf.swapaxes(0, 1)
 
 
-def _draw_increments(count: int, steps: int, dim: int, dt: float, seed: int) -> np.ndarray:
-    """Time-major [steps, count, dim] increments; each block is drawn path-major."""
-    out = np.empty((steps, count, dim))
+def _increment_blocks(count: int, steps: int, dim: int, dt: float, seed: int):
+    """Yield (first path, block): each block's path-major [rows, steps, dim] draw, scaled by sqrt(dt).
+
+    Block b is paths [b BLOCK, (b + 1) BLOCK) from ``SeedSequence((seed, b))``.
+    Every block is drawn into one buffer, so a block is valid only until the
+    next one is drawn; a fresh draw per block grew the heap.
+    """
     root = np.sqrt(dt)
-    # one opaque item per (path, step) moves its dim values in one copy, so
-    # the transposed write is not an inner loop of length dim
-    item = np.dtype((np.void, out.itemsize * dim))
-    items = out.view(item)[..., 0]
-    # one draw buffer for every block; a fresh draw per block grew the heap
     buf = np.empty((min(BLOCK, count), steps, dim))
     for b, start in enumerate(range(0, count, BLOCK)):
-        stop = min(start + BLOCK, count)
         rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
-        block = rng.standard_normal(out=buf[: stop - start])
+        block = rng.standard_normal(out=buf[: min(BLOCK, count - start)])
         block *= root
-        items[:, start:stop] = block.view(item)[..., 0].T
+        yield start, block
+
+
+def _items(arr: np.ndarray) -> np.ndarray:
+    """A [..., dim] array as one opaque item per leading index.
+
+    A transposed write of items moves each (path, step)'s dim values in one
+    copy, so it is not an inner loop of length dim.
+    """
+    return arr.view(np.dtype((np.void, arr.itemsize * arr.shape[-1])))[..., 0]
+
+
+def _draw_increments(count: int, steps: int, dim: int, dt: float, seed: int) -> np.ndarray:
+    """Time-major [steps, count, dim] increments: every block written transposed."""
+    out = np.empty((steps, count, dim))
+    items = _items(out)
+    for start, block in _increment_blocks(count, steps, dim, dt, seed):
+        items[:, start : start + len(block)] = _items(block).T
     return out
+
+
+def _increment_chunks(count: int, steps: int, dim: int, dt: float, seed: int):
+    """Yield (first path, dW): time-major [steps, rows, dim] increments of ``CHUNK`` paths at a time.
+
+    The blocks are ``_draw_increments``'s, written transposed into one
+    buffer that every chunk reuses, so each path gets the same bits and a
+    chunk is valid only until the next one is asked for.
+    """
+    buf = np.empty((steps, min(CHUNK, count), dim))
+    items = _items(buf)
+    for start, block in _increment_blocks(count, steps, dim, dt, seed):
+        offset = start % CHUNK
+        end = offset + len(block)
+        items[:, offset:end] = _items(block).T
+        if end == CHUNK or start + len(block) == count:
+            yield start - offset, buf[:, :end]
 
 
 def _prepare(spec: ProblemSpec, t0: float, x0, grid: TimeGrid, count: int):
@@ -237,23 +277,29 @@ def girsanov_log_batch(
 
     M_T = exp( sum_i theta_i . dB_i - 0.5 |theta_i|^2 dt ); an exact discrete
     martingale, E[M_T] = 1 for any adapted control sequence.  The increments
-    are ``simulate_uncontrolled``'s for the same seed.  One pass keeps only
-    the current states: each step evaluates sigma once for both the log
+    are ``simulate_uncontrolled``'s for the same seed.  The paths run
+    ``CHUNK`` at a time, each chunk in one pass that keeps only its current
+    states and increments: each step evaluates sigma once for both the log
     term and the Euler step, asks the policy, and adds the term to a
-    compensated (Neumaier) sum.
+    compensated (Neumaier) sum per path.  A path's result does not depend
+    on the chunking, so the first n of ``count`` paths are those of n paths.
     """
     x0 = _prepare(spec, t0, x0, grid, count)
-    dW = _draw_increments(count, grid.steps, spec.dim, grid.dt, seed)
-    X = np.tile(x0, (count, 1))
-    total = np.zeros(count)
-    comp = np.zeros(count)
-    for i, t in enumerate(grid.nodes[:-1].tolist()):
-        sig = spec.sigma(t, X)
-        idx = policy.control_indices(t, X)
-        term = _log_density_step(spec, t, X, sig, idx, dW[i], grid.dt)
-        s = total + term
-        big = np.abs(total) >= np.abs(term)
-        comp += np.where(big, (total - s) + term, (term - s) + total)
-        total = s
-        X = _euler(spec, t, X, dW[i], sig)
-    return total + comp
+    out = np.empty(count)
+    steps = grid.nodes[:-1].tolist()
+    for start, dW in _increment_chunks(count, grid.steps, spec.dim, grid.dt, seed):
+        rows = dW.shape[1]
+        X = np.tile(x0, (rows, 1))
+        total = np.zeros(rows)
+        comp = np.zeros(rows)
+        for i, t in enumerate(steps):
+            sig = spec.sigma(t, X)
+            idx = policy.control_indices(t, X)
+            term = _log_density_step(spec, t, X, sig, idx, dW[i], grid.dt)
+            s = total + term
+            big = np.abs(total) >= np.abs(term)
+            comp += np.where(big, (total - s) + term, (term - s) + total)
+            total = s
+            X = _euler(spec, t, X, dW[i], sig)
+        out[start : start + rows] = total + comp
+    return out

@@ -21,6 +21,7 @@ under the recorded CFL bound.  The spatial boundary uses a zero-gradient
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace as dc_replace
@@ -76,9 +77,12 @@ class SpaceTimeGrid:
     def dt(self) -> float:
         return self.horizon_T / self.nt
 
-    @property
+    @functools.cached_property
     def dxs(self) -> np.ndarray:
-        return (self.box.hi - self.box.lo) / (np.asarray(self.nx) - 1)
+        """Node spacing per axis, computed once per grid (read-only)."""
+        out = (self.box.hi - self.box.lo) / (np.asarray(self.nx) - 1)
+        out.setflags(write=False)
+        return out
 
     @property
     def axes(self) -> tuple[np.ndarray, ...]:
@@ -122,10 +126,13 @@ class SpaceTimeGrid:
         X is one point [d] or a batch [n, d]; each array has one entry per row.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return tuple(
-            np.clip(np.rint((X[:, j] - self.box.lo[j]) / self.dxs[j]).astype(np.int64), 0, self.nx[j] - 1)
-            for j in range(self.dim)
-        )
+        out = []
+        for j in range(self.dim):
+            idx = np.rint((X[:, j] - self.box.lo[j]) / self.dxs[j]).astype(np.int64)
+            np.maximum(idx, 0, out=idx)
+            np.minimum(idx, self.nx[j] - 1, out=idx)
+            out.append(idx)
+        return tuple(out)
 
 
 @dataclass(frozen=True)

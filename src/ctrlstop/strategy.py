@@ -5,6 +5,11 @@ A strategy is anything with ``control_indices(t, X) -> int array`` and
 wrappers here build challenger variants (constant control, random control,
 immediate or suppressed stopping) around them.  ``evaluate`` asks ``stop_at``
 first at each step, and both only about live rows: a policy answers row by row.
+The paths run ``paths.CHUNK`` at a time, so a policy that answers row by row
+gives each path the same reward whatever the count.  The one that does not is
+the random-control challenger: it draws one control per row it is asked
+about, so above ``CHUNK`` paths its draws, and its estimate, depend on the
+chunking.
 
 The reward of one path stopped at node i is
 
@@ -23,7 +28,7 @@ import numpy as np
 
 from .model import ProblemSpec
 from .paths import TimeGrid, girsanov_log_batch
-from .paths import _draw_increments, _euler, _prepare
+from .paths import _euler, _increment_chunks, _prepare
 from .paths import simulate_controlled  # noqa: F401  unused; perfbench/spans.py wraps this binding
 
 __all__ = [
@@ -114,29 +119,39 @@ def evaluate(
     count: int,
     seed: int = 0,
 ) -> PayoffEstimate:
-    """Simulate ``count`` controlled paths, stepping only the live ones, and average the stopped reward."""
-    x0 = _prepare(spec, float(grid.t0), x0, grid, count)
-    dW = _draw_increments(count, grid.steps, spec.dim, grid.dt, seed)
+    """Simulate ``count`` controlled paths, stepping only the live ones, and average the stopped reward.
 
+    The paths run ``CHUNK`` at a time on that chunk's increments, so memory
+    does not grow with ``count``; the per-path sums are full length.  A
+    path's reward does not depend on the chunking as long as the policy
+    answers row by row.
+    """
+    x0 = _prepare(spec, float(grid.t0), x0, grid, count)
     running = np.zeros(count)
     collected = np.zeros(count)
-    live = np.arange(count)  # original row of each live path, ascending
-    X = np.tile(x0, (count, 1))
-
-    for i, t in enumerate(grid.nodes[:-1].tolist()):
-        fire = np.asarray(policy.stop_at(t, X), dtype=bool)
-        if fire.any():
-            collected[live[fire]] = spec.h(t, X[fire])
-            live, X = live[~fire], X[~fire]
-            if live.size == 0:
-                break
-        drift, G = spec.control_rows(t, X, policy.control_indices(t, X))
-        running[live] += G * grid.dt
-        X = _euler(spec, t, X, dW[i][live], drift=drift, dt=grid.dt)
-
     terminal = np.zeros(count)
-    if live.size:
-        terminal[live] = spec.g(X)
+    survivors = 0
+    steps = grid.nodes[:-1].tolist()
+
+    for start, dW in _increment_chunks(count, grid.steps, spec.dim, grid.dt, seed):
+        rows = dW.shape[1]
+        # this chunk's part of each sum, indexed by row within the chunk
+        run, col, term = (a[start : start + rows] for a in (running, collected, terminal))
+        live = np.arange(rows)  # chunk row of each live path, ascending
+        X = np.tile(x0, (rows, 1))
+        for i, t in enumerate(steps):
+            fire = np.asarray(policy.stop_at(t, X), dtype=bool)
+            if fire.any():
+                col[live[fire]] = spec.h(t, X[fire])
+                live, X = live[~fire], X[~fire]
+                if live.size == 0:
+                    break
+            drift, G = spec.control_rows(t, X, policy.control_indices(t, X))
+            run[live] += G * grid.dt
+            X = _euler(spec, t, X, dW[i][live], drift=drift, dt=grid.dt)
+        if live.size:
+            term[live] = spec.g(X)
+        survivors += live.size
 
     reward = running + collected + terminal
     mean_run = float(np.mean(running))
@@ -151,7 +166,7 @@ def evaluate(
             running=mean_run,
             obstacle=mean_obs,
             terminal=mean_term,
-            fraction_stopped_early=(count - live.size) / count,
+            fraction_stopped_early=(count - survivors) / count,
         ),
     )
 

@@ -84,3 +84,25 @@ def test_parse_verify_reads_each_check_line_of_the_report():
         "2": {"seconds": 3.46, "passed": True},
         "12": {"seconds": 0.5, "passed": False},
     }
+
+
+def test_counters_are_the_count_metrics_and_only_differences_are_listed():
+    tool = _load()
+    per_layer = [
+        {"name": "pde.nt", "unit": "count"},
+        {"name": "pde.solve_s", "unit": "s"},
+        {"name": "model.coeff_rows", "unit": "count"},
+    ]
+    assert tool.counter_names(per_layer) == ["pde.nt", "model.coeff_rows"]
+    counters = {
+        "w": {
+            "base": {"pde.nt": 245.0, "model.coeff_rows": 9e6, "model.coeff_calls": 777.0},
+            "candidate": {"pde.nt": 245.0, "model.coeff_rows": 9e6, "model.coeff_calls": 900.0},
+        },
+        # a counter only one side reports reads None on the other
+        "other": {"base": {"pde.nt": 10.0}, "candidate": {}},
+    }
+    assert tool.moved_counters(counters) == {
+        "w": {"model.coeff_calls": {"base": 777.0, "candidate": 900.0}},
+        "other": {"pde.nt": {"base": 10.0, "candidate": None}},
+    }

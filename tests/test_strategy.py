@@ -10,7 +10,8 @@ import pytest
 
 from ctrlstop import strategy
 from ctrlstop.model import build_builtin
-from ctrlstop.paths import BLOCK, TimeGrid, _diffusion, _draw_increments
+from ctrlstop.paths import CHUNK, TimeGrid, _diffusion, _draw_increments, girsanov_log_batch, girsanov_log_terms
+from ctrlstop.paths import PathBatch, simulate_controlled, simulate_uncontrolled
 from ctrlstop.pde import extract_policy, make_grid, solve
 from ctrlstop.strategy import (
     Breakdown,
@@ -148,9 +149,32 @@ def test_martingale_check_stores_no_path_batch():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the increments and one block's draw buffer; a stored batch of states,
-    # controls or per-step terms would add at least another half
-    assert peak < 1.75 * increments, peak / increments
+    # one chunk's increments (0.82 of the batch's here) and one block's draw
+    # buffer (0.41), measured 1.52 in all; a stored batch of states, controls
+    # or per-step terms would add at least another half
+    assert peak < 1.6 * increments, peak / increments
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_memory_does_not_grow_with_the_path_count():
+    spec = build_builtin("controlled_drift_abs", {"d": 2})
+    grid = TimeGrid(0.0, 1.0, 20)
+    for run in (evaluate, martingale_check):
+        policy = _Band(1.1) if run is evaluate else ConstantPolicy(4)
+        one, six = (
+            _traced_peak(lambda: run(spec, policy, grid, [0.1, -0.1], count, seed=3)) for count in (CHUNK, 6 * CHUNK)
+        )
+        # the per-path sums and results grow, the chunk buffers do not:
+        # measured 1.11 for evaluate and 1.08 for martingale_check
+        assert six < 1.2 * one, (run.__name__, six / one)
 
 
 def test_martingale_check_makes_one_density_pass(monkeypatch):
@@ -286,7 +310,7 @@ def _two_pass(spec, policy, grid, x0, count, seed):
 )
 def test_one_pass_equals_the_two_pass_evaluation(correlated, policy, stopped):
     grid = TimeGrid(0.0, 1.0, 10)
-    count = BLOCK + 1808
+    count = 2 * CHUNK + 900  # three chunks, the last a partial block
     est = evaluate(correlated, policy, grid, [0.2, 0.1], count, seed=11)
     assert stopped[0] <= est.breakdown.fraction_stopped_early <= stopped[1]
     assert est == _two_pass(correlated, policy, grid, np.array([0.2, 0.1]), count, 11)
@@ -308,3 +332,47 @@ def test_policy_is_asked_about_live_rows_only(correlated):
     assert len(policy.calls) == 2 * grid.steps
     assert 0 < live < 3000
     assert est.breakdown.fraction_stopped_early == (3000 - live) / 3000
+
+
+def _neumaier_rows(terms):
+    """Per-row compensated sum of [n, N] terms, in girsanov_log_batch's order."""
+    total = np.zeros(terms.shape[0])
+    comp = np.zeros(terms.shape[0])
+    for term in terms.T:
+        s = total + term
+        big = np.abs(total) >= np.abs(term)
+        comp += np.where(big, (total - s) + term, (term - s) + total)
+        total = s
+    return total + comp
+
+
+class _ByTime:
+    """Control round(10 t) mod 3, whatever the state."""
+
+    def control_indices(self, t, X):
+        return np.full(X.shape[0], int(round(10 * t)) % 3)
+
+
+def test_log_density_batch_equals_the_summed_terms_across_chunks(correlated):
+    grid = TimeGrid(0.0, 1.0, 10)
+    count = 2 * CHUNK + 900
+    x0 = [0.2, 0.1]
+    # a state-free theta: the drifted batch has the driftless batch's terms
+    logs = girsanov_log_batch(correlated, _ByTime(), 0.0, x0, grid, count, seed=12)
+    drifted = simulate_controlled(correlated, _ByTime(), 0.0, x0, grid, count, seed=12)
+    assert logs.tobytes() == _neumaier_rows(girsanov_log_terms(correlated, drifted)).tobytes()
+    # a state-dependent control, asked about the driftless states
+    band = _Band(0.0)
+    logs = girsanov_log_batch(correlated, band, 0.0, x0, grid, count, seed=12)
+    free = simulate_uncontrolled(correlated, 0.0, x0, grid, count, seed=12)
+    controls = np.stack([band.control_indices(t, free.states[:, i]) for i, t in enumerate(grid.nodes[:-1])], axis=1)
+    batch = PathBatch(grid=grid, states=free.states, increments=free.increments, controls=controls)
+    assert logs.tobytes() == _neumaier_rows(girsanov_log_terms(correlated, batch)).tobytes()
+
+
+def test_log_densities_of_fewer_paths_are_a_prefix(correlated):
+    grid = TimeGrid(0.0, 1.0, 10)
+    count = 2 * CHUNK + 900
+    small = girsanov_log_batch(correlated, _Band(0.0), 0.0, [0.2, 0.1], grid, count, seed=13)
+    large = girsanov_log_batch(correlated, _Band(0.0), 0.0, [0.2, 0.1], grid, count + CHUNK, seed=13)
+    assert large[:count].tobytes() == small.tobytes()

@@ -12,9 +12,15 @@ base first on even pairs and the candidate first on odd ones, so a drift in
 the host's speed falls on both sides alike.  Then this checkout's
 ``tools/output_digest.py --against`` runs at seed 0 and size divisor 8, and
 the keys it prints (those that differ between the two trees) are recorded.
-Last, each side runs the tier-1 tests once (CI's pytest command) and
-``ctrlstop verify`` once; the report keeps the tier-1 wall time and summary
-line, and each acceptance check's seconds and verdict as verify prints them.
+Each side then makes one short ``perfbench/run.py --trace 1`` run per
+workload at the first seed (two traced runs, whatever the time), and the
+report keeps the per-layer metrics the base tree's BENCHMARK.json counts in
+unit ``count`` (``pde.nt``, ``model.coeff_rows``, ``hamilton.calls`` and the
+like), which do not depend on the host's speed, and lists per workload the
+counters that differ between the sides.  Last, each side runs the tier-1
+tests once (CI's pytest command) and ``ctrlstop verify`` once; the report
+keeps the tier-1 wall time and summary line, and each acceptance check's
+seconds and verdict as verify prints them.
 
 Per workload and end-to-end metric (the ``end_to_end`` entries of the base
 tree's BENCHMARK.json) the report gives each side's median and quartiles,
@@ -43,6 +49,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "candidate")
 DIGEST_ARGS = ("--seed", "0", "--shrink", "8")
+# run.py makes at least three runs with --trace 1, two of them traced, however short the budget
+COUNTER_SECONDS = 1.0
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -107,16 +115,38 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def counter_names(per_layer: list[dict]) -> list[str]:
+    """The per-layer metrics (BENCHMARK.json's ``per_layer`` entries) counted in unit ``count``."""
+    return [m["name"] for m in per_layer if m["unit"] == "count"]
+
+
+def moved_counters(counters: dict) -> dict:
+    """Workload -> {counter: {"base": value, "candidate": value}} for each counter that differs; no I/O.
+
+    ``counters`` maps workload -> side -> {counter: value}; a counter one
+    side lacks reads None there and so differs.
+    """
+    out = {}
+    for workload, sides in counters.items():
+        names = dict.fromkeys([*sides["base"], *sides["candidate"]])
+        out[workload] = {
+            name: {side: sides[side].get(name) for side in SIDES}
+            for name in names
+            if sides["base"].get(name) != sides["candidate"].get(name)
+        }
+    return out
+
+
 def _commit(tree: Path) -> str:
     proc = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"], capture_output=True, text=True, check=True)
     dirty = subprocess.run(["git", "-C", str(tree), "status", "--porcelain"], capture_output=True, text=True)
     return proc.stdout.strip() + ("+uncommitted" if dirty.stdout.strip() else "")
 
 
-def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py --trace 0`` invocation in ``tree``; its last stdout line, flattened."""
+def bench_run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One ``perfbench/run.py`` invocation in ``tree``; its last stdout line, flattened."""
     argv = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     error = proc.stderr.strip().splitlines()[-5:]
     if proc.returncode != 0:
@@ -183,11 +213,14 @@ def digest_diff(base: str) -> dict:
     return {"lines": proc.stdout.splitlines()}
 
 
-def render(summary: dict, tier1: dict, verify: dict) -> str:
+def render(summary: dict, moved: dict, tier1: dict, verify: dict) -> str:
     lines = []
     for workload, entry in summary.items():
         failed = ", ".join(f"{side} {entry['failed'][side]}" for side in SIDES if entry["failed"][side])
         lines.append(f"== {workload}: {entry['pairs']} pairs" + (f"; failed runs: {failed}" if failed else ""))
+        changes = moved.get(workload, {})
+        lines.append("  counters: " + (", ".join(
+            f"{name} {v['base']} -> {v['candidate']}" for name, v in changes.items()) or "none moved"))
         for name, m in entry["metrics"].items():
             b, c = m["base"], m["candidate"]
             lines.append(
@@ -227,12 +260,22 @@ def main(argv=None) -> int:
                     record[side] = bench_run(trees[side], workload, seed, bench["run_seconds"])
                 pairs.append(record)
                 print(f"ab: seed {seed} {workload} done", file=sys.stderr)
+        names = counter_names(bench["per_layer"])
+        counters = {}
+        for workload in (w["name"] for w in bench["workloads"]):
+            counters[workload] = {}
+            for side in SIDES:
+                run = bench_run(trees[side], workload, seeds[0], COUNTER_SECONDS, trace=1)
+                values = run.get("metrics", {})
+                counters[workload][side] = {name: values[name] for name in names if name in values}
+            print(f"ab: counters {workload} done", file=sys.stderr)
         tier1 = {side: tier1_run(trees[side]) for side in SIDES}
         verify = {side: verify_run(trees[side]) for side in SIDES}
         commits = {side: _commit(trees[side]) for side in SIDES}
     digest = {"args": list(DIGEST_ARGS), **digest_diff(args.base)}
 
     summary = summarize(pairs, bench["end_to_end"])
+    moved = moved_counters(counters)
     report = {
         "base": {"rev": args.base, "commit": commits["base"]},
         "candidate": {"rev": "checkout", "commit": commits["candidate"]},
@@ -242,12 +285,13 @@ def main(argv=None) -> int:
                  "machine": platform.machine()},
         "summary": summary,
         "digest": digest,
+        "counters": {"seed": seeds[0], "seconds": COUNTER_SECONDS, "values": counters, "moved": moved},
         "tier1": tier1,
         "verify": verify,
         "runs": pairs,
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
-    print(render(summary, tier1, verify), file=sys.stderr)
+    print(render(summary, moved, tier1, verify), file=sys.stderr)
     digest_note = f"{len(digest['lines'])} keys differ" if "lines" in digest else "digest run FAILED"
     print(f"digest: {digest_note}; wrote {args.out}", file=sys.stderr)
     return 0
