@@ -250,7 +250,7 @@ def write_rbsde_csv(path: Path, result: mc.BackwardSolveResult) -> None:
                 i,
                 _fmt(t),
                 _fmt(np.mean(result.y_nodes[:, i])),
-                _fmt(np.mean(np.linalg.norm(result.z_nodes[:, i], axis=1))),
+                _fmt(result.diagnostics["mean_abs_z"][i]),
                 _fmt(np.mean(result.k_increments[:, i])),
                 _fmt(refl[i]),
             ]

@@ -16,9 +16,11 @@ enter Z, and the max over controls in H* turns noise in Z into upward bias
 (Bender & Steiner 2012; Alanko & Avellaneda 2013).  Both regressions of a
 slice share one factorisation: the cell index of a partition, or for a
 polynomial basis the p x p Gram matrix of the design (the design's thin SVD
-when the slice is too ill-conditioned for the normal equations).  Y, Z, K
-and the obstacle are stored time-major, so each slice is contiguous; the
-result exposes them as read-only [n, N+1] views.
+when the slice is too ill-conditioned for the normal equations).  Z_i is
+needed only inside slice i, so it lives one slice at a time and the result
+keeps its per-slice mean norm.  Y, K and the obstacle are stored time-major,
+so each slice is contiguous; the result exposes them as read-only [n, N+1]
+views.
 
 The default basis is a piecewise-constant local partition (cell means are
 genuine conditional expectations); a global polynomial basis is available
@@ -70,7 +72,6 @@ class RegressionBasis:
     kind: str = "local-partition"
     cells_per_axis: int = 25
     degree: int = 5
-    box: Box | None = None
 
     def __post_init__(self):
         if self.kind not in ("local-partition", "polynomial"):
@@ -194,20 +195,16 @@ class BackwardSolveResult:
     """Backward pass output on a fixed path batch."""
 
     grid: object
-    basis: RegressionBasis
     y_nodes: np.ndarray        # [n, N+1]
-    z_nodes: np.ndarray        # [n, N+1, d]; slot N unused (zero)
     k_increments: np.ndarray   # [n, N+1] >= 0; > 0 only where y = obstacle
     obstacle_nodes: np.ndarray  # h(tau_i, X_i)
     y0: float
     se_y0: float
     y0_samples: np.ndarray     # per-path targets at the root; mean equals Ytilde_0
-    diagnostics: dict
-    trunc: TruncationIndex | None
-    generator: str
+    diagnostics: dict          # per-slice; mean_abs_z is [N+1] with 0.0 at N
 
     def __post_init__(self):
-        for arr in (self.y_nodes, self.z_nodes, self.k_increments, self.obstacle_nodes, self.y0_samples):
+        for arr in (self.y_nodes, self.k_increments, self.obstacle_nodes, self.y0_samples, *self.diagnostics.values()):
             arr.setflags(write=False)
 
     @property
@@ -231,14 +228,12 @@ def solve_rbsde(
     if batch.dim != spec.dim:
         raise ValueError("batch dimension does not match the problem")
     basis = basis or RegressionBasis()
-    box = basis.box or spec.domain
-    n, N, d = batch.increments.shape
+    n, N, _ = batch.increments.shape
     dt = batch.grid.dt
     times = batch.grid.nodes
 
     # time-major, so each slice is one contiguous row
     Y = np.empty((N + 1, n))
-    Z = np.zeros((N + 1, n, d))
     K = np.zeros((N + 1, n))
     H = np.empty((N + 1, n))
 
@@ -250,22 +245,24 @@ def solve_rbsde(
     conds = np.zeros(N)
     cells = np.zeros(N, dtype=np.int64)
     min_counts = np.zeros(N, dtype=np.int64)
+    mean_abs_z = np.zeros(N + 1)
     gen0 = 0.0
 
     for i in range(N - 1, -1, -1):
         t = float(times[i])
         X = np.ascontiguousarray(_step(batch.states, i))
-        project, diag = _regress(basis, box, X, i)
+        project, diag = _regress(basis, spec.domain, X, i)
         conds[i] = diag["cond"]
         cells[i] = diag["cells"]
         min_counts[i] = diag["min_count"]
         cont = project(Y[i + 1])
-        Z[i] = project((Y[i + 1] - cont)[:, None] * _step(batch.increments, i)) / dt
+        z = project((Y[i + 1] - cont)[:, None] * _step(batch.increments, i)) / dt
         del project  # frees this slice's design before the next one is built
+        mean_abs_z[i] = np.mean(np.linalg.norm(z, axis=1))
         if generator == "dominating":
-            gen = dominating_generator_batch(spec, t, X, Z[i])
+            gen = dominating_generator_batch(spec, t, X, z)
         else:
-            gen, _ = sup_hamiltonian_batch(spec, t, X, Z[i])
+            gen, _ = sup_hamiltonian_batch(spec, t, X, z)
             if trunc is not None:
                 gen = truncate_values(gen, cutoff_batch(trunc.n, X), cutoff_batch(trunc.m, X))
         if i == 0:
@@ -279,14 +276,12 @@ def solve_rbsde(
     y0 = float(np.mean(Y[0]))
     se_y0 = float(np.std(y0_samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     # read-only bases, so the transposed result views have no writable owner
-    for arr in (Y, Z, K, H):
+    for arr in (Y, K, H):
         arr.setflags(write=False)
 
     return BackwardSolveResult(
         grid=batch.grid,
-        basis=basis,
         y_nodes=Y.T,
-        z_nodes=Z.transpose(1, 0, 2),
         k_increments=K.T,
         obstacle_nodes=H.T,
         y0=y0,
@@ -296,9 +291,8 @@ def solve_rbsde(
             "condition_numbers": conds,
             "occupied_cells": cells,
             "min_cell_count": min_counts,
+            "mean_abs_z": mean_abs_z,
         },
-        trunc=trunc,
-        generator=generator,
     )
 
 
@@ -340,21 +334,25 @@ def truncation_ladder_mc(
     n_list=(1, 2, 4),
     m_list=(1, 2, 4),
 ) -> MCLadderReport:
-    """Ladder of truncated solves on one common batch, paired comparisons."""
+    """Ladder of truncated solves on one common batch, paired comparisons.
+
+    Only the root of each solve is kept: its y0 and per-path y0_samples.
+    """
     n_list = tuple(sorted(int(v) for v in n_list))
     m_list = tuple(sorted(int(v) for v in m_list))
-    runs = {}
-    for nn in n_list:
-        for mm in m_list:
-            runs[(nn, mm)] = solve_rbsde(spec, batch, basis, trunc=TruncationIndex(n=nn, m=mm))
-    base = solve_rbsde(spec, batch, basis)
+    y0, samples = {}, {}
+    for key in itertools.product(n_list, m_list):
+        run = solve_rbsde(spec, batch, basis, trunc=TruncationIndex(*key))
+        y0[key], samples[key] = run.y0, run.y0_samples
+        del run  # frees this solve's per-path arrays before the next one
+    base_y0 = solve_rbsde(spec, batch, basis).y0
 
     npaths = batch.count
     comparisons = []
 
     def paired(axis, fixed, low, high, lo_key, hi_key):
         # ordering: value at hi_key should dominate value at lo_key
-        diff = runs[hi_key].y0_samples - runs[lo_key].y0_samples
+        diff = samples[hi_key] - samples[lo_key]
         se = float(np.std(diff, ddof=1) / math.sqrt(npaths)) if npaths > 1 else 0.0
         comparisons.append(
             MCLadderComparison(axis=axis, fixed=fixed, low=low, high=high,
@@ -371,13 +369,13 @@ def truncation_ladder_mc(
 
     exhaustion = None
     cover = spec.domain.radius + 1.0
-    big = [key for key in runs if key[0] >= cover and key[1] >= cover]
+    big = [key for key in y0 if key[0] >= cover and key[1] >= cover]
     if big:
-        exhaustion = min(abs(runs[key].y0 - base.y0) for key in big)
+        exhaustion = min(abs(y0[key] - base_y0) for key in big)
 
     return MCLadderReport(
-        y0={key: runs[key].y0 for key in runs},
-        y0_untruncated=base.y0,
+        y0=y0,
+        y0_untruncated=base_y0,
         comparisons=tuple(comparisons),
         exhaustion_gap=exhaustion,
     )

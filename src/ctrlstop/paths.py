@@ -43,7 +43,6 @@ __all__ = [
     "PathBatch",
     "simulate_uncontrolled",
     "simulate_controlled",
-    "girsanov_log_terms",
     "girsanov_log_batch",
     "BLOCK",
     "CHUNK",
@@ -250,24 +249,6 @@ def _log_density_step(spec: ProblemSpec, t: float, X: np.ndarray, sig, idx, dB: 
     fv, _ = spec.control_rows(t, X, idx, reward=False)
     theta = spec.sigma_solve(sig, fv)
     return _row_dot(theta, dB) - 0.5 * dt * _row_dot(theta, theta)
-
-
-def girsanov_log_terms(spec: ProblemSpec, batch: PathBatch) -> np.ndarray:
-    """Per-step log-density increments [n, N] of a batch with recorded controls,
-    a view of a time-major buffer; ``_log_density_step`` gives step i.
-    """
-    if batch.controls is None:
-        raise ValueError("batch has no recorded controls; simulate with a policy first")
-    times = batch.grid.nodes
-    n, N, _ = batch.increments.shape
-    terms = np.empty((N, n))
-    for i in range(N):
-        t = float(times[i])
-        X = _step(batch.states, i)
-        terms[i] = _log_density_step(
-            spec, t, X, spec.sigma(t, X), _step(batch.controls, i), _step(batch.increments, i), batch.grid.dt
-        )
-    return terms.T
 
 
 def girsanov_log_batch(

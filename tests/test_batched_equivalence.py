@@ -22,11 +22,12 @@ from ctrlstop.paths import (
     BLOCK,
     TimeGrid,
     girsanov_log_batch,
-    girsanov_log_terms,
     simulate_controlled,
     simulate_uncontrolled,
 )
 from ctrlstop.strategy import evaluate, martingale_check
+
+from oracles import girsanov_log_terms
 
 X0 = np.array([0.8, 0.6])
 

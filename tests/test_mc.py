@@ -106,7 +106,7 @@ def test_terminal_slice_is_exact():
     XT = batch.states[:, -1]
     assert np.array_equal(result.y_nodes[:, -1], spec.g(XT))
     assert np.array_equal(result.obstacle_nodes[:, -1], spec.h(1.0, XT))
-    assert np.all(result.z_nodes[:, -1] == 0.0)
+    assert result.diagnostics["mean_abs_z"][-1] == 0.0
 
 
 def test_root_slice_regresses_to_a_plain_mean():
@@ -123,8 +123,8 @@ def test_root_slice_regresses_to_a_plain_mean():
 def test_polynomial_basis_agrees_with_the_partition():
     spec = build_builtin("bachelier_put")
     batch = _batch(spec, [1.0], steps=15, count=10000, seed=6)
-    # a partition matched to where the paths actually live, not the full box
-    local = solve_rbsde(spec, batch, RegressionBasis(box=Box([0.0], [2.0]), cells_per_axis=50))
+    # 0.04-wide cells on the domain [-3, 5], fine enough where the paths live
+    local = solve_rbsde(spec, batch, RegressionBasis(cells_per_axis=200))
     poly = solve_rbsde(spec, batch, RegressionBasis(kind="polynomial", degree=5))
     assert abs(local.y0 - poly.y0) < 5e-3
     assert abs(poly.y0 - CLOSED_FORM_ATM_PUT) < 0.01
@@ -273,8 +273,9 @@ def test_result_arrays_are_read_only_views_of_time_major_slices():
     result = solve_rbsde(spec, batch, RegressionBasis(kind="polynomial", degree=3))
     n, N = 600, 8
     assert result.y_nodes.shape == result.k_increments.shape == result.obstacle_nodes.shape == (n, N + 1)
-    assert result.z_nodes.shape == (n, N + 1, 1)
-    for arr in (result.y_nodes, result.z_nodes, result.k_increments, result.obstacle_nodes, result.y0_samples):
+    mean_abs_z = result.diagnostics["mean_abs_z"]
+    assert mean_abs_z.shape == (N + 1,)
+    for arr in (result.y_nodes, mean_abs_z, result.k_increments, result.obstacle_nodes, result.y0_samples):
         assert not arr.flags.writeable
         assert arr.base is None or not arr.base.flags.writeable
         with pytest.raises(ValueError):
@@ -282,7 +283,21 @@ def test_result_arrays_are_read_only_views_of_time_major_slices():
     for i, t in enumerate(batch.grid.nodes):
         assert np.array_equal(result.obstacle_nodes[:, i], spec.h(float(t), batch.states[:, i]))
     assert np.array_equal(result.y_nodes[:, N], spec.g(batch.states[:, N]))
-    assert np.all(result.z_nodes[:, N] == 0.0)
+    assert mean_abs_z[N] == 0.0
+
+
+def test_mean_abs_z_replays_each_slice_bit_for_bit():
+    # Z_i is not kept; regressing slice i again from the stored Y_{i+1}
+    # gives the same Z, so the same mean norm
+    spec = build_builtin("controlled_drift_abs", {"d": 2})
+    batch = _batch(spec, [0.5, 0.5], steps=6, count=3000, seed=21)
+    basis = RegressionBasis(kind="polynomial", degree=3)
+    result = solve_rbsde(spec, batch, basis)
+    for i in range(1, 6):
+        project, _ = _regress(basis, spec.domain, np.ascontiguousarray(batch.states[:, i]), i)
+        y_next = result.y_nodes[:, i + 1]
+        z = project((y_next - project(y_next))[:, None] * batch.increments[:, i]) / batch.grid.dt
+        assert np.mean(np.linalg.norm(z, axis=1)) == result.diagnostics["mean_abs_z"][i] > 0.0
 
 
 def test_centred_z_keeps_the_5d_value_below_its_upper_bound():

@@ -18,7 +18,7 @@ def _load():
 def test_digests_cover_the_backward_pass_and_repeat():
     tool = _load()
     first = tool.run_workload("rbsde-5d", seed=0, shrink=8)
-    for key in ("simulate_uncontrolled[0].states", "solve_rbsde[0].y_nodes", "solve_rbsde[0].z_nodes", "run.values.y0"):
+    for key in ("simulate_uncontrolled[0].states", "solve_rbsde[0].y_nodes", "solve_rbsde[0].diagnostics.mean_abs_z", "run.values.y0"):
         assert len(first[key]) == 64
     assert tool.run_workload("rbsde-5d", seed=0, shrink=8) == first
     assert tool.run_workload("rbsde-5d", seed=1, shrink=8)["solve_rbsde[0].y_nodes"] != first["solve_rbsde[0].y_nodes"]

@@ -16,11 +16,12 @@ from ctrlstop.paths import (
     _diffusion,
     _draw_increments,
     girsanov_log_batch,
-    girsanov_log_terms,
     simulate_controlled,
     simulate_uncontrolled,
 )
 from ctrlstop.strategy import ConstantPolicy
+
+from oracles import girsanov_log_terms
 
 
 @pytest.fixture(scope="module")
@@ -102,13 +103,6 @@ def test_input_validation(bachelier):
         simulate_uncontrolled(bachelier, 0.0, [1.0, 2.0], g, 10, seed=0)
     with pytest.raises(ValueError, match="count must be positive"):
         simulate_uncontrolled(bachelier, 0.0, [1.0], g, 0, seed=0)
-
-
-def test_girsanov_requires_controls(bachelier):
-    g = TimeGrid(0.0, 1.0, 4)
-    batch = simulate_uncontrolled(bachelier, 0.0, [1.0], g, 10, seed=0)
-    with pytest.raises(ValueError, match="no recorded controls"):
-        girsanov_log_terms(bachelier, batch)
 
 
 def test_girsanov_rejects_out_of_range_control(controlled):
@@ -284,7 +278,8 @@ def test_path_major_copy_gives_the_same_bits(n, steps, d, seed):
     basis = RegressionBasis(kind="polynomial", degree=2)
     a = solve_rbsde(spec, free, basis)
     b = solve_rbsde(spec, _path_major(free), basis)
-    assert same_bits(a.y_nodes, b.y_nodes) and same_bits(a.z_nodes, b.z_nodes)
+    assert same_bits(a.y_nodes, b.y_nodes)
+    assert same_bits(a.diagnostics["mean_abs_z"], b.diagnostics["mean_abs_z"])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])

@@ -20,7 +20,8 @@ REMOVED = {
     "ctrlstop.hamilton": (*_TWINS, "_one_row"),
     "ctrlstop.model": ("dominating_generator",),
     # a constant sigma is a broadcast view already, so nothing is hoisted out of the step loops
-    "ctrlstop.paths": ("attach_controls", "_neumaier_sum", "_constant_sigma"),
+    # the tests build the per-step terms from _log_density_step; the package needs only their sum
+    "ctrlstop.paths": ("attach_controls", "_neumaier_sum", "_constant_sigma", "girsanov_log_terms"),
     # the sweep records the control; extract_policy has no kernel pass to block
     "ctrlstop.pde": ("POLICY_BLOCK_ROWS",),
 }
@@ -31,7 +32,9 @@ REMOVED_OPTIONS = {
     ("ctrlstop.pde", "SpaceTimeGrid.core_mask"): ("fraction",),
     # fields nothing read: the start point is states[:, 0] and the seed stays with the caller
     ("ctrlstop.paths", "PathBatch"): ("seed", "x0"),
-    ("ctrlstop.mc", "RegressionBasis"): ("cond_threshold",),
+    # the partition spans spec.domain; Z lives one slice at a time, and the arguments stay with the caller
+    ("ctrlstop.mc", "RegressionBasis"): ("cond_threshold", "box"),
+    ("ctrlstop.mc", "BackwardSolveResult"): ("z_nodes", "basis", "trunc", "generator"),
     ("ctrlstop.strategy", "optimality_gap"): ("challengers", "scheme_budget_rel"),
     ("ctrlstop.strategy", "martingale_check"): ("q",),
 }

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 from ctrlstop.hamilton import sup_hamiltonian_batch
 from ctrlstop.model import CoefficientField, build_builtin, sigma_apply
-from ctrlstop.paths import PathBatch, TimeGrid, girsanov_log_terms
+from ctrlstop.paths import PathBatch, TimeGrid
+
+from oracles import girsanov_log_terms
 
 EPS = np.finfo(float).eps
 

@@ -10,7 +10,7 @@ import pytest
 
 from ctrlstop import strategy
 from ctrlstop.model import build_builtin
-from ctrlstop.paths import CHUNK, TimeGrid, _diffusion, _draw_increments, girsanov_log_batch, girsanov_log_terms
+from ctrlstop.paths import CHUNK, TimeGrid, _diffusion, _draw_increments, girsanov_log_batch
 from ctrlstop.paths import PathBatch, simulate_controlled, simulate_uncontrolled
 from ctrlstop.pde import extract_policy, make_grid, solve
 from ctrlstop.strategy import (
@@ -22,6 +22,8 @@ from ctrlstop.strategy import (
     martingale_check,
     optimality_gap,
 )
+
+from oracles import girsanov_log_terms
 
 CLOSED_FORM_ATM_PUT = 0.0797884560802865
 

@@ -11,8 +11,8 @@ seed and size divisor and prints one JSON object: for every workload, the
 digest of each array and number the pipeline's layer calls return (the PDE
 field and its projection record, the policy's argmax and stop mask, path
 states and increments, the change-of-measure log densities, the backward
-pass's Y, Z and reflections, the forward estimates) and of the run values,
-counters and gate messages.  The package calls are recorded by wrapping
+pass's Y, reflections and per-node mean |Z|, the forward estimates) and of
+the run values, counters and gate messages.  The package calls are recorded by wrapping
 module attributes from outside for the length of the run; neither the
 package nor the benchmark is edited.
 
