@@ -196,9 +196,8 @@ def _check_truncation_ladders(shared):
     basis = mc.RegressionBasis(cells_per_axis=25)
     mrep = mc.truncation_ladder_mc(spec, batch, basis, n_list=(1, 2, 4), m_list=(1, 2, 4))
     nbig = int(math.ceil(float(np.max(np.abs(batch.states))))) + 1
-    mc_big = mc.solve_rbsde(spec, batch, basis, trunc=TruncationIndex(nbig, nbig))
-    mc_base = mc.solve_rbsde(spec, batch, basis)
-    mc_exhaust = mc_big.y0 == mc_base.y0
+    big_y0 = mc.solve_rbsde(spec, batch, basis, trunc=TruncationIndex(nbig, nbig)).y0
+    mc_exhaust = big_y0 == mrep.y0_untruncated
 
     ok = (
         report.monotone
@@ -276,7 +275,7 @@ def _check_lipschitz(shared):
         spec = build_builtin(name)
         ts, X, Z, Z2 = _sample_tx(spec, 10_000, seed=60)
         C = spec.growth.C_f * spec.growth.C_sigma_inv
-        lhs = np.abs(sup_hamiltonian_batch(spec, ts, X, Z)[0] - sup_hamiltonian_batch(spec, ts, X, Z2)[0])
+        lhs = np.abs(sup_hamiltonian_batch(spec, ts, X, Z) - sup_hamiltonian_batch(spec, ts, X, Z2))
         rhs = C * (1.0 + np.linalg.norm(X, axis=1)) * np.linalg.norm(Z - Z2, axis=1)
         slack = rhs * 1e-12 + 1e-15
         total_viol += int(np.sum(lhs > rhs + slack))
@@ -291,7 +290,7 @@ def _check_domination(shared):
     for name in ("bachelier_put", "controlled_drift_abs", "decaying_obstacle"):
         spec = build_builtin(name)
         ts, X, Z, _ = _sample_tx(spec, 10_000, seed=70)
-        lhs = np.abs(sup_hamiltonian_batch(spec, ts, X, Z)[0])
+        lhs = np.abs(sup_hamiltonian_batch(spec, ts, X, Z))
         phi = dominating_generator_batch(spec, ts, X, Z)
         viol += int(np.sum(lhs > phi * (1 + 1e-12) + 1e-15))
 

@@ -10,9 +10,9 @@ damps the positive part beyond radius n and the negative part beyond radius m:
 Every kernel takes a batch of rows, X [n, d] and Z [n, d]; a single point is
 a one-row batch.  H* is ``sup_hamiltonian_batch``, rho_m is ``cutoff_batch``,
 the damping is ``truncate_values`` and the direction ell(z) of a linearised
-bounded generator is ``unit_direction_batch``.  ``first_maximiser`` is the
-one tie rule for a table of control values, shared with the
-finite-difference step.
+bounded generator is ``unit_direction_batch``.  H* returns the value only;
+``first_maximiser`` is the one tie rule for a table of control values, by
+which the finite-difference step records its control.
 """
 
 from __future__ import annotations
@@ -96,14 +96,13 @@ def sup_hamiltonian_batch(spec: ProblemSpec, t, X: np.ndarray, Z: np.ndarray):
     """Vectorised H* over rows of (X, Z); ``t`` is a scalar or one time per row.
 
     X and Z must both be [n, spec.dim] (a 1-d array is one row).  Returns
-    (values [n], argmax indices [n]); the argmax is the first maximiser in
-    control-set enumeration order.
+    the values [n]; they are ``first_maximiser``'s maxima of the same table.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     if Z.shape != X.shape or X.shape[1:] != (spec.dim,):
         raise ValueError(f"X and Z must both be [n, {spec.dim}], got {X.shape} and {Z.shape}")
-    return first_maximiser(_control_values(spec, t, X, Z))
+    return np.max(_control_values(spec, t, X, Z), axis=0)
 
 
 def cutoff_batch(m: float, X: np.ndarray) -> np.ndarray:

@@ -262,7 +262,7 @@ def solve_rbsde(
         if generator == "dominating":
             gen = dominating_generator_batch(spec, t, X, z)
         else:
-            gen, _ = sup_hamiltonian_batch(spec, t, X, z)
+            gen = sup_hamiltonian_batch(spec, t, X, z)
             if trunc is not None:
                 gen = truncate_values(gen, cutoff_batch(trunc.n, X), cutoff_batch(trunc.m, X))
         if i == 0:

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctrlstop.hamilton import (
     TIE_TOL,
     TruncationIndex,
+    _control_values,
     cutoff_batch,
+    first_maximiser,
     sup_hamiltonian_batch,
     tail_norms,
     truncate_values,
@@ -19,10 +21,17 @@ from ctrlstop.hamilton import (
 from ctrlstop.model import build_builtin, validate
 
 
+def _first_maximisers(spec, t, X, Z):
+    """The tie rule the finite-difference step applies, on the kernel's control table."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    return first_maximiser(_control_values(spec, t, X, Z))[1]
+
+
 def _one_row(spec, t, x, z):
-    """H* and its first maximiser at a single point, as a one-row batch."""
-    vals, args = sup_hamiltonian_batch(spec, t, np.atleast_2d(x), np.atleast_2d(z))
-    return float(vals[0]), int(args[0])
+    """H* at a single point, as a one-row batch, and the first maximiser there."""
+    vals = sup_hamiltonian_batch(spec, t, np.atleast_2d(x), np.atleast_2d(z))
+    return float(vals[0]), int(_first_maximisers(spec, t, x, z)[0])
 
 
 def _cutoff_oracle(m, x):
@@ -93,7 +102,8 @@ def test_batch_agrees_with_pointwise(controlled):
     rng = np.random.default_rng(6)
     X = rng.normal(size=(64, 1))
     Z = rng.normal(size=(64, 1)) * 3.0
-    vals, args = sup_hamiltonian_batch(controlled, 0.2, X, Z)
+    vals = sup_hamiltonian_batch(controlled, 0.2, X, Z)
+    args = _first_maximisers(controlled, 0.2, X, Z)
     for i in range(64):
         assert (vals[i], args[i]) == _one_row(controlled, 0.2, X[i], Z[i])
 
@@ -106,7 +116,36 @@ def test_kernel_rejects_rows_that_do_not_match():
         sup_hamiltonian_batch(spec, 0.0, np.zeros((3, 1)), np.ones((3, 1)))
     with pytest.raises(ValueError, match=r"must both be \[n, 2\]"):
         sup_hamiltonian_batch(spec, 0.0, np.zeros((3, 1)), np.ones((3, 2)))
-    assert sup_hamiltonian_batch(spec, 0.0, np.zeros(2), np.ones(2))[0].shape == (1,)
+    assert sup_hamiltonian_batch(spec, 0.0, np.zeros(2), np.ones(2)).shape == (1,)
+
+
+# the three builtins and the d=5 problem of the MC benchmark (243 controls)
+_VALUE_SPECS = {
+    **{name: build_builtin(name) for name in ("bachelier_put", "controlled_drift_abs", "decaying_obstacle")},
+    "controlled_drift_abs-d5": build_builtin("controlled_drift_abs", {"d": 5}),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_VALUE_SPECS)),
+    n=st.integers(0, 30),
+    per_row_t=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(name="controlled_drift_abs-d5", n=0, per_row_t=False, seed=0)
+@example(name="controlled_drift_abs-d5", n=1, per_row_t=True, seed=1)
+@example(name="bachelier_put", n=0, per_row_t=True, seed=2)
+@example(name="controlled_drift_abs", n=1, per_row_t=False, seed=3)
+def test_values_are_the_first_maximisers_maxima_bit_for_bit(name, n, per_row_t, seed):
+    spec = _VALUE_SPECS[name]
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(spec.domain.lo, spec.domain.hi, size=(n, spec.dim))
+    Z = rng.standard_normal((n, spec.dim)) * np.exp(rng.uniform(-3.0, 3.0, size=(n, 1)))
+    t = rng.uniform(0.0, spec.horizon_T, size=n) if per_row_t else 0.5 * spec.horizon_T
+    vals = sup_hamiltonian_batch(spec, t, X, Z)
+    assert vals.shape == (n,)
+    assert vals.tobytes() == first_maximiser(_control_values(spec, t, X, Z))[0].tobytes()
 
 
 def _random_spec(d: int, x_in_f: bool, x_in_gamma: bool, k: int, rng) -> object:
@@ -160,7 +199,8 @@ def test_kernel_matches_bruteforce_solve_per_control(d, x_in_f, x_in_gamma, per_
     Z = rng.standard_normal((n, d)) * np.exp(rng.uniform(-3.0, 3.0, size=(n, 1)))
     ts = rng.uniform(0.0, 1.0, size=n)
     t_arg = ts if per_row_t else float(ts[0])
-    vals, args = sup_hamiltonian_batch(spec, t_arg, X, Z)
+    vals = sup_hamiltonian_batch(spec, t_arg, X, Z)
+    args = _first_maximisers(spec, t_arg, X, Z)
     for i in range(n):
         ti = float(ts[i]) if per_row_t else float(ts[0])
         xi = X[i : i + 1]
@@ -234,7 +274,7 @@ def test_truncation_identity_inside_radius(controlled):
 
     def truncated(x, z):
         X = np.array([[x]])
-        vals, _ = sup_hamiltonian_batch(controlled, 0.1, X, np.array([[z]]))
+        vals = sup_hamiltonian_batch(controlled, 0.1, X, np.array([[z]]))
         return truncate_values(vals, cutoff_batch(trunc.n, X), cutoff_batch(trunc.m, X))[0]
 
     for x, z in ((0.5, 1.7), (-1.9, -0.3), (2.0, 4.0)):

@@ -45,6 +45,23 @@ def test_pde_variants_digest_each_solve_and_repeat(capsys):
     assert json.loads(capsys.readouterr().out)["workloads"] == {"pde-variants": first}
 
 
+def test_mc_variants_digest_each_solve_and_repeat(capsys):
+    import json
+
+    tool = _load()
+    first = tool.run_mc_variants()
+    solves = ("controlled_drift_abs-h0.8-x1.5-local25-trunc22", "controlled_drift_abs-h1.2-x0-poly3-dominating")
+    assert len(first) == 4 * len(solves)
+    for name in solves:
+        for part in ("y_nodes", "k_increments", "y0", "y0_samples"):
+            assert len(first[f"{name}.{part}"]) == 64
+    for part in ("y_nodes", "k_increments"):
+        assert len({first[f"{name}.{part}"] for name in solves}) == 2
+    assert tool.run_mc_variants() == first
+    assert tool.main(["--workload", "mc-variants"]) == 0
+    assert json.loads(capsys.readouterr().out)["workloads"] == {"mc-variants": first}
+
+
 def test_digest_tree_separates_dtype_shape_and_sign_of_zero():
     import numpy as np
 

@@ -6,6 +6,7 @@ import importlib
 import inspect
 import pkgutil
 
+import numpy as np
 import pytest
 
 import ctrlstop
@@ -62,3 +63,11 @@ def test_removed_options_are_not_accepted(module, name):
         obj = getattr(obj, part)
     params = inspect.signature(obj).parameters
     assert [option for option in REMOVED_OPTIONS[(module, name)] if option in params] == []
+
+
+def test_sup_hamiltonian_batch_returns_one_value_array():
+    # the maximiser is the finite-difference step's record (first_maximiser), not H*'s
+    spec = ctrlstop.build_builtin("controlled_drift_abs", {"d": 2})
+    vals = ctrlstop.sup_hamiltonian_batch(spec, 0.0, np.zeros((3, 2)), np.ones((3, 2)))
+    assert type(vals) is np.ndarray
+    assert vals.shape == (3,)

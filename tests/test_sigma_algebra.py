@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctrlstop.hamilton import sup_hamiltonian_batch
+from ctrlstop.hamilton import _control_values, sup_hamiltonian_batch
 from ctrlstop.model import CoefficientField, build_builtin, sigma_apply
 from ctrlstop.paths import PathBatch, TimeGrid
 
@@ -155,7 +155,7 @@ def test_zero_on_the_diagonal_raises_like_gesv():
     with pytest.raises(np.linalg.LinAlgError):
         girsanov_log_terms(spec, batch)
     # the same rows away from x1 == 0 evaluate
-    assert np.all(np.isfinite(sup_hamiltonian_batch(spec, 0.2, X[:1], Z[:1])[0]))
+    assert np.all(np.isfinite(sup_hamiltonian_batch(spec, 0.2, X[:1], Z[:1])))
 
 
 # -- diagonal specs through the kernel and the change of measure ----------------
@@ -180,8 +180,9 @@ def test_diagonal_division_matches_the_lapack_path_end_to_end(d, n, seed):
     X = rng.uniform(-2.0, 2.0, size=(n, d))
     Z = rng.standard_normal((n, d)) * np.exp(rng.uniform(-3.0, 3.0, size=(n, 1)))
     ts = rng.uniform(0.0, 1.0, size=n)
-    for a, b in zip(sup_hamiltonian_batch(spec, ts, X, Z), sup_hamiltonian_batch(lapack, ts, X, Z)):
-        assert a.tobytes() == b.tobytes()
+    assert sup_hamiltonian_batch(spec, ts, X, Z).tobytes() == sup_hamiltonian_batch(lapack, ts, X, Z).tobytes()
+    # the whole control table, which decides the maximiser the finite-difference step records
+    assert _control_values(spec, ts, X, Z).tobytes() == _control_values(lapack, ts, X, Z).tobytes()
     steps = 3
     states = rng.uniform(-2.0, 2.0, size=(n, steps + 1, d))
     batch = PathBatch(

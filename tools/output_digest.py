@@ -5,6 +5,7 @@
     python3 tools/output_digest.py --workload policy-2d-localvol --seed 3
     python3 tools/output_digest.py --seed 0 --shrink 8 --against HEAD~1
     python3 tools/output_digest.py --workload pde-variants
+    python3 tools/output_digest.py --workload mc-variants
 
 Runs each pipeline of ``perfbench/workloads.py`` once at the given benchmark
 seed and size divisor and prints one JSON object: for every workload, the
@@ -20,7 +21,11 @@ The ``pde-variants`` entry, part of ``--workload all``, covers PDE solves the
 pipelines never reach: fixed small grids under the dominating generator, a
 truncation and a correlated sigma.  For each it digests the grid's nt, the
 scheme metadata, the field and its projection record, and the extracted
-policy's argmax and stop mask; seed and size divisor do not apply.
+policy's argmax and stop mask; seed and size divisor do not apply.  The
+``mc-variants`` entry does the same for backward passes the pipelines never
+reach: fixed small path batches solved under a truncation and under the
+dominating generator, digesting Y, the reflections, y0 and its per-path
+samples.
 
 Two trees compute the same bits exactly when their outputs diff clean, so
 running this on a copy of the parent commit and on a change is the evidence
@@ -52,9 +57,20 @@ import numpy as np  # noqa: E402
 
 import spans  # noqa: E402
 import workloads  # noqa: E402
-from ctrlstop import TruncationIndex, build_builtin, extract_policy, make_grid, solve  # noqa: E402
+from ctrlstop import (  # noqa: E402
+    RegressionBasis,
+    TimeGrid,
+    TruncationIndex,
+    build_builtin,
+    extract_policy,
+    make_grid,
+    simulate_uncontrolled,
+    solve,
+    solve_rbsde,
+)
 
 PDE_VARIANTS = "pde-variants"
+MC_VARIANTS = "mc-variants"
 
 # (module, attribute): the calls whose results are digested.  The workloads
 # module's own bindings cover the pipeline's layer calls; the rest are the
@@ -186,6 +202,40 @@ def run_pde_variants() -> dict:
     return dict(sorted(digests.items()))
 
 
+def _mc_variants():
+    """(key, spec, x0, basis, trunc, generator) of each fixed backward pass.
+
+    x0 = 1.5 puts about a third of the paths beyond the radius-2 cutoff by T,
+    so the truncation moves the solve; the obstacle binds on both batches.
+    """
+    return (
+        ("controlled_drift_abs-h0.8-x1.5-local25-trunc22", build_builtin("controlled_drift_abs", {"h_floor": 0.8}),
+         1.5, RegressionBasis(), TruncationIndex(2, 2), "hstar"),
+        ("controlled_drift_abs-h1.2-x0-poly3-dominating", build_builtin("controlled_drift_abs", {"h_floor": 1.2}),
+         0.0, RegressionBasis(kind="polynomial", degree=3), None, "dominating"),
+    )
+
+
+def run_mc_variants() -> dict:
+    """Solve each MC variant on its own 2000-path, 10-step batch; digest the solve's result."""
+    digests = {}
+    for i, (key, spec, x0, basis, trunc, generator) in enumerate(_mc_variants()):
+        batch = simulate_uncontrolled(spec, 0.0, np.full(spec.dim, x0), TimeGrid(0.0, 1.0, 10), 2000, seed=50 + i)
+        back = solve_rbsde(spec, batch, basis, trunc=trunc, generator=generator)
+        parts = {
+            "y_nodes": back.y_nodes,
+            "k_increments": back.k_increments,
+            "y0": back.y0,
+            "y0_samples": back.y0_samples,
+        }
+        digest_tree(key, parts, digests)
+    return dict(sorted(digests.items()))
+
+
+# the fixed solves of --workload all beside the pipelines; seed and size divisor do not apply
+VARIANTS = {PDE_VARIANTS: run_pde_variants, MC_VARIANTS: run_mc_variants}
+
+
 def diff_digests(a: dict, b: dict) -> list[str]:
     """Keys whose digests differ between two ``workloads`` maps, one line each.
 
@@ -234,21 +284,21 @@ def _report_at(rev: str, argv: list[str]) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", default="all", choices=("all", *workloads.PIPELINES, PDE_VARIANTS))
+    parser.add_argument("--workload", default="all", choices=("all", *workloads.PIPELINES, *VARIANTS))
     parser.add_argument("--seed", type=int, default=0, help="benchmark seed (as perfbench/run.py --seed)")
     parser.add_argument("--shrink", type=int, default=1, help="divide grid and path sizes by this")
     parser.add_argument("--against", metavar="REV", help="print only the keys that differ from git revision REV")
     args = parser.parse_args(argv)
     if args.seed < 0 or args.shrink < 1:
         parser.error("--seed must be non-negative and --shrink at least 1")
-    names = [*workloads.PIPELINES, PDE_VARIANTS] if args.workload == "all" else [args.workload]
+    names = [*workloads.PIPELINES, *VARIANTS] if args.workload == "all" else [args.workload]
     if args.against:
         base = _report_at(args.against, ["--workload", args.workload, "--seed", str(args.seed), "--shrink", str(args.shrink)])
     report = {
         "seed": args.seed,
         "shrink": args.shrink,
         "workloads": {
-            name: run_pde_variants() if name == PDE_VARIANTS else run_workload(name, args.seed, args.shrink)
+            name: VARIANTS[name]() if name in VARIANTS else run_workload(name, args.seed, args.shrink)
             for name in names
         },
     }
