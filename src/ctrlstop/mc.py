@@ -20,7 +20,9 @@ when the slice is too ill-conditioned for the normal equations).  Z_i is
 needed only inside slice i, so it lives one slice at a time and the result
 keeps its per-slice mean norm.  Y, K and the obstacle are stored time-major,
 so each slice is contiguous; the result exposes them as read-only [n, N+1]
-views.
+views.  K starts as untouched zeros and a slice writes only the paths it
+pushes, so nodes without reflections cost no resident memory; an obstacle
+that ignores the state is stored once per node and broadcast over paths.
 
 The default basis is a piecewise-constant local partition (cell means are
 genuine conditional expectations); a global polynomial basis is available
@@ -196,8 +198,8 @@ class BackwardSolveResult:
 
     grid: object
     y_nodes: np.ndarray        # [n, N+1]
-    k_increments: np.ndarray   # [n, N+1] >= 0; > 0 only where y = obstacle
-    obstacle_nodes: np.ndarray  # h(tau_i, X_i)
+    k_increments: np.ndarray   # [n, N+1] >= 0; > 0 only where y = obstacle; unpushed entries never written
+    obstacle_nodes: np.ndarray  # [n, N+1] h(tau_i, X_i); stride 0 along paths when h ignores the state
     y0: float
     se_y0: float
     y0_samples: np.ndarray     # per-path targets at the root; mean equals Ytilde_0
@@ -232,15 +234,17 @@ def solve_rbsde(
     dt = batch.grid.dt
     times = batch.grid.nodes
 
-    # time-major, so each slice is one contiguous row
+    # time-major, so each slice is one contiguous row; an obstacle that
+    # ignores the state takes one column, evaluated at the first path
+    hcols = 1 if spec.coefficients.h_x_free else n
     Y = np.empty((N + 1, n))
     K = np.zeros((N + 1, n))
-    H = np.empty((N + 1, n))
+    H = np.empty((N + 1, hcols))
 
     # a step of a simulated batch is already a contiguous row; a path-major one is copied
     X = np.ascontiguousarray(_step(batch.states, N))
     Y[N] = spec.g(X)
-    H[N] = spec.h(float(times[N]), X)
+    H[N] = spec.h(float(times[N]), X[:hcols])
 
     conds = np.zeros(N)
     cells = np.zeros(N, dtype=np.int64)
@@ -268,9 +272,11 @@ def solve_rbsde(
         if i == 0:
             gen0 = gen.copy()
         ytilde = cont + gen * dt
-        H[i] = spec.h(t, X)
+        H[i] = spec.h(t, X[:hcols])
         np.maximum(ytilde, H[i], out=Y[i])
-        np.subtract(Y[i], ytilde, out=K[i])
+        # a path not pushed keeps K's +0.0 unwritten; NaN compares unequal, so it is pushed
+        pushed = np.flatnonzero(Y[i] != ytilde)
+        K[i, pushed] = Y[i, pushed] - ytilde[pushed]
 
     y0_samples = Y[1] + gen0 * dt
     y0 = float(np.mean(Y[0]))
@@ -283,7 +289,7 @@ def solve_rbsde(
         grid=batch.grid,
         y_nodes=Y.T,
         k_increments=K.T,
-        obstacle_nodes=H.T,
+        obstacle_nodes=np.broadcast_to(H, (N + 1, n)).T,
         y0=y0,
         se_y0=se_y0,
         y0_samples=y0_samples,

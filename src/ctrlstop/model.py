@@ -141,6 +141,12 @@ class CoefficientField:
     coefficient ignores the state.  With ``rows=True``, a[n,ka] holds one
     control per row of X and f returns [n, d], gamma [n].  ``t`` is a scalar
     or one time per row.
+
+    The flags are derived from the expressions by ``compile_coefficients``
+    and default to False, the safe reading for hand-built callables.
+    ``h_x_free`` is true when h reads no state variable, so one row of X
+    gives h for every row; whoever replaces ``h`` clears it, as it clears
+    ``h_t_free``.
     """
 
     sigma: Callable
@@ -161,6 +167,8 @@ class CoefficientField:
     f_t_free: bool = False
     gamma_t_free: bool = False
     h_t_free: bool = False
+    # true when h provably ignores the state
+    h_x_free: bool = False
 
 
 @dataclass(frozen=True)
@@ -412,6 +420,7 @@ def compile_coefficients(
         f_t_free=all("t" not in tr.variables for tr in f_trees),
         gamma_t_free="t" not in gamma_tree.variables,
         h_t_free="t" not in h_tree.variables,
+        h_x_free=h_tree.variables <= pnames | {"t"},
     )
 
 

@@ -275,11 +275,18 @@ class _Scheme:
     # -- stencil views ----------------------------------------------------------
 
     def _views(self, W):
-        Wp = np.pad(W, 1, mode="edge")
+        """W padded by one edge-replicated node per side, as np.pad(W, 1,
+        mode="edge") gives it, and the up and down neighbour views per axis."""
+        Wp = np.empty(tuple(s + 2 for s in self.shape))
+        Wp[(slice(1, -1),) * self.d] = W
         if self.d == 1:
+            Wp[0], Wp[-1] = W[0], W[-1]
             up = [Wp[2:]]
             dn = [Wp[:-2]]
         else:
+            Wp[0, 1:-1], Wp[-1, 1:-1] = W[0], W[-1]
+            # the columns last, so the corners, which the cross stencil reads, copy W's
+            Wp[:, 0], Wp[:, -1] = Wp[:, 1], Wp[:, -2]
             up = [Wp[2:, 1:-1], Wp[1:-1, 2:]]
             dn = [Wp[:-2, 1:-1], Wp[1:-1, :-2]]
         return Wp, up, dn
@@ -492,7 +499,7 @@ def comparison_check(spec: ProblemSpec, grid: SpaceTimeGrid, pairs) -> dict:
         for g_fn, h_fn in ((g1, h1), (g2, h2)):
             coeffs = dc_replace(
                 spec.coefficients, g=g_fn, h=h_fn, g_expr=None, h_expr=None,
-                h_t_free=False,
+                h_t_free=False, h_x_free=False,
             )
             v.append(solve(dc_replace(spec, coefficients=coeffs), grid).values)
         violation = float(np.max(v[0] - v[1]))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -93,10 +94,12 @@ def test_complementarity_is_exact():
     result = solve_rbsde(spec, batch)
     K = result.k_increments
     assert np.all(K >= 0.0)
+    assert not np.any(np.signbit(K))
     assert np.count_nonzero(K) > 0
     assert skorokhod_residual(result) == 0.0
-    reflected = K > 0
-    assert np.array_equal(result.y_nodes[reflected], result.obstacle_nodes[reflected])
+    # every written entry, not only the positive ones, sits on the obstacle bit for bit
+    pushed = K != 0.0
+    assert np.array_equal(result.y_nodes[pushed].view(np.int64), result.obstacle_nodes[pushed].view(np.int64))
 
 
 def test_terminal_slice_is_exact():
@@ -342,3 +345,73 @@ def test_reflection_frequency_profile():
     assert freq[-1] == 0.0
     assert np.max(freq) > 0.01
     assert np.all((freq >= 0.0) & (freq <= 1.0))
+
+
+def _floor_spec(h):
+    """controlled_drift_abs at d=1 with a binding floor 0.8, written as ``h``."""
+    return build_builtin(
+        "custom",
+        {
+            "dim": 1,
+            "T": 1.0,
+            "sigma": ["1"],
+            "f": ["a1"],
+            "gamma": "0",
+            "g": "abs(x1)",
+            "h": h,
+            "controls": [[-1.0], [0.0], [1.0]],
+            "growth": {"C_f": 1.0, "C_sigma_inv": 1.0, "C_poly": 1.0, "p": 1.0},
+            "lo": -4.0,
+            "hi": 4.0,
+            "params": {"h_floor": 0.8},
+        },
+    )
+
+
+def _floor_pair():
+    """The same floor read as state-free and as reading x1."""
+    free, dense = _floor_spec("h_floor"), _floor_spec("h_floor+0*x1")
+    assert free.coefficients.h_x_free and not dense.coefficients.h_x_free
+    return free, dense
+
+
+def test_state_free_obstacle_gives_the_bits_of_a_per_path_one():
+    free, dense = _floor_pair()
+    batch = _batch(free, [0.0], steps=12, count=6000, seed=23)
+    basis = RegressionBasis(kind="polynomial", degree=4)
+    a = solve_rbsde(free, batch, basis)
+    b = solve_rbsde(dense, batch, basis)
+    assert np.count_nonzero(a.k_increments) > 1000
+    for name in ("y_nodes", "k_increments", "obstacle_nodes", "y0_samples"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape
+        assert np.array_equal(x.view(np.int64), y.view(np.int64)), name
+    assert a.y0 == b.y0 and a.se_y0 == b.se_y0
+    K = a.k_increments
+    pushed = K != 0.0
+    assert np.array_equal(a.y_nodes[pushed].view(np.int64), a.obstacle_nodes[pushed].view(np.int64))
+    assert not np.any(np.signbit(K))
+
+
+def test_state_free_obstacle_is_stored_once_per_node():
+    free, dense = _floor_pair()
+    n, N = 20000, 10
+    batch = _batch(free, [0.0], steps=N, count=n, seed=24)
+    basis = RegressionBasis(kind="polynomial", degree=3)
+    solve_rbsde(free, batch, basis)  # first calls out of the measurement
+
+    def traced_peak(spec):
+        tracemalloc.start()
+        try:
+            result = solve_rbsde(spec, batch, basis)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    a, peak_free = traced_peak(free)
+    b, peak_dense = traced_peak(dense)
+    assert a.obstacle_nodes.strides[0] == 0
+    assert b.obstacle_nodes.strides[0] != 0
+    # H shrinks from N+1 rows of n floats to N+1 rows of one
+    assert peak_dense - peak_free >= (N + 1) * (n - 1) * 8
+

@@ -151,6 +151,31 @@ def test_time_dependence_flags():
     assert flat.sigma_constant and decaying.sigma_constant
 
 
+@pytest.mark.parametrize(
+    "h, dim, params, expected",
+    [
+        ("h_floor", 1, {"h_floor": 0.8}, True),
+        ("1+t", 1, {}, True),
+        ("xs", 1, {"xs": 2.0}, True),
+        ("x1", 1, {}, False),
+        ("0*x1", 1, {}, False),
+        ("max(x2,0)", 2, {}, False),
+    ],
+)
+def test_state_free_obstacle_flag(h, dim, params, expected):
+    coeffs = compile_coefficients(
+        dim=dim,
+        sigma_exprs=tuple("1" if i == j else "0" for i in range(dim) for j in range(dim)),
+        f_exprs=("0",) * dim,
+        gamma_expr="0",
+        g_expr="0",
+        h_expr=h,
+        params=params,
+        ka=1,
+    )
+    assert coeffs.h_x_free is expected
+
+
 def test_dominating_generator_closed_form():
     spec = build_builtin(
         "custom",

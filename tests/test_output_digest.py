@@ -50,13 +50,17 @@ def test_mc_variants_digest_each_solve_and_repeat(capsys):
 
     tool = _load()
     first = tool.run_mc_variants()
-    solves = ("controlled_drift_abs-h0.8-x1.5-local25-trunc22", "controlled_drift_abs-h1.2-x0-poly3-dominating")
+    solves = (
+        "controlled_drift_abs-h0.8-x1.5-local25-trunc22",
+        "controlled_drift_abs-h1.2-x0-poly3-dominating",
+        "bachelier_put-x1-poly3",
+    )
     assert len(first) == 4 * len(solves)
     for name in solves:
         for part in ("y_nodes", "k_increments", "y0", "y0_samples"):
             assert len(first[f"{name}.{part}"]) == 64
     for part in ("y_nodes", "k_increments"):
-        assert len({first[f"{name}.{part}"] for name in solves}) == 2
+        assert len({first[f"{name}.{part}"] for name in solves}) == 3
     assert tool.run_mc_variants() == first
     assert tool.main(["--workload", "mc-variants"]) == 0
     assert json.loads(capsys.readouterr().out)["workloads"] == {"mc-variants": first}

@@ -430,6 +430,23 @@ def test_comparison_check_detects_order_both_ways():
     assert reversed_["max_violation"] > 0.1
 
 
+def test_comparison_check_clears_the_obstacle_flags_of_its_replaced_h(monkeypatch):
+    spec = build_builtin("controlled_drift_abs", {"h_floor": 0.8})
+    assert spec.coefficients.h_x_free and spec.coefficients.h_t_free
+    seen = []
+    real_solve = pde.solve
+
+    def recording_solve(spec, grid):
+        seen.append(spec.coefficients)
+        return real_solve(spec, grid)
+
+    monkeypatch.setattr(pde, "solve", recording_solve)
+    pair = (lambda X: spec.g(X), lambda t, X: spec.h(t, X))
+    comparison_check(spec, make_grid(spec, 41), [(pair, pair)])
+    assert len(seen) == 2
+    assert not any(c.h_x_free or c.h_t_free for c in seen)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_product_form_covariance_matches_the_einsum_bitwise(d):
     sig = np.random.default_rng(3 + d).standard_normal((257, d, d)) * np.exp(

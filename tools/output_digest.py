@@ -23,9 +23,9 @@ truncation and a correlated sigma.  For each it digests the grid's nt, the
 scheme metadata, the field and its projection record, and the extracted
 policy's argmax and stop mask; seed and size divisor do not apply.  The
 ``mc-variants`` entry does the same for backward passes the pipelines never
-reach: fixed small path batches solved under a truncation and under the
-dominating generator, digesting Y, the reflections, y0 and its per-path
-samples.
+reach: fixed small path batches solved under a truncation, under the
+dominating generator and with an obstacle that reads the state, digesting Y,
+the reflections, y0 and its per-path samples.
 
 Two trees compute the same bits exactly when their outputs diff clean, so
 running this on a copy of the parent commit and on a change is the evidence
@@ -206,13 +206,17 @@ def _mc_variants():
     """(key, spec, x0, basis, trunc, generator) of each fixed backward pass.
 
     x0 = 1.5 puts about a third of the paths beyond the radius-2 cutoff by T,
-    so the truncation moves the solve; the obstacle binds on both batches.
+    so the truncation moves the solve; the obstacle binds on every batch.
+    The put's obstacle reads x, so its solve stores h per path; the other two
+    obstacles are constant floors, stored once per node.
     """
     return (
         ("controlled_drift_abs-h0.8-x1.5-local25-trunc22", build_builtin("controlled_drift_abs", {"h_floor": 0.8}),
          1.5, RegressionBasis(), TruncationIndex(2, 2), "hstar"),
         ("controlled_drift_abs-h1.2-x0-poly3-dominating", build_builtin("controlled_drift_abs", {"h_floor": 1.2}),
          0.0, RegressionBasis(kind="polynomial", degree=3), None, "dominating"),
+        ("bachelier_put-x1-poly3", build_builtin("bachelier_put"),
+         1.0, RegressionBasis(kind="polynomial", degree=3), None, "hstar"),
     )
 
 
