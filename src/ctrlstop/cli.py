@@ -240,21 +240,12 @@ def write_value_policy_csv(path: Path, spec: ProblemSpec, field: pde.ValueField,
 
 
 def write_rbsde_csv(path: Path, result: mc.BackwardSolveResult) -> None:
-    times = result.grid.nodes
-    refl = result.reflection_frequency
     header = ["node", "t", "mean_y", "mean_abs_z", "mean_dk", "reflection_frequency"]
-    rows = []
-    for i, t in enumerate(times):
-        rows.append(
-            [
-                i,
-                _fmt(t),
-                _fmt(np.mean(result.y_nodes[:, i])),
-                _fmt(result.diagnostics["mean_abs_z"][i]),
-                _fmt(np.mean(result.k_increments[:, i])),
-                _fmt(refl[i]),
-            ]
-        )
+    y, k, z, refl = result.y_nodes, result.k_increments, result.diagnostics["mean_abs_z"], result.reflection_frequency
+    rows = [
+        [i, _fmt(t), _fmt(np.mean(y[:, i])), _fmt(z[i]), _fmt(np.mean(k[:, i])), _fmt(refl[i])]
+        for i, t in enumerate(result.grid.nodes)
+    ]
     _write_csv(path, header, rows)
 
 

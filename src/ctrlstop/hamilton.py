@@ -66,13 +66,13 @@ def _control_values(spec: ProblemSpec, t, X: np.ndarray, Z: np.ndarray) -> np.nd
     z . sigma^{-1} f is evaluated as W . f with W = sigma^{-T} z, so sigma is
     inverted once per call and the control set enters through one drift and
     one reward evaluation.  ``ProblemSpec.sigma_solve`` divides by a diagonal
-    sigma, constant or not; any other constant sigma is one LAPACK solve for
-    all rows, and any other sigma is factorised per row.  With a state-free
+    sigma; any other sigma that reads neither t nor x is one LAPACK solve
+    for all rows, and any other sigma is factorised per row.  With a state-free
     drift the contraction is a [k,d] @ [d,n] matmul.
     """
     sig = spec.sigma(t, X)
     coeffs = spec.coefficients
-    if coeffs.sigma_constant and not coeffs.sigma_diagonal and X.shape[0]:
+    if not coeffs.reads("sigma") and not coeffs.sigma_diagonal and X.shape[0]:
         W = np.linalg.solve(sig[0].T, Z.T)                                   # [d, n]
     else:
         W = spec.sigma_solve(sig, Z, transpose=True).T                       # [d, n]

@@ -236,7 +236,7 @@ def solve_rbsde(
 
     # time-major, so each slice is one contiguous row; an obstacle that
     # ignores the state takes one column, evaluated at the first path
-    hcols = 1 if spec.coefficients.h_x_free else n
+    hcols = n if "x" in spec.coefficients.reads("h") else 1
     Y = np.empty((N + 1, n))
     K = np.zeros((N + 1, n))
     H = np.empty((N + 1, hcols))

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -41,6 +42,8 @@ BUILTIN_NAMES = ("bachelier_put", "controlled_drift_abs", "decaying_obstacle", "
 
 # condition-number cap for sigma(t,x); beyond this the point counts as singular
 SIGMA_COND_CAP = 1e8
+# the names the variables bind: time, state components and control components
+_VARIABLE = re.compile(r"t|[xa][0-9]+")
 
 
 @dataclass(frozen=True)
@@ -142,11 +145,10 @@ class CoefficientField:
     control per row of X and f returns [n, d], gamma [n].  ``t`` is a scalar
     or one time per row.
 
-    The flags are derived from the expressions by ``compile_coefficients``
-    and default to False, the safe reading for hand-built callables.
-    ``h_x_free`` is true when h reads no state variable, so one row of X
-    gives h for every row; whoever replaces ``h`` clears it, as it clears
-    ``h_t_free``.
+    ``reads(name)`` and ``sigma_diagonal`` are derived from the expressions
+    on construction, so also by ``dataclasses.replace``; a coefficient
+    without an expression reads both t and x.  A parameter may not be
+    named t, x<j> or a<j>, the names of the variables.
     """
 
     sigma: Callable
@@ -160,15 +162,27 @@ class CoefficientField:
     g_expr: str | None = None
     h_expr: str | None = None
     params: Mapping[str, float] | None = None
-    sigma_constant: bool = False
-    # true when every off-diagonal sigma entry is a parameter-only zero
-    sigma_diagonal: bool = False
-    # hoisting hints: true when the coefficient provably ignores t
-    f_t_free: bool = False
-    gamma_t_free: bool = False
-    h_t_free: bool = False
-    # true when h provably ignores the state
-    h_x_free: bool = False
+    # every off-diagonal sigma entry reads neither t nor x and is 0.0 under params
+    sigma_diagonal: bool = field(init=False)
+    _reads_of: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        params = dict(self.params or {})
+        shadowed = sorted(name for name in params if _VARIABLE.fullmatch(name))
+        if shadowed:
+            raise ValueError(f"parameter names {shadowed} shadow the variables t, x<j> and a<j>")
+        exprs = {"sigma": self.sigma_exprs, "f": self.f_exprs, "gamma": self.gamma_expr, "g": self.g_expr, "h": self.h_expr}
+        reads = {k: frozenset("tx") if e is None else _reads([e] if isinstance(e, str) else e) for k, e in exprs.items()}
+        # off-diagonal entries sit at the row-major positions not divisible by dim + 1
+        sig = self.sigma_exprs
+        off = [e for i, e in enumerate(sig or ()) if i % (math.isqrt(len(sig)) + 1)]
+        diagonal = sig is not None and all(not _reads([e]) and float(parse_expression(e)(params)) == 0.0 for e in off)
+        object.__setattr__(self, "_reads_of", reads)
+        object.__setattr__(self, "sigma_diagonal", diagonal)
+
+    def reads(self, name: str) -> frozenset[str]:
+        """The subset of {"t", "x"} that the expressions of "sigma", "f", "gamma", "g" or "h" name."""
+        return self._reads_of[name]
 
 
 @dataclass(frozen=True)
@@ -300,6 +314,12 @@ def sigma_apply(sig: np.ndarray, V: np.ndarray) -> np.ndarray:
 # -- expression compilation ---------------------------------------------------
 
 
+def _reads(exprs) -> frozenset[str]:
+    """The subset of {"t", "x"} that the expression strings name."""
+    names = (v for e in exprs for v in parse_expression(e).variables)
+    return frozenset(v[0] for v in names if _VARIABLE.fullmatch(v)) - {"a"}
+
+
 def _env(params, t=None, X=None, a=None, rows=False):
     """Variable bindings; a control table a[k,ka] binds a_j to a [k,1] column
     and x_j to a [1,n] row, so values broadcast to [k, n|1].  With ``rows``,
@@ -362,14 +382,7 @@ def compile_coefficients(
     g_tree = parse_expression(g_expr, pnames | xnames)
     h_tree = parse_expression(h_expr, pnames | xnames | {"t"})
 
-    sigma_constant = all(tr.variables <= pnames for tr in sig_trees)
-    # off-diagonal entries sit at the row-major positions not divisible by dim + 1
-    sigma_diagonal = all(
-        tr.variables <= pnames and float(tr(dict(params))) == 0.0
-        for i, tr in enumerate(sig_trees)
-        if i % (dim + 1)
-    )
-    if sigma_constant:
+    if not _reads(sigma_exprs):
         const = np.array([tr(dict(params)) for tr in sig_trees], dtype=float).reshape(dim, dim)
         const.setflags(write=False)
 
@@ -415,12 +428,6 @@ def compile_coefficients(
         g_expr=g_expr,
         h_expr=h_expr,
         params=dict(params),
-        sigma_constant=sigma_constant,
-        sigma_diagonal=sigma_diagonal,
-        f_t_free=all("t" not in tr.variables for tr in f_trees),
-        gamma_t_free="t" not in gamma_tree.variables,
-        h_t_free="t" not in h_tree.variables,
-        h_x_free=h_tree.variables <= pnames | {"t"},
     )
 
 

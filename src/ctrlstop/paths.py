@@ -24,8 +24,8 @@ rows and ``girsanov_log_batch``'s, neither of which stores a batch: both run
 one chunk of paths at a time.  Sigma is evaluated at every step; a constant
 sigma comes back as a stride-0 broadcast view, so that costs one view per
 step.  The diffusion step sigma dB is ``model.sigma_apply``, or one product
-with the diagonal when ``CoefficientField.sigma_diagonal`` is set (same
-bits), and the change-of-measure direction theta = sigma^{-1} f is
+with the diagonal when sigma's expressions make it diagonal (the derived
+``CoefficientField.sigma_diagonal``; same bits), and theta = sigma^{-1} f is
 ``ProblemSpec.sigma_solve``: one summation order and one inversion rule for
 every sigma.  Each step's log-density term is ``_log_density_step``'s.
 """

@@ -182,17 +182,12 @@ def _covariance(sig: np.ndarray):
     return diag, cross
 
 
-def _per_slice(t_free: bool, build):
-    """The coefficient of slice t as a function of t: ``build`` itself, or,
-    when the spec says the coefficient ignores t, ``build(0.0)`` made once."""
-    if not t_free:
-        return build
-    value = build(0.0)
-    return lambda t: value
-
-
 class _Scheme:
-    """Precomputed arrays and the single explicit backward step."""
+    """Precomputed arrays and the single explicit backward step.
+
+    ``fixed`` holds each slice quantity whose coefficients read no t, built
+    once at t = 0.0: values, not closures over the scheme, so no cycle.
+    """
 
     def __init__(self, spec: ProblemSpec, grid: SpaceTimeGrid, trunc, generator):
         if spec.dim > 2:
@@ -206,7 +201,6 @@ class _Scheme:
         self.dxs = grid.dxs
         self.dt = grid.dt
         self.X = grid.nodes()
-        coeffs = spec.coefficients
 
         if trunc is not None:
             self.rho_n = cutoff_batch(trunc.n, self.X).reshape(self.shape)
@@ -215,17 +209,19 @@ class _Scheme:
         if generator == "dominating":
             # phi = phi_drift |grad v . sigma| + phi_const
             self.phi_drift, self.phi_const = (w.reshape(self.shape) for w in dominating_weights(spec, self.X))
-        else:
-            self.table = _per_slice(coeffs.f_t_free and coeffs.gamma_t_free, self._control_table)
-        self.diffusion = _per_slice(coeffs.sigma_constant, lambda t: self._diffusion(spec.sigma(t, self.X)))
-        self.h_slice = _per_slice(coeffs.h_t_free, lambda t: spec.h(t, self.X).reshape(self.shape))
+        self.fixed = {}
+        for name in ("diffusion", "h") if generator == "dominating" else self.SLICES:
+            build, inputs = self.SLICES[name]
+            if not any("t" in spec.coefficients.reads(c) for c in inputs):
+                self.fixed[name] = build(self, 0.0)
         self.cfl_worst = 0.0
 
     # -- coefficient plumbing --------------------------------------------------
 
-    def _diffusion(self, sig):
+    def _diffusion(self, t: float):
         """Per-axis A_jj and sigma_jj, at d=2 A_12 (else None), and the slice's
         diffusion share of the outflow rate [*shape], phi's included; A = sigma sigma^T."""
+        sig = self.spec.sigma(t, self.X)
         diag, cross = _covariance(sig)
         A_diag = [a.reshape(self.shape) for a in diag]
         sigma_diag = [sig[:, j, j].reshape(self.shape) for j in range(self.d)]
@@ -265,11 +261,20 @@ class _Scheme:
         scale = sum(np.abs(F[j]) / self.dxs[j] for j in range(self.d))
         return F, spatial(G), np.maximum(np.max(scale, axis=0), 0.0)
 
+    # each slice quantity: its builder and the coefficients it reads
+    SLICES = {"table": (_control_table, ("f", "gamma")), "diffusion": (_diffusion, ("sigma",)),
+              "h": (lambda self, t: self.spec.h(t, self.X).reshape(self.shape), ("h",))}
+
+    def at(self, name: str, t: float):
+        """Slice t's "diffusion", "table" or "h"; the one in ``fixed`` if there is one."""
+        fixed = self.fixed.get(name)
+        return self.SLICES[name][0](self, t) if fixed is None else fixed
+
     def rate(self, t: float) -> float:
         """Largest outflow rate of slice t; the step is monotone while dt times it is <= 1."""
-        rate = self.diffusion(t)[-1]
+        rate = self.at("diffusion", t)[-1]
         if self.generator != "dominating":
-            rate = rate + self.table(t)[-1]
+            rate = rate + self.at("table", t)[-1]
         return float(np.max(rate))
 
     # -- stencil views ----------------------------------------------------------
@@ -300,7 +305,7 @@ class _Scheme:
         control [*shape] is the first maximiser of the upwinded table, or -1
         under the dominating generator, whose majorant has no control.
         """
-        A_diag, sigma_diag, A_cross, outflow = self.diffusion(t)
+        A_diag, sigma_diag, A_cross, outflow = self.at("diffusion", t)
         Wp, up, dn = self._views(W)
         dxs = self.dxs
 
@@ -328,7 +333,7 @@ class _Scheme:
             gen = self.phi_drift * np.sqrt(acc) + self.phi_const
             control = -1
         else:
-            F, G, drift_rate = self.table(t)
+            F, G, drift_rate = self.at("table", t)
             adv = 0.0  # [k, *shape] once the controls enter
             for j in range(self.d):
                 adv = adv + np.maximum(F[j], 0.0) * fwd[j] + np.maximum(-F[j], 0.0) * bwd[j]
@@ -392,7 +397,7 @@ def solve(
     values[nt] = spec.g(sch.X).reshape(grid.shape)
     for i in range(nt - 1, -1, -1):
         vt, control[i] = sch.step(values[i + 1], float(times[i + 1]))
-        np.maximum(vt, sch.h_slice(float(times[i])), out=values[i])
+        np.maximum(vt, sch.at("h", float(times[i])), out=values[i])
         np.subtract(values[i], vt, out=push[i])
     control[nt] = control[nt - 1]
     # max |v| as max(max v, -min v): no field-sized temporary
@@ -497,10 +502,7 @@ def comparison_check(spec: ProblemSpec, grid: SpaceTimeGrid, pairs) -> dict:
     for (g1, h1), (g2, h2) in pairs:
         v = []
         for g_fn, h_fn in ((g1, h1), (g2, h2)):
-            coeffs = dc_replace(
-                spec.coefficients, g=g_fn, h=h_fn, g_expr=None, h_expr=None,
-                h_t_free=False, h_x_free=False,
-            )
+            coeffs = dc_replace(spec.coefficients, g=g_fn, h=h_fn, g_expr=None, h_expr=None)
             v.append(solve(dc_replace(spec, coefficients=coeffs), grid).values)
         violation = float(np.max(v[0] - v[1]))
         results.append(violation)

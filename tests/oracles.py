@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from ctrlstop.paths import _log_density_step, _step
@@ -24,3 +28,13 @@ def girsanov_log_terms(spec, batch) -> np.ndarray:
             spec, t, X, spec.sigma(t, X), _step(batch.controls, i), _step(batch.increments, i), batch.grid.dt
         )
     return terms.T
+
+
+def benchmark_spec(name: str):
+    """The problem of benchmark workload ``name``, as ``perfbench/workloads.py`` builds it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(module_spec)
+    sys.modules[module_spec.name] = module  # its dataclasses resolve their annotations there
+    module_spec.loader.exec_module(module)
+    return module.build_spec(name)

@@ -301,7 +301,7 @@ def _density_case(name, spec):
                 "hi": 3.0,
             },
         )
-        assert const.coefficients.sigma_constant and not const.coefficients.sigma_diagonal
+        assert not const.coefficients.reads("sigma") and not const.coefficients.sigma_diagonal
         return const, _SplitPolicy(9), np.array([0.3, -0.2]), TimeGrid(0.0, 1.0, 12), BLOCK + 900, 12
     # the feedback policy of acceptance check 8
     push = build_builtin("controlled_drift_abs")

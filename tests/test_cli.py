@@ -224,6 +224,31 @@ def test_simulate_reports_the_gap(tmp_path, capsys):
     assert len(path_lines) == 1 + 200 * 41
 
 
+SHADOWING_FILE = """
+[problem] dim=1 T=1.0 name="put-like"
+[params] x1=2.0
+[controls] points=0.0
+[sigma] expr="0.2"
+[f] expr="0"
+[gamma] expr="0"
+[g] expr="max(1-x1,0)"
+[h] expr="max(1-x1,0)"
+[growth] C_f=0.0 C_sigma_inv=5.0 C_poly=1.0 p=1.0
+[domain] lo=-3.0 hi=5.0
+"""
+
+
+def test_a_parameter_that_shadows_a_variable_is_a_problem_file_error(tmp_path, capsys):
+    problem = tmp_path / "shadow.txt"
+    problem.write_text(SHADOWING_FILE)
+    with pytest.raises(ProblemFileError, match="shadow"):
+        load_problem(problem)
+    out = tmp_path / "mc"
+    assert main(["solve-mc", "--problem", str(problem), "--paths", "500", "--steps", "5", "--out", str(out)]) == 2
+    assert "shadow the variables" in capsys.readouterr().err
+    assert not out.exists()
+
+
 LOCALVOL_FILE = """
 [problem] dim=2 T=1.0 name="policy-2d-localvol"
 [controls] points=-1.0,-1.0;-1.0,0.0;-1.0,1.0;0.0,-1.0;0.0,0.0;0.0,1.0;1.0,-1.0;1.0,0.0;1.0,1.0

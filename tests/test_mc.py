@@ -371,7 +371,7 @@ def _floor_spec(h):
 def _floor_pair():
     """The same floor read as state-free and as reading x1."""
     free, dense = _floor_spec("h_floor"), _floor_spec("h_floor+0*x1")
-    assert free.coefficients.h_x_free and not dense.coefficients.h_x_free
+    assert "x" not in free.coefficients.reads("h") and "x" in dense.coefficients.reads("h")
     return free, dense
 
 

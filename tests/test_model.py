@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctrlstop import acceptance
 from ctrlstop.expr import parse_expression
 from ctrlstop.model import (
     Box,
+    CoefficientField,
     ControlSet,
     Growth,
     ProblemSpec,
@@ -21,6 +25,7 @@ from ctrlstop.model import (
     validate,
     _sample_points,
 )
+from oracles import benchmark_spec
 
 BUILTINS = ("bachelier_put", "controlled_drift_abs", "decaying_obstacle")
 
@@ -144,26 +149,25 @@ def test_coefficient_evaluation_shapes():
 
 def test_time_dependence_flags():
     flat = build_builtin("bachelier_put").coefficients
-    assert flat.h_t_free and flat.f_t_free and flat.gamma_t_free
+    assert [flat.reads(name) for name in ("sigma", "f", "gamma", "g", "h")] == [set(), set(), set(), {"x"}, {"x"}]
     decaying = build_builtin("decaying_obstacle").coefficients
-    assert not decaying.h_t_free
-    assert decaying.f_t_free and decaying.gamma_t_free
-    assert flat.sigma_constant and decaying.sigma_constant
+    assert decaying.reads("h") == {"t", "x"}
+    assert not decaying.reads("sigma") and not decaying.reads("f") and not decaying.reads("gamma")
 
 
-@pytest.mark.parametrize(
-    "h, dim, params, expected",
-    [
-        ("h_floor", 1, {"h_floor": 0.8}, True),
-        ("1+t", 1, {}, True),
-        ("xs", 1, {"xs": 2.0}, True),
-        ("x1", 1, {}, False),
-        ("0*x1", 1, {}, False),
-        ("max(x2,0)", 2, {}, False),
-    ],
-)
-def test_state_free_obstacle_flag(h, dim, params, expected):
-    coeffs = compile_coefficients(
+# (h, dim, params, whether h reads no x)
+OBSTACLE_CASES = [
+    ("h_floor", 1, {"h_floor": 0.8}, True),
+    ("1+t", 1, {}, True),
+    ("xs", 1, {"xs": 2.0}, True),
+    ("x1", 1, {}, False),
+    ("0*x1", 1, {}, False),
+    ("max(x2,0)", 2, {}, False),
+]
+
+
+def _obstacle_case(h, dim, params):
+    return compile_coefficients(
         dim=dim,
         sigma_exprs=tuple("1" if i == j else "0" for i in range(dim) for j in range(dim)),
         f_exprs=("0",) * dim,
@@ -173,7 +177,115 @@ def test_state_free_obstacle_flag(h, dim, params, expected):
         params=params,
         ka=1,
     )
-    assert coeffs.h_x_free is expected
+
+
+@pytest.mark.parametrize("h, dim, params, expected", OBSTACLE_CASES)
+def test_state_free_obstacle_flag(h, dim, params, expected):
+    assert ("x" not in _obstacle_case(h, dim, params).reads("h")) is expected
+
+
+FORMER_FLAGS = ("sigma_constant", "sigma_diagonal", "f_t_free", "gamma_t_free", "h_t_free", "h_x_free")
+
+# the six flags each field stored before they were derived, in FORMER_FLAGS order
+FORMER_FLAG_VALUES = {
+    "bachelier_put": (1, 1, 1, 1, 1, 0),
+    "decaying_obstacle": (1, 1, 1, 1, 0, 0),
+    "controlled_drift_abs-d1": (1, 1, 1, 1, 1, 1),
+    "controlled_drift_abs-d2": (1, 1, 1, 1, 1, 1),
+    "controlled_drift_abs-d5": (1, 1, 1, 1, 1, 1),
+    "triangle-1d": (1, 1, 1, 1, 1, 1),
+    "rbsde-5d": (1, 1, 1, 1, 1, 1),
+    "policy-2d-localvol": (0, 1, 1, 1, 0, 0),
+    "drift-reward": (1, 1, 1, 1, 1, 1),
+    "constant-drift": (1, 1, 1, 1, 1, 1),
+    "free-put": (1, 1, 1, 1, 1, 1),
+    "h=h_floor": (1, 1, 1, 1, 1, 1),
+    "h=1+t": (1, 1, 1, 1, 0, 1),
+    "h=xs": (1, 1, 1, 1, 1, 1),
+    "h=x1": (1, 1, 1, 1, 1, 0),
+    "h=0*x1": (1, 1, 1, 1, 1, 0),
+    "h=max(x2,0)": (1, 1, 1, 1, 1, 0),
+}
+
+
+def _fact_case(name):
+    if name.startswith("h="):
+        return next(_obstacle_case(h, dim, params) for h, dim, params, _ in OBSTACLE_CASES if name == f"h={h}")
+    if name in ("triangle-1d", "rbsde-5d", "policy-2d-localvol"):
+        return benchmark_spec(name).coefficients
+    if name.startswith("controlled_drift_abs"):
+        return build_builtin("controlled_drift_abs", {"d": int(name[-1])}).coefficients
+    custom = {
+        "drift-reward": acceptance._drift_reward_spec,
+        "constant-drift": lambda: acceptance._constant_drift_spec(0.5),
+        "free-put": lambda: acceptance._free_put_spec(0.0),
+    }
+    return (custom[name]() if name in custom else build_builtin(name)).coefficients
+
+
+@pytest.mark.parametrize("name", sorted(FORMER_FLAG_VALUES))
+def test_derived_facts_equal_the_former_flags(name):
+    c = _fact_case(name)
+    facts = (
+        not c.reads("sigma"),
+        c.sigma_diagonal,
+        "t" not in c.reads("f"),
+        "t" not in c.reads("gamma"),
+        "t" not in c.reads("h"),
+        "x" not in c.reads("h"),
+    )
+    assert tuple(int(f) for f in facts) == FORMER_FLAG_VALUES[name]
+
+
+@pytest.mark.parametrize("flag", FORMER_FLAGS)
+def test_structure_is_not_an_option(flag):
+    c = build_builtin("bachelier_put").coefficients
+    with pytest.raises((TypeError, ValueError)):
+        CoefficientField(sigma=c.sigma, f=c.f, gamma=c.gamma, g=c.g, h=c.h, **{flag: True})
+    with pytest.raises((TypeError, ValueError)):
+        dataclasses.replace(c, **{flag: True})
+
+
+def test_replace_derives_the_facts_again():
+    c = build_builtin("controlled_drift_abs").coefficients
+    assert c.reads("h") == set() and c.sigma_diagonal
+    assert dataclasses.replace(c, h_expr="x1").reads("h") == {"x"}
+    assert dataclasses.replace(c, h_expr="h_floor*t").reads("h") == {"t"}
+    # without an expression, a coefficient reads both
+    assert dataclasses.replace(c, h_expr=None).reads("h") == {"t", "x"}
+    assert not dataclasses.replace(c, sigma_exprs=None).sigma_diagonal
+    # control components are not state
+    assert c.reads("f") == set()
+
+
+PUT_LIKE = {
+    "dim": 1,
+    "T": 1.0,
+    "sigma": ("0.2",),
+    "f": ("0",),
+    "gamma": "0",
+    "g": "max(1-x1,0)",
+    "h": "max(1-x1,0)",
+    "controls": [[0.0]],
+    "growth": {"C_f": 0.0, "C_sigma_inv": 5.0, "C_poly": 1.0, "p": 1.0},
+    "lo": -3.0,
+    "hi": 5.0,
+}
+
+
+def test_a_parameter_named_x1_is_refused_not_read_as_a_constant_obstacle():
+    # once built, h would read the state but count as state-free, so the
+    # backward pass would store h of the first path for every path
+    with pytest.raises(ValueError, match="shadow"):
+        build_builtin("custom", {**PUT_LIKE, "params": {"x1": 2.0}})
+
+
+@pytest.mark.parametrize("name", ["t", "x0", "x12", "a1"])
+def test_parameter_names_that_shadow_a_variable_are_refused(name):
+    with pytest.raises(ValueError, match="shadow"):
+        build_builtin("custom", {**PUT_LIKE, "params": {name: 2.0}})
+    # a name that only starts like a variable is a parameter
+    assert build_builtin("custom", {**PUT_LIKE, "h": f"{name}y", "params": {f"{name}y": 0.5}})
 
 
 def test_dominating_generator_closed_form():

@@ -34,12 +34,13 @@ def test_pde_variants_digest_each_solve_and_repeat(capsys):
         "controlled_drift_abs-nx81-trunc22",
         "controlled_drift_abs-d2-nx41-dominating",
         "correlated-d2-nx41",
+        "state-sigma-d1-nx81",
     )
     for name in solves:
         for part in ("nt", "scheme_meta.cfl_ratio", "values", "binding", "argmax", "stop_mask"):
             assert len(first[f"{name}.{part}"]) == 64
     assert "controlled_drift_abs-nx81-trunc22.scheme_meta.trunc[0]" in first
-    assert len({first[f"{name}.values"] for name in solves}) == 4
+    assert len({first[f"{name}.values"] for name in solves}) == len(solves)
     assert tool.run_pde_variants() == first
     assert tool.main(["--workload", "pde-variants"]) == 0
     assert json.loads(capsys.readouterr().out)["workloads"] == {"pde-variants": first}
@@ -54,13 +55,14 @@ def test_mc_variants_digest_each_solve_and_repeat(capsys):
         "controlled_drift_abs-h0.8-x1.5-local25-trunc22",
         "controlled_drift_abs-h1.2-x0-poly3-dominating",
         "bachelier_put-x1-poly3",
+        "constant-correlated-d2-poly3",
     )
     assert len(first) == 4 * len(solves)
     for name in solves:
         for part in ("y_nodes", "k_increments", "y0", "y0_samples"):
             assert len(first[f"{name}.{part}"]) == 64
     for part in ("y_nodes", "k_increments"):
-        assert len({first[f"{name}.{part}"] for name in solves}) == 3
+        assert len({first[f"{name}.{part}"] for name in solves}) == len(solves)
     assert tool.run_mc_variants() == first
     assert tool.main(["--workload", "mc-variants"]) == 0
     assert json.loads(capsys.readouterr().out)["workloads"] == {"mc-variants": first}

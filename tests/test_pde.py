@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from ctrlstop.pde import (
     solve,
 )
 from ctrlstop.strategy import evaluate
+from oracles import benchmark_spec
 
 CLOSED_FORM_ATM_PUT = 0.0797884560802865  # sigma sqrt(T / (2 pi)) at K = x0
 
@@ -70,8 +74,8 @@ def _replay(spec, field, trunc=None, generator="hstar"):
     h_all = np.empty((grid.nt + 1, *grid.shape))
     for i in range(grid.nt):
         vtilde[i] = sch.step(field.values[i + 1], float(times[i + 1]))[0]
-        h_all[i] = sch.h_slice(float(times[i]))
-    h_all[grid.nt] = sch.h_slice(float(times[grid.nt]))
+        h_all[i] = sch.at("h", float(times[i]))
+    h_all[grid.nt] = sch.at("h", float(times[grid.nt]))
     return vtilde, h_all
 
 
@@ -432,7 +436,7 @@ def test_comparison_check_detects_order_both_ways():
 
 def test_comparison_check_clears_the_obstacle_flags_of_its_replaced_h(monkeypatch):
     spec = build_builtin("controlled_drift_abs", {"h_floor": 0.8})
-    assert spec.coefficients.h_x_free and spec.coefficients.h_t_free
+    assert spec.coefficients.reads("h") == set()
     seen = []
     real_solve = pde.solve
 
@@ -444,7 +448,52 @@ def test_comparison_check_clears_the_obstacle_flags_of_its_replaced_h(monkeypatc
     pair = (lambda X: spec.g(X), lambda t, X: spec.h(t, X))
     comparison_check(spec, make_grid(spec, 41), [(pair, pair)])
     assert len(seen) == 2
-    assert not any(c.h_x_free or c.h_t_free for c in seen)
+    # the replaced g and h have no expression, so they read both t and x
+    assert all(c.reads("h") == c.reads("g") == {"t", "x"} for c in seen)
+
+
+def test_time_free_state_dependent_sigma_is_built_once_with_the_same_bits():
+    spec = _custom(
+        sigma=["0.3+0.1*tanh(x1)"], f=["a1"], g="abs(x1)", h="0.5", controls=[[-1.0], [0.0], [1.0]],
+        growth={"C_f": 1.0, "C_sigma_inv": 5.0, "C_poly": 10.0, "p": 1.0},
+    )
+    assert spec.coefficients.reads("sigma") == {"x"}
+    times = []
+
+    def counted(sigma):
+        def wrapped(t, X):
+            times.append(t)
+            return sigma(t, X)
+
+        return wrapped
+
+    def with_sigma(**over):
+        return dataclasses.replace(spec, coefficients=dataclasses.replace(spec.coefficients, **over))
+
+    grid = make_grid(spec, 81)
+    hoisted = solve(with_sigma(sigma=counted(spec.coefficients.sigma)), grid)
+    assert times == [0.0]
+    times.clear()
+    # an expression-less twin reads t as far as anyone can tell, so it is built per slice
+    per_slice = solve(with_sigma(sigma=counted(spec.coefficients.sigma), sigma_exprs=None), grid)
+    assert len(times) == grid.nt
+    for name in ("values", "control", "binding"):
+        assert getattr(hoisted, name).tobytes() == getattr(per_slice, name).tobytes()
+
+
+@pytest.mark.parametrize("name", ["decaying_obstacle", "policy-2d-localvol"])
+def test_a_solve_leaves_no_reference_cycle(name):
+    """The scheme holds values, not closures over itself, so it is freed without a GC pass."""
+    spec = build_builtin("decaying_obstacle", {"beta": 2.0}) if name == "decaying_obstacle" else benchmark_spec(name)
+    gc.collect()
+    gc.disable()
+    try:
+        grid = make_grid(spec, 41)
+        assert gc.collect() == 0
+        solve(spec, grid)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("d", [1, 2])

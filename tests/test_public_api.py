@@ -38,6 +38,10 @@ REMOVED_OPTIONS = {
     ("ctrlstop.mc", "BackwardSolveResult"): ("z_nodes", "basis", "trunc", "generator"),
     ("ctrlstop.strategy", "optimality_gap"): ("challengers", "scheme_budget_rel"),
     ("ctrlstop.strategy", "martingale_check"): ("q",),
+    # derived from the expressions on construction: CoefficientField.reads and sigma_diagonal
+    ("ctrlstop.model", "CoefficientField"): (
+        "sigma_constant", "sigma_diagonal", "f_t_free", "gamma_t_free", "h_t_free", "h_x_free",
+    ),
 }
 
 

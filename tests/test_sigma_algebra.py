@@ -1,4 +1,4 @@
-"""Per-row sigma algebra: the diagonal flag, ``sigma_solve`` and ``sigma_apply``.
+"""Per-row sigma algebra: the derived ``sigma_diagonal``, ``sigma_solve`` and ``sigma_apply``.
 
 A diagonal sigma is divided through instead of factorised, and every product
 with sigma is one zero-started, j-ascending sum.  The tests pin both to the
@@ -45,7 +45,7 @@ def _custom(sigma, params=None, dim=2, f=("a1", "a2")):
     )
 
 
-# -- the flag ------------------------------------------------------------------
+# -- the derived sigma_diagonal ------------------------------------------------
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
@@ -164,7 +164,7 @@ def test_zero_on_the_diagonal_raises_like_gesv():
 @settings(max_examples=25, deadline=None)
 @given(d=st.integers(1, 3), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
 def test_diagonal_division_matches_the_lapack_path_end_to_end(d, n, seed):
-    """A diagonal spec gives the bits of the same spec with the flag cleared."""
+    """A diagonal spec gives the bits of its expression-less twin, which takes LAPACK."""
     rng = np.random.default_rng(seed)
     sigma = [
         f"{rng.uniform(0.5, 2.0)!r}+0.3*tanh(x{i + 1}-{rng.uniform(-1, 1)!r}*t)" if i == j else "0"
@@ -174,9 +174,8 @@ def test_diagonal_division_matches_the_lapack_path_end_to_end(d, n, seed):
     f = tuple(f"{rng.uniform(-2, 2)!r}*a1+{rng.uniform(-1, 1)!r}*x{j + 1}*a2" for j in range(d))
     spec = _custom(sigma, dim=d, f=f)
     assert spec.coefficients.sigma_diagonal
-    lapack = dataclasses.replace(
-        spec, coefficients=dataclasses.replace(spec.coefficients, sigma_diagonal=False)
-    )
+    lapack = dataclasses.replace(spec, coefficients=dataclasses.replace(spec.coefficients, sigma_exprs=None))
+    assert not lapack.coefficients.sigma_diagonal
     X = rng.uniform(-2.0, 2.0, size=(n, d))
     Z = rng.standard_normal((n, d)) * np.exp(rng.uniform(-3.0, 3.0, size=(n, 1)))
     ts = rng.uniform(0.0, 1.0, size=n)

@@ -257,7 +257,7 @@ def correlated():
             "hi": 4.0,
         },
     )
-    assert spec.coefficients.sigma_constant and not spec.coefficients.sigma_diagonal
+    assert not spec.coefficients.reads("sigma") and not spec.coefficients.sigma_diagonal
     return spec
 
 

@@ -19,13 +19,15 @@ package nor the benchmark is edited.
 
 The ``pde-variants`` entry, part of ``--workload all``, covers PDE solves the
 pipelines never reach: fixed small grids under the dominating generator, a
-truncation and a correlated sigma.  For each it digests the grid's nt, the
-scheme metadata, the field and its projection record, and the extracted
-policy's argmax and stop mask; seed and size divisor do not apply.  The
+truncation, a correlated sigma and a sigma that reads the state but not t,
+built once per solve.  For each it digests the grid's nt, the scheme
+metadata, the field and its projection record, and the extracted policy's
+argmax and stop mask; seed and size divisor do not apply.  The
 ``mc-variants`` entry does the same for backward passes the pipelines never
 reach: fixed small path batches solved under a truncation, under the
-dominating generator and with an obstacle that reads the state, digesting Y,
-the reflections, y0 and its per-path samples.
+dominating generator, with an obstacle that reads the state and with a
+constant correlated sigma, digesting Y, the reflections, y0 and its
+per-path samples.
 
 Two trees compute the same bits exactly when their outputs diff clean, so
 running this on a copy of the parent commit and on a change is the evidence
@@ -44,6 +46,7 @@ import contextlib
 import dataclasses
 import hashlib
 import importlib
+import itertools
 import json
 import subprocess
 import sys
@@ -154,25 +157,33 @@ def run_workload(name: str, seed: int, shrink: int) -> dict:
     return dict(sorted(digests.items()))
 
 
-def _pde_variants():
-    """(key, spec, nx, trunc, generator) of each fixed PDE solve."""
-    correlated = build_builtin(
+def _drift_spec(name: str, sigma: tuple[str, ...], C_sigma_inv: float):
+    """Drift a in {-1, 0, 1}^d, reward |x| at T and a floor of 0.8, under ``sigma`` (d = 1 or 2)."""
+    d = 1 if len(sigma) == 1 else 2
+    return build_builtin(
         "custom",
         {
-            "name": "correlated-d2",
-            "dim": 2,
+            "name": name,
+            "dim": d,
             "T": 1.0,
-            "sigma": ("1", "0.3", "0.3", "1"),
-            "f": ("a1", "a2"),
+            "sigma": sigma,
+            "f": ("a1", "a2")[:d],
             "gamma": "0",
-            "g": "sqrt(x1*x1+x2*x2)",
+            "g": "sqrt(x1*x1+x2*x2)" if d == 2 else "abs(x1)",
             "h": "0.8",
-            "controls": [[a1, a2] for a1 in (-1.0, 0.0, 1.0) for a2 in (-1.0, 0.0, 1.0)],
-            "growth": {"C_f": 1.5, "C_sigma_inv": 1.5, "C_poly": 10.0, "p": 1.0},
+            "controls": [list(a) for a in itertools.product((-1.0, 0.0, 1.0), repeat=d)],
+            "growth": {"C_f": 1.5, "C_sigma_inv": C_sigma_inv, "C_poly": 10.0, "p": 1.0},
             "lo": -4.0,
             "hi": 4.0,
         },
     )
+
+
+def _pde_variants():
+    """(key, spec, nx, trunc, generator) of each fixed PDE solve."""
+    correlated = _drift_spec("correlated-d2", ("1", "0.3", "0.3", "1"), 1.5)
+    # reads x but not t, so the sweep builds its diffusion once
+    state_sigma = _drift_spec("state-sigma-d1", ("0.3+0.1*tanh(x1)",), 5.0)
     decaying = build_builtin("decaying_obstacle", {"beta": 2.0})
     drift_1d = build_builtin("controlled_drift_abs", {"h_floor": 0.8})
     drift_2d = build_builtin("controlled_drift_abs", {"d": 2, "h_floor": 0.8})
@@ -181,6 +192,7 @@ def _pde_variants():
         ("controlled_drift_abs-nx81-trunc22", drift_1d, 81, TruncationIndex(2, 2), "hstar"),
         ("controlled_drift_abs-d2-nx41-dominating", drift_2d, 41, None, "dominating"),
         ("correlated-d2-nx41", correlated, 41, None, "hstar"),
+        ("state-sigma-d1-nx81", state_sigma, 81, None, "hstar"),
     )
 
 
@@ -207,8 +219,10 @@ def _mc_variants():
 
     x0 = 1.5 puts about a third of the paths beyond the radius-2 cutoff by T,
     so the truncation moves the solve; the obstacle binds on every batch.
-    The put's obstacle reads x, so its solve stores h per path; the other two
-    obstacles are constant floors, stored once per node.
+    The put's obstacle reads x, so its solve stores h per path; the other
+    obstacles are constant floors, stored once per node.  The constant
+    correlated sigma takes H*'s one solve for all rows, and its paths take
+    ``sigma_apply``'s full sum.
     """
     return (
         ("controlled_drift_abs-h0.8-x1.5-local25-trunc22", build_builtin("controlled_drift_abs", {"h_floor": 0.8}),
@@ -217,6 +231,8 @@ def _mc_variants():
          0.0, RegressionBasis(kind="polynomial", degree=3), None, "dominating"),
         ("bachelier_put-x1-poly3", build_builtin("bachelier_put"),
          1.0, RegressionBasis(kind="polynomial", degree=3), None, "hstar"),
+        ("constant-correlated-d2-poly3", _drift_spec("constant-correlated-d2", ("0.9", "0.3", "-0.2", "0.7"), 1.5),
+         0.0, RegressionBasis(kind="polynomial", degree=3), None, "hstar"),
     )
 
 
