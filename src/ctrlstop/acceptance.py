@@ -186,8 +186,7 @@ def _check_truncation_ladders(shared):
     spec = _drift_reward_spec()
     grid = pde.make_grid(spec, 161)
     report = pde.ladder(spec, grid, n_list=(1, 2, 4), m_list=(1, 2, 4))
-    cover = int(math.ceil(spec.domain.radius)) + 1
-    exact = pde.solve(spec, grid, trunc=TruncationIndex(cover, cover))
+    exact = pde.solve(spec, grid, trunc=TruncationIndex.covering(spec.domain.radius))
     base = pde.solve(spec, grid)
     pde_exhaust = bool(np.array_equal(exact.values, base.values))
 
@@ -195,8 +194,8 @@ def _check_truncation_ladders(shared):
     batch = simulate_uncontrolled(spec, 0.0, np.array([0.0]), tg, 20_000, seed=21)
     basis = mc.RegressionBasis(cells_per_axis=25)
     mrep = mc.truncation_ladder_mc(spec, batch, basis, n_list=(1, 2, 4), m_list=(1, 2, 4))
-    nbig = int(math.ceil(float(np.max(np.abs(batch.states))))) + 1
-    big_y0 = mc.solve_rbsde(spec, batch, basis, trunc=TruncationIndex(nbig, nbig)).y0
+    cover = TruncationIndex.covering(float(np.max(np.abs(batch.states))))
+    big_y0 = mc.solve_rbsde(spec, batch, basis, trunc=cover).y0
     mc_exhaust = big_y0 == mrep.y0_untruncated
 
     ok = (

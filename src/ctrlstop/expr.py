@@ -186,10 +186,6 @@ class ExpressionTree:
         self._root.names(out)
         return frozenset(out)
 
-    @property
-    def is_constant(self) -> bool:
-        return not self.variables
-
     def __repr__(self):
         return f"ExpressionTree({self.source!r})"
 

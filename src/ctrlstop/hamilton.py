@@ -17,6 +17,8 @@ which the finite-difference step records its control.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,7 @@ __all__ = [
     "GENERATORS",
     "check_generator",
     "TruncationIndex",
+    "ladder_pairs",
     "sup_hamiltonian_batch",
     "cutoff_batch",
     "truncate_values",
@@ -50,6 +53,32 @@ class TruncationIndex:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("truncation radii must be >= 1")
+
+    @classmethod
+    def covering(cls, radius: float) -> TruncationIndex:
+        """The smallest pair of integer radii that ``covers`` ``radius``."""
+        r = math.ceil(radius) + 1
+        return cls(r, r)
+
+    def covers(self, radius: float) -> bool:
+        """Both radii reach radius + 1, so neither cutoff acts on |x| <= radius."""
+        return self.n >= radius + 1.0 and self.m >= radius + 1.0
+
+
+def ladder_pairs(n_list, m_list):
+    """Yield (axis, fixed, low, high, below, above) for each comparison of a truncation ladder.
+
+    The truncated value rises with n and falls with m, so the solve at key
+    ``below`` is dominated by the one at ``above`` (keys are (n, m)): first
+    each consecutive pair in n for every m, then each consecutive pair in m
+    for every n, in the order of the sorted lists.
+    """
+    for m in m_list:
+        for n1, n2 in itertools.pairwise(n_list):
+            yield "n", m, n1, n2, (n1, m), (n2, m)
+    for n in n_list:
+        for m1, m2 in itertools.pairwise(m_list):
+            yield "m", n, m1, m2, (n, m2), (n, m1)
 
 
 def check_generator(generator: str, trunc: TruncationIndex | None) -> None:

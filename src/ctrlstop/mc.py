@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamilton import TruncationIndex, check_generator, cutoff_batch, sup_hamiltonian_batch, truncate_values
+from .hamilton import TruncationIndex, check_generator, cutoff_batch, ladder_pairs, sup_hamiltonian_batch, truncate_values
 from .model import Box, ProblemSpec, dominating_generator_batch
 from .paths import PathBatch, _step
 
@@ -355,27 +355,16 @@ def truncation_ladder_mc(
 
     npaths = batch.count
     comparisons = []
-
-    def paired(axis, fixed, low, high, lo_key, hi_key):
-        # ordering: value at hi_key should dominate value at lo_key
-        diff = samples[hi_key] - samples[lo_key]
+    for axis, fixed, low, high, below, above in ladder_pairs(n_list, m_list):
+        diff = samples[above] - samples[below]
         se = float(np.std(diff, ddof=1) / math.sqrt(npaths)) if npaths > 1 else 0.0
         comparisons.append(
             MCLadderComparison(axis=axis, fixed=fixed, low=low, high=high,
                                mean_diff=float(np.mean(diff)), se=se)
         )
 
-    for mm in m_list:
-        for n1, n2 in itertools.pairwise(n_list):
-            paired("n", mm, n1, n2, (n1, mm), (n2, mm))
-    for nn in n_list:
-        for m1, m2 in itertools.pairwise(m_list):
-            # antitone in m: the smaller m dominates
-            paired("m", nn, m1, m2, (nn, m2), (nn, m1))
-
     exhaustion = None
-    cover = spec.domain.radius + 1.0
-    big = [key for key in y0 if key[0] >= cover and key[1] >= cover]
+    big = [key for key in y0 if TruncationIndex(*key).covers(spec.domain.radius)]
     if big:
         exhaustion = min(abs(y0[key] - base_y0) for key in big)
 

@@ -73,13 +73,6 @@ class ControlSet:
     def ka(self) -> int:
         return self.points.shape[1]
 
-    def index_of(self, a) -> int:
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        hits = np.where(np.all(self.points == a[None, :], axis=1))[0]
-        if hits.size == 0:
-            raise ValueError(f"control {a!r} is not in the control set")
-        return int(hits[0])
-
 
 @dataclass(frozen=True)
 class Growth:
@@ -136,14 +129,12 @@ class Box:
 class CoefficientField:
     """Vectorised model coefficients plus optional expression metadata.
 
-    sigma: (t, X[n,d]) -> [n,d,d];  f: (t, X[n,d], a[ka]) -> [n,d];
-    gamma: (t, X[n,d], a[ka]) -> [n];  g: (X[n,d]) -> [n];  h: (t, X[n,d]) -> [n].
+    sigma: (t, X[n,d]) -> [n,d,d];  g: (X[n,d]) -> [n];  h: (t, X[n,d]) -> [n].
 
-    Given the whole control set a[k,ka] instead of one control, f returns
-    [k, n|1, d] and gamma [k, n|1]; the middle axis has length 1 when the
-    coefficient ignores the state.  With ``rows=True``, a[n,ka] holds one
-    control per row of X and f returns [n, d], gamma [n].  ``t`` is a scalar
-    or one time per row.
+    f and gamma take a control table A[k,ka] and return one entry per
+    control, f [k, n|1, d] and gamma [k, n|1]; the middle axis has length 1
+    when the coefficient ignores the state.  ``t`` is a scalar or one time
+    per row.  g and h may return a scalar, which ``ProblemSpec`` broadcasts.
 
     ``reads(name)`` and ``sigma_diagonal`` are derived from the expressions
     on construction, so also by ``dataclasses.replace``; a coefficient
@@ -210,18 +201,6 @@ class ProblemSpec:
         out = np.asarray(self.coefficients.sigma(t, X), dtype=float)
         return _shaped(out, (X.shape[0], self.dim, self.dim))
 
-    def f(self, t: float, X: np.ndarray, a) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        out = np.asarray(self.coefficients.f(t, X, a), dtype=float)
-        return _shaped(out, (X.shape[0], self.dim))
-
-    def gamma(self, t: float, X: np.ndarray, a) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        out = np.asarray(self.coefficients.gamma(t, X, a), dtype=float)
-        return _shaped(out, (X.shape[0],))
-
     def g(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.asarray(self.coefficients.g(X), dtype=float)
@@ -235,8 +214,9 @@ class ProblemSpec:
     def control_table(self, t, X: np.ndarray):
         """Drift [k, n|1, d] and running reward [k, n|1] for every control.
 
-        One call per coefficient; a coefficient that ignores the state keeps
-        a single row, so callers can contract it with a matmul.
+        The one evaluation of f and gamma: one call per coefficient; a
+        coefficient that ignores the state keeps a single row, so callers
+        can contract it with a matmul.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         k, n = self.controls.k, X.shape[0]
@@ -246,26 +226,21 @@ class ProblemSpec:
         G = np.broadcast_to(G, (k, 1 if G.ndim == 2 and G.shape[1] == 1 else n))
         return F, G
 
-    def control_rows(self, t, X: np.ndarray, idx, *, drift: bool = True, reward: bool = True):
+    def control_rows(self, t, X: np.ndarray, idx):
         """Drift [n, d] and running reward [n], row i under control points[idx[i]].
 
-        One call per coefficient with a_j bound to the column points[idx, j],
-        so the work is n rows whatever the coefficient reads.  A part turned
-        off with ``drift``/``reward`` is not evaluated and comes back as None.
+        Row i of table entry idx[i], gathered from one ``control_table``
+        call; a part with one row per control is taken whole.  For a
+        coefficient that reads x the table costs k times the per-row work.
         An index outside [0, k) raises ValueError instead of wrapping around.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.controls.k):
             raise ValueError(f"control indices must lie in [0, {self.controls.k})")
-        A = np.take(self.controls.points, idx, axis=0)
-        n = X.shape[0]
-        F = G = None
-        if drift:
-            F = _shaped(np.asarray(self.coefficients.f(t, X, A, rows=True), dtype=float), (n, self.dim))
-        if reward:
-            G = _shaped(np.asarray(self.coefficients.gamma(t, X, A, rows=True), dtype=float), (n,))
-        return F, G
+        return tuple(
+            np.take(T[:, 0], idx, axis=0) if T.shape[1] == 1 else T[idx, np.arange(idx.size)]
+            for T in self.control_table(t, X)
+        )
 
     def sigma_solve(self, sig: np.ndarray, V: np.ndarray, *, transpose: bool = False) -> np.ndarray:
         """Rows of sigma^{-1} V (sigma^{-T} V with ``transpose``); sig [n,d,d], V [n,d].
@@ -320,24 +295,18 @@ def _reads(exprs) -> frozenset[str]:
     return frozenset(v[0] for v in names if _VARIABLE.fullmatch(v)) - {"a"}
 
 
-def _env(params, t=None, X=None, a=None, rows=False):
-    """Variable bindings; a control table a[k,ka] binds a_j to a [k,1] column
-    and x_j to a [1,n] row, so values broadcast to [k, n|1].  With ``rows``,
-    a[n,ka] gives each state row its own control and a_j binds to the
-    column a[:, j], aligned with x_j."""
+def _env(params, t=None, X=None, A=None):
+    """Variable bindings; with a control table A[k,ka], a_j binds to a [k,1]
+    column and x_j to a [1,n] row, so values broadcast to [k, n|1]."""
     env = dict(params or {})
-    table = a is not None and a.ndim == 2 and not rows
     if t is not None:
         env["t"] = t
     if X is not None:
         for j in range(X.shape[1]):
-            env[f"x{j + 1}"] = X[None, :, j] if table else X[:, j]
-    if a is not None:
-        for j in range(a.shape[-1]):
-            if table:
-                env[f"a{j + 1}"] = a[:, j : j + 1]
-            else:
-                env[f"a{j + 1}"] = a[:, j] if rows else a[j]
+            env[f"x{j + 1}"] = X[:, j] if A is None else X[None, :, j]
+    if A is not None:
+        for j in range(A.shape[1]):
+            env[f"a{j + 1}"] = A[:, j : j + 1]
     return env
 
 
@@ -347,13 +316,6 @@ def _assemble_columns(n, values):
     for j, val in enumerate(values):
         out[:, j] = val
     return out
-
-
-def _broadcast_scalar(val, n):
-    arr = np.asarray(val, dtype=float)
-    if arr.ndim == 0:
-        return np.full(n, float(arr))
-    return arr
 
 
 def compile_coefficients(
@@ -396,25 +358,21 @@ def compile_coefficients(
             env = _env(params, t=t, X=X)
             return _assemble_columns(n, [tr(env) for tr in sig_trees]).reshape(n, dim, dim)
 
-    def f_fn(t, X, a, rows=False):
-        env = _env(params, t=t, X=X, a=a, rows=rows)
+    def f_fn(t, X, A):
+        env = _env(params, t=t, X=X, A=A)
         comps = [tr(env) for tr in f_trees]
-        if a.ndim == 2 and not rows:
-            shape = np.broadcast_shapes((a.shape[0], 1), *(np.shape(c) for c in comps))
-            return np.stack([np.broadcast_to(c, shape) for c in comps], axis=-1)
-        return _assemble_columns(X.shape[0], comps)
+        shape = np.broadcast_shapes((A.shape[0], 1), *(np.shape(c) for c in comps))
+        return np.stack([np.broadcast_to(c, shape) for c in comps], axis=-1)
 
-    def gamma_fn(t, X, a, rows=False):
-        val = gamma_tree(_env(params, t=t, X=X, a=a, rows=rows))
-        if a.ndim == 2 and not rows:
-            return np.broadcast_to(val, np.broadcast_shapes((a.shape[0], 1), np.shape(val)))
-        return _broadcast_scalar(val, X.shape[0])
+    def gamma_fn(t, X, A):
+        val = gamma_tree(_env(params, t=t, X=X, A=A))
+        return np.broadcast_to(val, np.broadcast_shapes((A.shape[0], 1), np.shape(val)))
 
     def g_fn(X):
-        return _broadcast_scalar(g_tree(_env(params, X=X)), X.shape[0])
+        return g_tree(_env(params, X=X))
 
     def h_fn(t, X):
-        return _broadcast_scalar(h_tree(_env(params, t=t, X=X)), X.shape[0])
+        return h_tree(_env(params, t=t, X=X))
 
     return CoefficientField(
         sigma=sigma_fn,
@@ -698,7 +656,7 @@ def validate(spec: ProblemSpec, samples: int = 4096, seed: int = 0) -> Validatio
         return float(conds[j]), SIGMA_COND_CAP, (float(ts[j]), *xs[j])
 
     def f_check():
-        fv, _ = spec.control_rows(ts, xs, ks, reward=False)
+        fv, _ = spec.control_rows(ts, xs, ks)
         if np.any(np.isnan(fv)):
             return np.inf, gr.C_f, ("non-finite f",)
         ratios = np.linalg.norm(fv, axis=1) / (1.0 + xnorm)
@@ -714,7 +672,7 @@ def validate(spec: ProblemSpec, samples: int = 4096, seed: int = 0) -> Validatio
         return float(ratios[j]), gr.C_poly, tag_points(j)
 
     def gamma_check():
-        _, vals = spec.control_rows(ts, xs, ks, drift=False)
+        _, vals = spec.control_rows(ts, xs, ks)
         if not np.all(np.isfinite(vals)):
             return np.inf, gr.C_poly, ("non-finite gamma",)
         return scalar_growth_check(vals, lambda j: (float(ts[j]), *xs[j], int(ks[j])))

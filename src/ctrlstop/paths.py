@@ -27,7 +27,9 @@ step.  The diffusion step sigma dB is ``model.sigma_apply``, or one product
 with the diagonal when sigma's expressions make it diagonal (the derived
 ``CoefficientField.sigma_diagonal``; same bits), and theta = sigma^{-1} f is
 ``ProblemSpec.sigma_solve``: one summation order and one inversion rule for
-every sigma.  Each step's log-density term is ``_log_density_step``'s.
+every sigma.  The drift of each row's control is ``ProblemSpec.control_rows``'s,
+gathered from the one control table.  Each step's log-density term is
+``_log_density_step``'s.
 """
 
 from __future__ import annotations
@@ -229,7 +231,7 @@ def simulate_controlled(
         X = states[i]
         idx = np.asarray(policy.control_indices(t, X), dtype=np.int64)
         controls[i] = idx
-        drift, _ = spec.control_rows(t, X, idx, reward=False)
+        drift, _ = spec.control_rows(t, X, idx)
         states[i + 1] = _euler(spec, t, X, dW[i], drift=drift, dt=grid.dt)
     return PathBatch(
         grid=grid,
@@ -246,7 +248,7 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _log_density_step(spec: ProblemSpec, t: float, X: np.ndarray, sig, idx, dB: np.ndarray, dt: float):
     """Rows of theta . dB - 0.5 |theta|^2 dt with theta = sigma^{-1} f(t, X, a_idx); ``sig`` is sigma(t, X)."""
-    fv, _ = spec.control_rows(t, X, idx, reward=False)
+    fv, _ = spec.control_rows(t, X, idx)
     theta = spec.sigma_solve(sig, fv)
     return _row_dot(theta, dB) - 0.5 * dt * _row_dot(theta, theta)
 

@@ -22,13 +22,12 @@ under the recorded CFL bound.  The spatial boundary uses a zero-gradient
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .hamilton import TruncationIndex, check_generator, cutoff_batch, first_maximiser, truncate_values
+from .hamilton import TruncationIndex, check_generator, cutoff_batch, first_maximiser, ladder_pairs, truncate_values
 from .hamilton import sup_hamiltonian_batch  # noqa: F401  unused; perfbench/spans.py wraps this binding
 from .model import Box, ProblemSpec, dominating_weights
 
@@ -456,28 +455,18 @@ def ladder(spec: ProblemSpec, grid: SpaceTimeGrid, n_list, m_list) -> LadderRepo
     base = solve(spec, grid)
     core = grid.core_mask()
 
-    fields = {}
-    for n in n_list:
-        for m in m_list:
-            fields[(n, m)] = solve(spec, grid, trunc=TruncationIndex(n=n, m=m)).values
-
+    fields = {(n, m): solve(spec, grid, trunc=TruncationIndex(n, m)).values for n in n_list for m in m_list}
     sup_gap = {
         key: float(np.max(np.abs(vals[:, core] - base.values[:, core])))
         for key, vals in fields.items()
     }
 
-    viol_n = 0.0
-    for m in m_list:
-        for n1, n2 in itertools.pairwise(n_list):
-            viol_n = max(viol_n, float(np.max(fields[(n1, m)] - fields[(n2, m)])))
-    viol_m = 0.0
-    for n in n_list:
-        for m1, m2 in itertools.pairwise(m_list):
-            viol_m = max(viol_m, float(np.max(fields[(n, m2)] - fields[(n, m1)])))
+    violation = {"n": 0.0, "m": 0.0}
+    for axis, _, _, _, below, above in ladder_pairs(n_list, m_list):
+        violation[axis] = max(violation[axis], float(np.max(fields[below] - fields[above])))
 
     exhaustion = None
-    cover = grid.box.radius + 1.0
-    big = [(n, m) for (n, m) in fields if n >= cover and m >= cover]
+    big = [key for key in fields if TruncationIndex(*key).covers(grid.box.radius)]
     if big:
         exhaustion = min(float(np.max(np.abs(fields[key] - base.values))) for key in big)
 
@@ -485,8 +474,8 @@ def ladder(spec: ProblemSpec, grid: SpaceTimeGrid, n_list, m_list) -> LadderRepo
         n_list=n_list,
         m_list=m_list,
         sup_gap_core=sup_gap,
-        violation_n=viol_n,
-        violation_m=viol_m,
+        violation_n=violation["n"],
+        violation_m=violation["m"],
         exhaustion_gap=exhaustion,
     )
 

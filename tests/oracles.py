@@ -8,7 +8,32 @@ from pathlib import Path
 
 import numpy as np
 
+from ctrlstop.expr import parse_expression
 from ctrlstop.paths import _log_density_step, _step
+
+
+def per_control(spec, t, X, a):
+    """Drift [n, d] and running reward [n] of every row of X under the one control ``a``.
+
+    The spec's f and gamma expression strings are parsed here and evaluated
+    one row at a time, x_j bound to a one-element array and a_j to a[j];
+    ``t`` is a scalar or one time per row.
+    """
+    c = spec.coefficients
+    f_trees = [parse_expression(e) for e in c.f_exprs]
+    gamma_tree = parse_expression(c.gamma_expr)
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    ts = np.broadcast_to(np.asarray(t, dtype=float), X.shape[:1])
+    F = np.empty(X.shape)
+    G = np.empty(X.shape[0])
+    for i in range(X.shape[0]):
+        env = {**(c.params or {}), "t": float(ts[i])}
+        env.update({f"x{j + 1}": X[i : i + 1, j] for j in range(X.shape[1])})
+        env.update({f"a{j + 1}": a[j] for j in range(a.size)})
+        F[i] = [np.broadcast_to(tree(env), (1,))[0] for tree in f_trees]
+        G[i] = np.broadcast_to(gamma_tree(env), (1,))[0]
+    return F, G
 
 
 def girsanov_log_terms(spec, batch) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Batched policy, forward and change-of-measure layers against per-control loops.
 
 Each oracle below evaluates the coefficients one control (or one slice) at a
-time, the way the layers did before they were batched; the batched layers
+time, the way the layers did before they were batched, with that control's
+index on every row of ``control_rows`` (whose values ``test_model.py``
+checks against ``oracles.per_control``); the batched layers
 must reproduce them bit for bit on a 2-d problem whose sigma depends on the
 state and on time.  The policy oracle replays each step of the sweep that
 recorded it.
@@ -98,15 +100,15 @@ def _replayed_control(spec, field):
         else:
             up, dn = [Wp[2:, 1:-1], Wp[1:-1, 2:]], [Wp[:-2, 1:-1], Wp[1:-1, :-2]]
         table = np.empty((spec.controls.k, *grid.shape))
-        for k, a in enumerate(spec.controls.points):
-            F = spec.f(t, X, a)
+        for k in range(spec.controls.k):
+            F, G = spec.control_rows(t, X, np.full(len(X), k))
             adv = np.zeros(grid.shape)
             for j in range(grid.dim):
                 Fj = F[:, j].reshape(grid.shape)
                 fwd = (up[j] - W) / grid.dxs[j]
                 bwd = (dn[j] - W) / grid.dxs[j]
                 adv = adv + np.maximum(Fj, 0.0) * fwd + np.maximum(-Fj, 0.0) * bwd
-            table[k] = adv + spec.gamma(t, X, a).reshape(grid.shape)
+            table[k] = adv + G.reshape(grid.shape)
         out[i] = first_maximiser(table)[1]
     return out
 
@@ -142,7 +144,7 @@ def _old_simulate(spec, policy, grid, count, seed):
         drift = np.zeros_like(X)
         for k in np.unique(idx):
             sel = idx == k
-            drift[sel] = spec.f(t, X[sel], spec.controls.points[k])
+            drift[sel] = spec.control_rows(t, X[sel], np.full(sel.sum(), k))[0]
         sig = spec.sigma(t, X)
         states[:, i + 1] = X + drift * grid.dt + np.einsum("nij,nj->ni", sig, dW[:, i])
     return states, controls
@@ -167,7 +169,7 @@ def _old_evaluate(spec, policy, grid, count, seed):
         idx = controls[:, i]
         for k in np.unique(idx[alive]):
             sel = alive & (idx == k)
-            running[sel] += spec.gamma(t, X[sel], spec.controls.points[int(k)]) * grid.dt
+            running[sel] += spec.control_rows(t, X[sel], np.full(sel.sum(), k))[1] * grid.dt
     terminal = np.zeros(count)
     if alive.any():
         terminal[alive] = spec.g(states[:, -1][alive])
@@ -202,7 +204,7 @@ def _old_log_terms(spec, batch):
         theta = np.zeros((n, d))
         for k in np.unique(idx):
             sel = idx == k
-            fv = spec.f(t, X[sel], spec.controls.points[k])
+            fv = spec.control_rows(t, X[sel], np.full(sel.sum(), k))[0]
             theta[sel] = np.linalg.solve(spec.sigma(t, X[sel]), fv[..., None])[..., 0]
         terms[:, i] = np.einsum("nd,nd->n", theta, batch.increments[:, i]) - 0.5 * batch.grid.dt * np.einsum(
             "nd,nd->n", theta, theta

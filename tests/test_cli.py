@@ -19,6 +19,8 @@ from ctrlstop.hamilton import TruncationIndex
 from ctrlstop.model import build_builtin
 from ctrlstop.paths import TimeGrid, simulate_controlled
 
+from oracles import per_control
+
 GOOD_FILE = """
 # a plain at-the-money put
 [problem] dim=1 T=1.0 name="demo"
@@ -49,9 +51,8 @@ def test_emit_parse_round_trip(name):
     for t in (0.0, 0.37):
         assert np.array_equal(again.sigma(t, X), spec.sigma(t, X))
         assert np.array_equal(again.h(t, X), spec.h(t, X))
-        for a in spec.controls.points:
-            assert np.array_equal(again.f(t, X, a), spec.f(t, X, a))
-            assert np.array_equal(again.gamma(t, X, a), spec.gamma(t, X, a))
+        for part, again_part in zip(spec.control_table(t, X), again.control_table(t, X)):
+            assert np.array_equal(again_part, part)
     assert np.array_equal(again.g(X), spec.g(X))
 
 
@@ -277,7 +278,7 @@ def _per_control_log_terms(spec, batch):
         theta = np.zeros((n, d))
         for k in np.unique(idx):
             sel = idx == k
-            fv = spec.f(t, X[sel], spec.controls.points[k])
+            fv = per_control(spec, t, X[sel], spec.controls.points[k])[0]
             theta[sel] = np.linalg.solve(spec.sigma(t, X[sel]), fv[..., None])[..., 0]
         terms[:, i] = np.einsum("nd,nd->n", theta, dB) - 0.5 * batch.grid.dt * np.einsum("nd,nd->n", theta, theta)
     return terms

@@ -50,15 +50,15 @@ def test_function_evaluation(text, expected):
 def test_variables_and_vectorised_eval():
     tree = parse_expression("a1*x1+t")
     assert tree.variables == {"a1", "x1", "t"}
-    assert not tree.is_constant
+    assert tree.variables
     x = np.array([1.0, 2.0, 3.0])
     out = tree({"a1": 2.0, "x1": x, "t": 10.0})
     assert np.array_equal(out, 2.0 * x + 10.0)
 
 
 def test_constant_detection():
-    assert parse_expression("2*3+1").is_constant
-    assert not parse_expression("x1").is_constant
+    assert not parse_expression("2*3+1").variables
+    assert parse_expression("x1").variables == {"x1"}
 
 
 def test_reference_interpretation_matches_numpy_bitwise():

@@ -13,12 +13,15 @@ from ctrlstop.hamilton import (
     _control_values,
     cutoff_batch,
     first_maximiser,
+    ladder_pairs,
     sup_hamiltonian_batch,
     tail_norms,
     truncate_values,
     unit_direction_batch,
 )
 from ctrlstop.model import build_builtin, validate
+
+from oracles import per_control
 
 
 def _first_maximisers(spec, t, X, Z):
@@ -92,8 +95,8 @@ def test_sup_matches_bruteforce_max(controlled):
         X = x[None, :]
         sig = controlled.sigma(0.1, X)[0]
         brute = max(
-            float(z @ np.linalg.solve(sig, controlled.f(0.1, X, a)[0]) + controlled.gamma(0.1, X, a)[0])
-            for a in controlled.controls.points
+            float(z @ np.linalg.solve(sig, F[0]) + G[0])
+            for F, G in (per_control(controlled, 0.1, X, a) for a in controlled.controls.points)
         )
         assert _one_row(controlled, 0.1, x, z)[0] == brute
 
@@ -206,8 +209,8 @@ def test_kernel_matches_bruteforce_solve_per_control(d, x_in_f, x_in_gamma, per_
         xi = X[i : i + 1]
         sig = spec.sigma(ti, xi)[0]
         terms = np.array([
-            (Z[i] @ np.linalg.solve(sig, spec.f(ti, xi, a)[0]), spec.gamma(ti, xi, a)[0])
-            for a in spec.controls.points
+            (Z[i] @ np.linalg.solve(sig, F[0]), G[0])
+            for F, G in (per_control(spec, ti, xi, a) for a in spec.controls.points)
         ])
         brute = terms.sum(axis=1)
         # relative to the size of the terms, which bounds the rounding of either order
@@ -283,6 +286,22 @@ def test_truncation_identity_inside_radius(controlled):
     assert truncated(3.5, 1.0) == 0.0
     # half damped at radius n + 1/2
     assert truncated(2.5, 1.0) == 0.5
+
+
+def test_ladder_pairs_and_the_exhaustion_cover():
+    # rising in n for each m, then falling in m for each n: ``below`` is dominated by ``above``
+    assert list(ladder_pairs((1, 2, 4), (1, 3))) == [
+        ("n", 1, 1, 2, (1, 1), (2, 1)),
+        ("n", 1, 2, 4, (2, 1), (4, 1)),
+        ("n", 3, 1, 2, (1, 3), (2, 3)),
+        ("n", 3, 2, 4, (2, 3), (4, 3)),
+        ("m", 1, 1, 3, (1, 3), (1, 1)),
+        ("m", 2, 1, 3, (2, 3), (2, 1)),
+        ("m", 4, 1, 3, (4, 3), (4, 1)),
+    ]
+    assert TruncationIndex.covering(4.0) == TruncationIndex.covering(3.2) == TruncationIndex(5, 5)
+    assert TruncationIndex(5, 5).covers(4.0) and TruncationIndex(5, 5).covers(3.2)
+    assert not TruncationIndex(5, 4).covers(4.0) and not TruncationIndex(4, 5).covers(3.2)
 
 
 def test_unit_direction_small_cases():

@@ -156,9 +156,8 @@ def test_dominating_generator_rejects_a_truncation():
 def test_truncation_is_bitwise_inert_once_cutoffs_cover_the_paths():
     spec = _drift_reward_spec()
     batch = _batch(spec, [0.0], steps=10, count=2000, seed=8)
-    nbig = int(np.ceil(np.max(np.abs(batch.states)))) + 1
     base = solve_rbsde(spec, batch)
-    damped = solve_rbsde(spec, batch, trunc=TruncationIndex(nbig, nbig))
+    damped = solve_rbsde(spec, batch, trunc=TruncationIndex.covering(float(np.max(np.abs(batch.states)))))
     assert np.array_equal(damped.y_nodes, base.y_nodes)
     assert np.array_equal(damped.k_increments, base.k_increments)
     tight = solve_rbsde(spec, batch, trunc=TruncationIndex(1, 1))

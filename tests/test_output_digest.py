@@ -92,3 +92,19 @@ def test_diff_digests_names_moved_and_one_sided_keys():
         "only-b w3 x",
     ]
     assert tool.diff_digests({}, {}) == []
+
+
+def test_forward_variants_digest_each_loop_and_repeat(capsys):
+    import json
+
+    tool = _load()
+    first = tool.run_forward_variants()
+    name = "state-drift-d1-nx81"
+    for part in ("values", "argmax", "stop_mask", "evaluate.mean", "evaluate.stderr", "martingale_check.mean"):
+        assert len(first[f"{name}.{part}"]) == 64
+    # the drift reads the state, so the forward loops gather from a [k, n, d] table
+    spec = tool._state_drift_spec()
+    assert spec.control_table(0.0, [[0.1], [0.2]])[0].shape == (3, 2, 1)
+    assert tool.run_forward_variants() == first
+    assert tool.main(["--workload", "forward-variants"]) == 0
+    assert json.loads(capsys.readouterr().out)["workloads"] == {"forward-variants": first}

@@ -122,7 +122,7 @@ def test_zero_drift_density_is_exactly_one(bachelier):
 
 def test_constant_drift_log_density_closed_form(controlled):
     g = TimeGrid(0.0, 1.0, 10)
-    push = ConstantPolicy(controlled.controls.index_of(1.0))
+    push = ConstantPolicy(int(np.flatnonzero(controlled.controls.points[:, 0] == 1.0)[0]))
     logs = girsanov_log_batch(controlled, push, 0.0, [0.0], g, 400, seed=5)
     increments = simulate_uncontrolled(controlled, 0.0, [0.0], g, 400, seed=5).increments
     # theta = 1: log M = sum dB - T/2
@@ -136,7 +136,7 @@ def test_constant_drift_log_density_closed_form(controlled):
 
 def test_density_is_a_discrete_martingale(controlled):
     g = TimeGrid(0.0, 1.0, 25)
-    push = ConstantPolicy(controlled.controls.index_of(1.0))
+    push = ConstantPolicy(int(np.flatnonzero(controlled.controls.points[:, 0] == 1.0)[0]))
     weights = np.exp(girsanov_log_batch(controlled, push, 0.0, [0.0], g, 20000, seed=6))
     mean = float(np.mean(weights))
     se = float(np.std(weights, ddof=1)) / np.sqrt(weights.size)
@@ -162,7 +162,7 @@ def test_log_batch_rows_match_single_path_batches(controlled):
 def test_controlled_drift_enters_the_mean(controlled):
     g = TimeGrid(0.0, 1.0, 20)
     push = simulate_controlled(
-        controlled, ConstantPolicy(controlled.controls.index_of(1.0)), 0.0, [0.0], g, 4000, seed=13
+        controlled, ConstantPolicy(int(np.flatnonzero(controlled.controls.points[:, 0] == 1.0)[0])), 0.0, [0.0], g, 4000, seed=13
     )
     end = np.mean(push.states[:, -1, 0])
     assert abs(end - 1.0) < 0.05

@@ -204,13 +204,13 @@ def _old_generator(spec, grid, W, t):
     fwd = [(up[j] - W) / grid.dxs[j] for j in range(grid.dim)]
     bwd = [(dn[j] - W) / grid.dxs[j] for j in range(grid.dim)]
     best = np.full(grid.shape, -np.inf)
-    for a in spec.controls.points:
-        F = spec.f(t, X, a)
+    for k in range(spec.controls.k):
+        F, G = spec.control_rows(t, X, np.full(len(X), k))
         adv = np.zeros(grid.shape)
         for j in range(grid.dim):
             Fj = F[:, j].reshape(grid.shape)
             adv = adv + np.maximum(Fj, 0.0) * fwd[j] + np.maximum(-Fj, 0.0) * bwd[j]
-        best = np.maximum(best, adv + spec.gamma(t, X, a).reshape(grid.shape))
+        best = np.maximum(best, adv + G.reshape(grid.shape))
     return best
 
 

@@ -19,7 +19,8 @@ REMOVED = {
     # girsanov_log_batch looks the controls up as it steps; nothing labels a stored batch
     "ctrlstop": (*_TWINS, "dominating_generator", "attach_controls"),
     "ctrlstop.hamilton": (*_TWINS, "_one_row"),
-    "ctrlstop.model": ("dominating_generator",),
+    # a constant g or h is broadcast by ProblemSpec as a read-only view
+    "ctrlstop.model": ("dominating_generator", "_broadcast_scalar"),
     # a constant sigma is a broadcast view already, so nothing is hoisted out of the step loops
     # the tests build the per-step terms from _log_density_step; the package needs only their sum
     "ctrlstop.paths": ("attach_controls", "_neumaier_sum", "_constant_sigma", "girsanov_log_terms"),
@@ -42,6 +43,14 @@ REMOVED_OPTIONS = {
     ("ctrlstop.model", "CoefficientField"): (
         "sigma_constant", "sigma_diagonal", "f_t_free", "gamma_t_free", "h_t_free", "h_x_free",
     ),
+    # drift and reward are gathered from one control_table call, so both always come back
+    ("ctrlstop.model", "ProblemSpec.control_rows"): ("drift", "reward"),
+}
+# f and gamma are evaluated only as a control table; the lookups were called by tests alone
+REMOVED_ATTRIBUTES = {
+    ("ctrlstop.model", "ProblemSpec"): ("f", "gamma"),
+    ("ctrlstop.model", "ControlSet"): ("index_of",),
+    ("ctrlstop.expr", "ExpressionTree"): ("is_constant",),
 }
 
 
@@ -67,6 +76,18 @@ def test_removed_options_are_not_accepted(module, name):
         obj = getattr(obj, part)
     params = inspect.signature(obj).parameters
     assert [option for option in REMOVED_OPTIONS[(module, name)] if option in params] == []
+
+
+@pytest.mark.parametrize("module, name", sorted(REMOVED_ATTRIBUTES))
+def test_removed_attributes_are_gone(module, name):
+    cls = getattr(importlib.import_module(module), name)
+    assert [attr for attr in REMOVED_ATTRIBUTES[(module, name)] if hasattr(cls, attr)] == []
+
+
+def test_compiled_drift_and_reward_take_only_a_control_table():
+    coeffs = ctrlstop.build_builtin("controlled_drift_abs").coefficients
+    for fn in (coeffs.f, coeffs.gamma):
+        assert list(inspect.signature(fn).parameters) == ["t", "X", "A"]
 
 
 def test_sup_hamiltonian_batch_returns_one_value_array():

@@ -271,7 +271,7 @@ def _two_pass(spec, policy, grid, x0, count, seed):
     for i in range(grid.steps):
         t = float(grid.nodes[i])
         controls[i] = policy.control_indices(t, states[i])
-        drift, _ = spec.control_rows(t, states[i], controls[i], reward=False)
+        drift, _ = spec.control_rows(t, states[i], controls[i])
         states[i + 1] = states[i] + drift * grid.dt + _diffusion(spec, sig, dW[i])
     running = np.zeros(count)
     collected = np.zeros(count)
@@ -287,7 +287,7 @@ def _two_pass(spec, policy, grid, x0, count, seed):
             alive[fire] = False
         if not alive.any():
             break
-        _, G = spec.control_rows(t, X[alive], controls[i][alive], drift=False)
+        _, G = spec.control_rows(t, X[alive], controls[i][alive])
         running[alive] += G * grid.dt
     terminal = np.zeros(count)
     if alive.any():

@@ -6,6 +6,7 @@
     python3 tools/output_digest.py --seed 0 --shrink 8 --against HEAD~1
     python3 tools/output_digest.py --workload pde-variants
     python3 tools/output_digest.py --workload mc-variants
+    python3 tools/output_digest.py --workload forward-variants
 
 Runs each pipeline of ``perfbench/workloads.py`` once at the given benchmark
 seed and size divisor and prints one JSON object: for every workload, the
@@ -27,7 +28,10 @@ argmax and stop mask; seed and size divisor do not apply.  The
 reach: fixed small path batches solved under a truncation, under the
 dominating generator, with an obstacle that reads the state and with a
 constant correlated sigma, digesting Y, the reflections, y0 and its
-per-path samples.
+per-path samples.  The ``forward-variants`` entry solves a problem whose
+drift and running reward read the state, extracts its policy and runs
+``evaluate`` and ``martingale_check`` on it, so the forward loops gather
+rows from a control table with one row per state, which no pipeline does.
 
 Two trees compute the same bits exactly when their outputs diff clean, so
 running this on a copy of the parent commit and on a change is the evidence
@@ -65,8 +69,10 @@ from ctrlstop import (  # noqa: E402
     TimeGrid,
     TruncationIndex,
     build_builtin,
+    evaluate,
     extract_policy,
     make_grid,
+    martingale_check,
     simulate_uncontrolled,
     solve,
     solve_rbsde,
@@ -74,6 +80,7 @@ from ctrlstop import (  # noqa: E402
 
 PDE_VARIANTS = "pde-variants"
 MC_VARIANTS = "mc-variants"
+FORWARD_VARIANTS = "forward-variants"
 
 # (module, attribute): the calls whose results are digested.  The workloads
 # module's own bindings cover the pipeline's layer calls; the rest are the
@@ -252,8 +259,48 @@ def run_mc_variants() -> dict:
     return dict(sorted(digests.items()))
 
 
+def _state_drift_spec():
+    """Drift a1 (1 + 0.2 tanh x1) and reward -0.1 a1^2 (1 + 0.2 tanh x1), a in {-1, 0, 1}, on a +-4 box."""
+    scale = "(1+0.2*tanh(x1))"
+    return build_builtin(
+        "custom",
+        {
+            "name": "state-drift-d1",
+            "dim": 1,
+            "T": 1.0,
+            "sigma": ("1",),
+            "f": (f"a1*{scale}",),
+            "gamma": f"-0.1*a1*a1*{scale}",
+            "g": "max(abs(x1),0.8)",
+            "h": "0.8",
+            "controls": [[-1.0], [0.0], [1.0]],
+            "growth": {"C_f": 1.5, "C_sigma_inv": 1.0, "C_poly": 10.0, "p": 1.0},
+            "lo": -4.0,
+            "hi": 4.0,
+        },
+    )
+
+
+def run_forward_variants() -> dict:
+    """Solve the state-drift problem at nx 81; digest the field, its policy and 3000 forward paths of each loop."""
+    spec = _state_drift_spec()
+    field = solve(spec, make_grid(spec, 81))
+    policy = extract_policy(spec, field)
+    grid = TimeGrid(0.0, 1.0, 20)
+    parts = {
+        "values": field.values,
+        "argmax": policy.argmax,
+        "stop_mask": policy.stop_mask,
+        "evaluate": evaluate(spec, policy, grid, [0.5], 3000, seed=60),
+        "martingale_check": martingale_check(spec, policy, grid, [0.5], 3000, seed=61),
+    }
+    digests = {}
+    digest_tree("state-drift-d1-nx81", parts, digests)
+    return dict(sorted(digests.items()))
+
+
 # the fixed solves of --workload all beside the pipelines; seed and size divisor do not apply
-VARIANTS = {PDE_VARIANTS: run_pde_variants, MC_VARIANTS: run_mc_variants}
+VARIANTS = {PDE_VARIANTS: run_pde_variants, MC_VARIANTS: run_mc_variants, FORWARD_VARIANTS: run_forward_variants}
 
 
 def diff_digests(a: dict, b: dict) -> list[str]:
