@@ -126,16 +126,12 @@ def parse_problem_file(text: str, validate_spec: bool = True) -> ProblemSpec:
         raise ProblemFileError(f"section [controls]: cannot parse points={raw_points!r}") from None
 
     def axis_list(section, key):
+        """Comma-separated numbers; build_builtin broadcasts one value or checks one per axis."""
         raw = need(section, key)
         try:
-            vals = [float(c) for c in raw.split(",")]
+            return [float(c) for c in raw.split(",")]
         except ValueError:
             raise ProblemFileError(f"section [{section}]: cannot parse {key}={raw!r}") from None
-        if len(vals) == 1:
-            return [vals[0]] * dim
-        if len(vals) != dim:
-            raise ProblemFileError(f"section [{section}]: {key} needs 1 or {dim} entries")
-        return vals
 
     try:
         spec = build_builtin(

@@ -9,13 +9,18 @@ Grammar (whitespace insignificant)::
 
 Identifiers name the time variable ``t``, state components ``x1..xd``,
 control components ``a1..ak``, or named parameters.  The function set is
-fixed.  Evaluation is numpy-vectorised and elementwise.
+fixed.  Each grammar rule compiles its text as it is parsed into a closure
+``env -> value``, so a parsed expression is one closure and no tree is
+walked when it is called; the identifiers it names are gathered on the way.
+Evaluation is numpy-vectorised and elementwise, each operation applied to
+its operands' values left operand first.  A parsed expression holds
+closures, so it cannot be pickled.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -27,18 +32,6 @@ __all__ = [
     "parse_expression",
     "FUNCTIONS",
 ]
-
-# name -> arity
-FUNCTIONS = {
-    "abs": 1,
-    "sqrt": 1,
-    "exp": 1,
-    "sign": 1,
-    "tanh": 1,
-    "pow": 2,
-    "min": 2,
-    "max": 2,
-}
 
 
 class ParseError(ValueError):
@@ -52,6 +45,33 @@ class ParseError(ValueError):
 class EvalError(ArithmeticError):
     """Domain failure during evaluation (sqrt of a negative, division by zero)."""
 
+
+def _divide(a, b):
+    # reject zero denominators outright
+    if np.any(b == 0):
+        raise EvalError("division by zero")
+    return a / b
+
+
+def _sqrt(a):
+    if np.any(np.asarray(a) < 0):
+        raise EvalError("sqrt of a negative value")
+    return np.sqrt(a)
+
+
+# name -> (arity, implementation)
+FUNCTIONS = {
+    "abs": (1, np.abs),
+    "sqrt": (1, _sqrt),
+    "exp": (1, np.exp),
+    "sign": (1, np.sign),
+    "tanh": (1, np.tanh),
+    "pow": (2, np.power),
+    "min": (2, np.minimum),
+    "max": (2, np.maximum),
+}
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -78,123 +98,47 @@ def _tokenize(text: str):
     return tokens
 
 
-@dataclass(frozen=True)
-class _Num:
-    value: float
-
-    def eval(self, env):
-        return self.value
-
-    def names(self, out):
-        pass
-
-
-@dataclass(frozen=True)
-class _Var:
-    name: str
-
-    def eval(self, env):
+def _lookup(name):
+    def variable(env):
         try:
-            return env[self.name]
+            return env[name]
         except KeyError:
-            raise EvalError(f"unbound variable {self.name!r}") from None
+            raise EvalError(f"unbound variable {name!r}") from None
 
-    def names(self, out):
-        out.add(self.name)
-
-
-@dataclass(frozen=True)
-class _Neg:
-    child: object
-
-    def eval(self, env):
-        return -self.child.eval(env)
-
-    def names(self, out):
-        self.child.names(out)
+    return variable
 
 
-@dataclass(frozen=True)
-class _Bin:
-    op: str
-    left: object
-    right: object
-
-    def eval(self, env):
-        a = self.left.eval(env)
-        b = self.right.eval(env)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        # division: reject zero denominators outright
-        if np.any(b == 0):
-            raise EvalError("division by zero")
-        return a / b
-
-    def names(self, out):
-        self.left.names(out)
-        self.right.names(out)
+def _unary(fn, arg):
+    return lambda env: fn(arg(env))
 
 
-@dataclass(frozen=True)
-class _Call:
-    fn: str
-    args: tuple
-
-    def eval(self, env):
-        vals = [a.eval(env) for a in self.args]
-        fn = self.fn
-        if fn == "abs":
-            return np.abs(vals[0])
-        if fn == "sqrt":
-            if np.any(np.asarray(vals[0]) < 0):
-                raise EvalError("sqrt of a negative value")
-            return np.sqrt(vals[0])
-        if fn == "exp":
-            return np.exp(vals[0])
-        if fn == "sign":
-            return np.sign(vals[0])
-        if fn == "tanh":
-            return np.tanh(vals[0])
-        if fn == "pow":
-            return np.power(vals[0], vals[1])
-        if fn == "min":
-            return np.minimum(vals[0], vals[1])
-        return np.maximum(vals[0], vals[1])
-
-    def names(self, out):
-        for a in self.args:
-            a.names(out)
+def _binary(fn, left, right):
+    return lambda env: fn(left(env), right(env))
 
 
 class ExpressionTree:
     """Parsed expression.  ``__call__`` evaluates against a variable mapping."""
 
-    def __init__(self, root, source: str):
-        self._root = root
+    def __init__(self, fn, source: str, variables: frozenset[str]):
+        self._fn = fn
         self.source = source
+        self.variables = variables
 
     def __call__(self, env: Mapping[str, object]):
-        return self._root.eval(env)
-
-    @property
-    def variables(self) -> frozenset[str]:
-        out: set[str] = set()
-        self._root.names(out)
-        return frozenset(out)
+        return self._fn(env)
 
     def __repr__(self):
         return f"ExpressionTree({self.source!r})"
 
 
 class _Parser:
+    """Recursive descent over the tokens; every rule returns a closure ``env -> value``."""
+
     def __init__(self, tokens, names):
         self.tokens = tokens
         self.i = 0
         self.names = names
+        self.seen: set[str] = set()
 
     def peek(self):
         return self.tokens[self.i]
@@ -210,37 +154,34 @@ class _Parser:
             raise ParseError(f"expected {op!r}", off)
         return self.advance()
 
-    def expr(self):
-        node = self.term()
+    def chain(self, ops, operand):
+        """``operand (op operand)*`` for op in ``ops``, folded left-associatively."""
+        left = operand()
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                node = _Bin(val, node, self.term())
-            else:
-                return node
+            if kind != "op" or val not in ops:
+                return left
+            self.advance()
+            left = _binary(_BINARY[val], left, operand())
+
+    def expr(self):
+        return self.chain("+-", self.term)
 
     def term(self):
-        node = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                node = _Bin(val, node, self.factor())
-            else:
-                return node
+        return self.chain("*/", self.factor)
 
     def factor(self):
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.advance()
-            return _Neg(self.atom())
+            return _unary(operator.neg, self.atom())
         return self.atom()
 
     def atom(self):
         kind, val, off = self.advance()
         if kind == "num":
-            return _Num(float(val))
+            value = float(val)
+            return lambda env: value
         if kind == "ident":
             nkind, nval, _ = self.peek()
             if nkind == "op" and nval == "(":
@@ -256,34 +197,33 @@ class _Parser:
                     else:
                         break
                 self.expect_op(")")
-                if len(args) != FUNCTIONS[val]:
-                    raise ParseError(
-                        f"function {val!r} takes {FUNCTIONS[val]} argument(s), got {len(args)}",
-                        off,
-                    )
-                return _Call(val, tuple(args))
+                arity, fn = FUNCTIONS[val]
+                if len(args) != arity:
+                    raise ParseError(f"function {val!r} takes {arity} argument(s), got {len(args)}", off)
+                return (_unary if arity == 1 else _binary)(fn, *args)
             if self.names is not None and val not in self.names:
                 raise ParseError(f"unknown identifier {val!r}", off)
-            return _Var(val)
+            self.seen.add(val)
+            return _lookup(val)
         if kind == "op" and val == "(":
-            node = self.expr()
+            fn = self.expr()
             self.expect_op(")")
-            return node
+            return fn
         if kind == "eof":
             raise ParseError("unexpected end of input", off)
         raise ParseError(f"unexpected token {val!r}", off)
 
 
 def parse_expression(text: str, names=None) -> ExpressionTree:
-    """Parse ``text`` into an :class:`ExpressionTree`.
+    """Parse and compile ``text`` into an :class:`ExpressionTree`.
 
     ``names``, when given, is the set of identifiers allowed to appear;
     anything else raises :class:`ParseError` with its byte offset.
     """
     tokens = _tokenize(text)
     parser = _Parser(tokens, None if names is None else frozenset(names))
-    root = parser.expr()
+    fn = parser.expr()
     kind, val, off = parser.peek()
     if kind != "eof":
         raise ParseError(f"unexpected trailing token {val!r}", off)
-    return ExpressionTree(root, text)
+    return ExpressionTree(fn, text, frozenset(parser.seen))

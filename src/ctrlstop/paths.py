@@ -19,17 +19,19 @@ views of those read-only buffers.  Every consumer reads step i through
 ``_step``; a hand-built path-major batch goes through the same code as a
 strided view and gives the same bits.
 
-Every Euler step is ``_euler``'s, also ``strategy.evaluate``'s on its live
-rows and ``girsanov_log_batch``'s, neither of which stores a batch: both run
-one chunk of paths at a time.  Sigma is evaluated at every step; a constant
-sigma comes back as a stride-0 broadcast view, so that costs one view per
-step.  The diffusion step sigma dB is ``model.sigma_apply``, or one product
-with the diagonal when sigma's expressions make it diagonal (the derived
-``CoefficientField.sigma_diagonal``; same bits), and theta = sigma^{-1} f is
-``ProblemSpec.sigma_solve``: one summation order and one inversion rule for
-every sigma.  The drift of each row's control is ``ProblemSpec.control_rows``'s,
-gathered from the one control table.  Each step's log-density term is
-``_log_density_step``'s.
+Both stored batches come from one loop, ``_simulate``: driftless with
+``controls=None`` when there is no policy, otherwise under the policy's
+drift with its controls recorded.  Every Euler step is ``_euler``'s, also
+``strategy.evaluate``'s on its live rows and ``girsanov_log_batch``'s,
+neither of which stores a batch: both run one chunk of paths at a time.
+Sigma is evaluated at every step; a constant sigma comes back as a stride-0
+broadcast view, so that costs one view per step.  The diffusion step sigma
+dB is ``model.sigma_apply``, or one product with the diagonal when sigma's
+expressions make it diagonal (the derived ``CoefficientField.sigma_diagonal``;
+same bits), and theta = sigma^{-1} f is ``ProblemSpec.sigma_solve``: one
+summation order and one inversion rule for every sigma.  The drift of each
+row's control is ``ProblemSpec.control_rows``'s, gathered from the one
+control table.  Each step's log-density term is ``_log_density_step``'s.
 """
 
 from __future__ import annotations
@@ -200,17 +202,31 @@ def _euler(spec: ProblemSpec, t: float, X: np.ndarray, dW: np.ndarray, sig=None,
     return start + _diffusion(spec, spec.sigma(t, X) if sig is None else sig, dW)
 
 
+def _simulate(spec: ProblemSpec, policy, t0: float, x0, grid: TimeGrid, count: int, seed: int) -> PathBatch:
+    """Stored-batch Euler loop: driftless without ``policy``, else under its drift, recording its controls."""
+    x0 = _prepare(spec, t0, x0, grid, count)
+    dW = _draw_increments(count, grid.steps, spec.dim, grid.dt, seed)
+    states = np.empty((grid.steps + 1, count, spec.dim))
+    controls = None if policy is None else np.empty((grid.steps, count), dtype=np.int64)
+    states[0] = x0
+    drift = None
+    for i, t in enumerate(grid.nodes[:-1].tolist()):
+        X = states[i]
+        if policy is not None:
+            idx = np.asarray(policy.control_indices(t, X), dtype=np.int64)
+            controls[i] = idx
+            drift, _ = spec.control_rows(t, X, idx)
+        states[i + 1] = _euler(spec, t, X, dW[i], drift=drift, dt=grid.dt)
+    if controls is not None:
+        controls = _frozen_view(controls)
+    return PathBatch(grid=grid, states=_frozen_view(states), increments=_frozen_view(dW), controls=controls)
+
+
 def simulate_uncontrolled(
     spec: ProblemSpec, t0: float, x0, grid: TimeGrid, count: int, seed: int
 ) -> PathBatch:
     """Euler scheme for the driftless reference dynamics dX = sigma(t,X) dB."""
-    x0 = _prepare(spec, t0, x0, grid, count)
-    dW = _draw_increments(count, grid.steps, spec.dim, grid.dt, seed)
-    states = np.empty((grid.steps + 1, count, spec.dim))
-    states[0] = x0
-    for i, t in enumerate(grid.nodes[:-1].tolist()):
-        states[i + 1] = _euler(spec, t, states[i], dW[i])
-    return PathBatch(grid=grid, states=_frozen_view(states), increments=_frozen_view(dW))
+    return _simulate(spec, None, t0, x0, grid, count, seed)
 
 
 def simulate_controlled(
@@ -222,23 +238,7 @@ def simulate_controlled(
     control chosen at a node applies on the step leaving it.  The same seed
     reproduces the increments of the uncontrolled batch.
     """
-    x0 = _prepare(spec, t0, x0, grid, count)
-    dW = _draw_increments(count, grid.steps, spec.dim, grid.dt, seed)
-    states = np.empty((grid.steps + 1, count, spec.dim))
-    controls = np.empty((grid.steps, count), dtype=np.int64)
-    states[0] = x0
-    for i, t in enumerate(grid.nodes[:-1].tolist()):
-        X = states[i]
-        idx = np.asarray(policy.control_indices(t, X), dtype=np.int64)
-        controls[i] = idx
-        drift, _ = spec.control_rows(t, X, idx)
-        states[i + 1] = _euler(spec, t, X, dW[i], drift=drift, dt=grid.dt)
-    return PathBatch(
-        grid=grid,
-        states=_frozen_view(states),
-        increments=_frozen_view(dW),
-        controls=_frozen_view(controls),
-    )
+    return _simulate(spec, policy, t0, x0, grid, count, seed)
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,14 +1,16 @@
 """Forward evaluation of feedback strategies and martingale diagnostics.
 
 A strategy is anything with ``control_indices(t, X) -> int array`` and
-``stop_at(t, X) -> bool array``; extracted policy fields qualify, and the
-wrappers here build challenger variants (constant control, random control,
-immediate or suppressed stopping) around them.  ``evaluate`` asks ``stop_at``
-first at each step, and both only about live rows: a policy answers row by row.
-The paths run ``paths.CHUNK`` at a time, so a policy that answers row by row
-gives each path the same reward whatever the count.  The one that does not is
-the random-control challenger: it draws one control per row it is asked
-about, so above ``CHUNK`` paths its draws, and its estimate, depend on the
+``stop_at(t, X) -> bool array``; extracted policy fields qualify.  Each
+challenger of ``default_challengers`` is such a pair of callables put
+together from existing parts: the policy's own methods, a constant
+policy's control rule, a seeded random control, and rules that stop at
+once or never.  ``evaluate`` asks ``stop_at`` first at each step, and both
+only about live rows: a policy answers row by row.  The paths run
+``paths.CHUNK`` at a time, so a policy that answers row by row gives each
+path the same reward whatever the count.  The one that does not is the
+random-control challenger: it draws one control per row it is asked about,
+so above ``CHUNK`` paths its draws, and its estimate, depend on the
 chunking.
 
 The reward of one path stopped at node i is
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -83,32 +86,12 @@ class ConstantPolicy:
         return np.zeros(X.shape[0], dtype=bool)
 
 
-class _Challenger:
-    """Wraps a base policy, overriding control and/or stop behaviour."""
+def _never_stop(t, X):
+    return np.zeros(X.shape[0], dtype=bool)
 
-    def __init__(self, base, control_mode="field", stop_mode="field", index=0, k=1, seed=0):
-        self.base = base
-        self.control_mode = control_mode
-        self.stop_mode = stop_mode
-        self.index = index
-        self.k = k
-        self._rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0)))
 
-    def control_indices(self, t, X):
-        n = X.shape[0]
-        if self.control_mode == "const":
-            return np.full(n, self.index, dtype=np.int64)
-        if self.control_mode == "random":
-            return self._rng.integers(0, self.k, size=n, dtype=np.int64)
-        return self.base.control_indices(t, X)
-
-    def stop_at(self, t, X):
-        n = X.shape[0]
-        if self.stop_mode == "immediate":
-            return np.ones(n, dtype=bool)
-        if self.stop_mode == "never":
-            return np.zeros(n, dtype=bool)
-        return self.base.stop_at(t, X)
+def _stop_now(t, X):
+    return np.ones(X.shape[0], dtype=bool)
 
 
 def evaluate(
@@ -172,15 +155,23 @@ def evaluate(
 
 
 def default_challengers(spec: ProblemSpec, policy, seed: int = 0):
-    """Named suboptimal variants of an extracted policy."""
+    """Named suboptimal variants of an extracted policy: each pairs a control rule with a stop rule."""
     k = spec.controls.k
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0)))
+
+    def random_control(t, X):
+        return rng.integers(0, k, size=X.shape[0], dtype=np.int64)
+
+    def variant(control_indices, stop_at):
+        return SimpleNamespace(control_indices=control_indices, stop_at=stop_at)
+
     rows = []
     for j in range(k):
         label = ",".join(repr(float(v)) for v in spec.controls.points[j])
-        rows.append((f"constant control ({label})", _Challenger(policy, "const", "field", index=j)))
-    rows.append(("uniform random control", _Challenger(policy, "random", "field", k=k, seed=seed)))
-    rows.append(("optimal control, stop immediately", _Challenger(policy, "field", "immediate")))
-    rows.append(("optimal control, never stop early", _Challenger(policy, "field", "never")))
+        rows.append((f"constant control ({label})", variant(ConstantPolicy(j).control_indices, policy.stop_at)))
+    rows.append(("uniform random control", variant(random_control, policy.stop_at)))
+    rows.append(("optimal control, stop immediately", variant(policy.control_indices, _stop_now)))
+    rows.append(("optimal control, never stop early", variant(policy.control_indices, _never_stop)))
     return rows
 
 

@@ -68,6 +68,20 @@ def test_mc_variants_digest_each_solve_and_repeat(capsys):
     assert json.loads(capsys.readouterr().out)["workloads"] == {"mc-variants": first}
 
 
+def test_expr_variants_digest_each_expression_and_repeat(capsys):
+    import json
+
+    tool = _load()
+    first = tool.run_expr_variants()
+    assert len(first) == 2 * len(tool.EXPRESSIONS)
+    for text in tool.EXPRESSIONS:
+        assert len(first[f"{text}.value"]) == 64
+    assert len({first[f"{text}.value"] for text in tool.EXPRESSIONS}) == len(tool.EXPRESSIONS)
+    assert tool.run_expr_variants() == first
+    assert tool.main(["--workload", "expr-variants"]) == 0
+    assert json.loads(capsys.readouterr().out)["workloads"] == {"expr-variants": first}
+
+
 def test_digest_tree_separates_dtype_shape_and_sign_of_zero():
     import numpy as np
 

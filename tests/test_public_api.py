@@ -19,6 +19,8 @@ REMOVED = {
     # girsanov_log_batch looks the controls up as it steps; nothing labels a stored batch
     "ctrlstop": (*_TWINS, "dominating_generator", "attach_controls"),
     "ctrlstop.hamilton": (*_TWINS, "_one_row"),
+    # each parse returns one closure; variables are gathered while parsing
+    "ctrlstop.expr": ("_Num", "_Var", "_Neg", "_Bin", "_Call"),
     # a constant g or h is broadcast by ProblemSpec as a read-only view
     "ctrlstop.model": ("dominating_generator", "_broadcast_scalar"),
     # a constant sigma is a broadcast view already, so nothing is hoisted out of the step loops

@@ -7,6 +7,7 @@
     python3 tools/output_digest.py --workload pde-variants
     python3 tools/output_digest.py --workload mc-variants
     python3 tools/output_digest.py --workload forward-variants
+    python3 tools/output_digest.py --workload expr-variants
 
 Runs each pipeline of ``perfbench/workloads.py`` once at the given benchmark
 seed and size divisor and prints one JSON object: for every workload, the
@@ -32,6 +33,12 @@ per-path samples.  The ``forward-variants`` entry solves a problem whose
 drift and running reward read the state, extracts its policy and runs
 ``evaluate`` and ``martingale_check`` on it, so the forward loops gather
 rows from a control table with one row per state, which no pipeline does.
+The ``expr-variants`` entry parses a fixed list of expressions that uses
+every function, every number form, every position of a unary minus, a
+parameter and eight nested calls, evaluates each on a fixed
+1001-point ``x1`` with one ``t`` per row, and digests each value and the
+sorted names of its ``variables``, so the evaluator's bits are checked
+apart from any solver.
 
 Two trees compute the same bits exactly when their outputs diff clean, so
 running this on a copy of the parent commit and on a change is the evidence
@@ -65,6 +72,7 @@ import numpy as np  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 from ctrlstop import (  # noqa: E402
+    parse_expression,
     RegressionBasis,
     TimeGrid,
     TruncationIndex,
@@ -81,6 +89,7 @@ from ctrlstop import (  # noqa: E402
 PDE_VARIANTS = "pde-variants"
 MC_VARIANTS = "mc-variants"
 FORWARD_VARIANTS = "forward-variants"
+EXPR_VARIANTS = "expr-variants"
 
 # (module, attribute): the calls whose results are digested.  The workloads
 # module's own bindings cover the pipeline's layer calls; the rest are the
@@ -299,8 +308,39 @@ def run_forward_variants() -> dict:
     return dict(sorted(digests.items()))
 
 
+# every function, the number forms 2, 0.5, .5, 7., 1.5e-2 and 2e3, a unary minus at the
+# start, after * and /, after + and before "(", the parameter K, and eight nested calls
+EXPRESSIONS = (
+    "2*x1+0.5-.5*t+7.*x1/(1+abs(x1))",
+    "1.5e-2*x1-2e3*t*t",
+    "-x1*-t/-(1+x1*x1)+-K",
+    "sqrt(1+x1*x1)+abs(-x1)-exp(-t*x1)",
+    "sign(x1-0.25)*tanh(K*x1)",
+    "pow(1+abs(x1),t)-pow(2,-x1)",
+    "min(x1,K)-max(-x1,t*K)",
+    "max(K-x1,0)*(1+K*(1-t))/3",
+    "exp(-tanh(sqrt(1+abs(min(x1,max(t,pow(1+abs(x1),-2)))))))",
+    "2*3-7./2+K",
+)
+
+
+def run_expr_variants() -> dict:
+    """Evaluate each of EXPRESSIONS on 1001 rows of x1 in [-3, 3] and t in [0, 1]; digest the values and names."""
+    env = {"x1": np.linspace(-3.0, 3.0, 1001), "t": np.linspace(0.0, 1.0, 1001), "K": 1.25}
+    digests = {}
+    for text in EXPRESSIONS:
+        tree = parse_expression(text)
+        digest_tree(text, {"value": tree(env), "variables": " ".join(sorted(tree.variables))}, digests)
+    return dict(sorted(digests.items()))
+
+
 # the fixed solves of --workload all beside the pipelines; seed and size divisor do not apply
-VARIANTS = {PDE_VARIANTS: run_pde_variants, MC_VARIANTS: run_mc_variants, FORWARD_VARIANTS: run_forward_variants}
+VARIANTS = {
+    PDE_VARIANTS: run_pde_variants,
+    MC_VARIANTS: run_mc_variants,
+    FORWARD_VARIANTS: run_forward_variants,
+    EXPR_VARIANTS: run_expr_variants,
+}
 
 
 def diff_digests(a: dict, b: dict) -> list[str]:
