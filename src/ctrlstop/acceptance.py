@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mc, pde, strategy
-from .hamilton import TruncationIndex, sup_hamiltonian_batch, tail_norms, unit_direction_batch
+from .hamilton import sup_hamiltonian_batch, tail_norms, unit_direction_batch
 from .model import build_builtin, dominating_generator_batch
 from .paths import TimeGrid, simulate_uncontrolled
 
@@ -133,6 +133,15 @@ def _controlled_field(shared, nx=401):
     return shared.get(("controlled", nx), build)
 
 
+def _decaying_obstacle_run(shared):
+    def build():
+        spec = build_builtin("decaying_obstacle", {"beta": 2.0})
+        batch = simulate_uncontrolled(spec, 0.0, np.array([1.0]), TimeGrid(0.0, 1.0, 25), 20_000, seed=31)
+        return spec, batch, mc.solve_rbsde(spec, batch, mc.RegressionBasis(cells_per_axis=25))
+
+    return shared.get("decaying_obstacle", build)
+
+
 def _sample_tx(spec, samples, seed):
     rng = np.random.default_rng(seed)
     ts = rng.uniform(0.0, spec.horizon_T, samples)
@@ -186,24 +195,15 @@ def _check_truncation_ladders(shared):
     spec = _drift_reward_spec()
     grid = pde.make_grid(spec, 161)
     report = pde.ladder(spec, grid, n_list=(1, 2, 4), m_list=(1, 2, 4))
-    exact = pde.solve(spec, grid, trunc=TruncationIndex.covering(spec.domain.radius))
-    base = pde.solve(spec, grid)
-    pde_exhaust = bool(np.array_equal(exact.values, base.values))
+    pde_exhaust = report.exhaustion_gap == 0.0
 
     tg = TimeGrid(0.0, 1.0, 25)
     batch = simulate_uncontrolled(spec, 0.0, np.array([0.0]), tg, 20_000, seed=21)
     basis = mc.RegressionBasis(cells_per_axis=25)
     mrep = mc.truncation_ladder_mc(spec, batch, basis, n_list=(1, 2, 4), m_list=(1, 2, 4))
-    cover = TruncationIndex.covering(float(np.max(np.abs(batch.states))))
-    big_y0 = mc.solve_rbsde(spec, batch, basis, trunc=cover).y0
-    mc_exhaust = big_y0 == mrep.y0_untruncated
+    mc_exhaust = mrep.exhaustion_gap == 0.0
 
-    ok = (
-        report.monotone
-        and pde_exhaust
-        and mrep.passed
-        and mc_exhaust
-    )
+    ok = report.monotone and pde_exhaust and mrep.passed and mc_exhaust
     detail = (
         f"pde viol n={report.violation_n:.1e} m={report.violation_m:.1e} exhaust_bitwise={pde_exhaust}; "
         f"mc worst z={min((c.mean_diff / c.se if c.se > 0 else math.inf) for c in mrep.comparisons):.2f} "
@@ -213,10 +213,7 @@ def _check_truncation_ladders(shared):
 
 
 def _check_complementarity(shared):
-    spec = build_builtin("decaying_obstacle", {"beta": 2.0})
-    tg = TimeGrid(0.0, 1.0, 25)
-    batch = simulate_uncontrolled(spec, 0.0, np.array([1.0]), tg, 20_000, seed=31)
-    back = mc.solve_rbsde(spec, batch, mc.RegressionBasis(cells_per_axis=25))
+    spec, _, back = _decaying_obstacle_run(shared)
     residual = mc.skorokhod_residual(back)
     reflected = int(np.sum(back.k_increments > 0))
 
@@ -256,10 +253,7 @@ def _check_obstacle_terminal(shared):
         ok = ok and term_exact and floor >= 0.0
         msgs.append(f"{name}: terminal_bitwise={term_exact} min(v-h)={floor:.1e}")
 
-    spec = build_builtin("decaying_obstacle", {"beta": 2.0})
-    tg = TimeGrid(0.0, 1.0, 25)
-    batch = simulate_uncontrolled(spec, 0.0, np.array([1.0]), tg, 20_000, seed=31)
-    back = mc.solve_rbsde(spec, batch, mc.RegressionBasis(cells_per_axis=25))
+    spec, batch, back = _decaying_obstacle_run(shared)
     term_mc = bool(np.array_equal(back.y_nodes[:, -1], spec.g(batch.states[:, -1])))
     floor_mc = float(np.min(back.y_nodes - back.obstacle_nodes))
     ok = ok and term_mc and floor_mc >= 0.0
@@ -418,10 +412,9 @@ def _check_comparison(shared):
 
 
 def _check_refinement(shared):
-    spec = build_builtin("bachelier_put")
     errs = []
     for nx in (101, 201, 401):
-        field = pde.solve(spec, pde.make_grid(spec, nx))
+        _, field = _bachelier_field(shared, nx)
         errs.append(abs(field.at(0.0, np.array([1.0])) - CLOSED_FORM_ATM_PUT))
     ok = all(errs[i + 1] <= errs[i] / 1.5 for i in range(len(errs) - 1))
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]

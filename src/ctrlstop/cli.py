@@ -177,7 +177,7 @@ def load_problem(path: str | Path, validate_spec: bool = True) -> ProblemSpec:
 def emit_problem_file(spec: ProblemSpec) -> str:
     """Inverse of ``parse_problem_file`` for expression-backed problems."""
     c = spec.coefficients
-    if c.sigma_exprs is None or c.f_exprs is None:
+    if None in (c.sigma_exprs, c.f_exprs, c.gamma_expr, c.g_expr, c.h_expr):
         raise ValueError("only expression-backed problems can be written to a file")
     lines = [f'[problem] dim={spec.dim} T={spec.horizon_T!r} name="{spec.name}"']
     if c.params:
@@ -185,11 +185,11 @@ def emit_problem_file(spec: ProblemSpec) -> str:
         lines.append(f"[params] {pairs}")
     points = ";".join(",".join(repr(float(v)) for v in row) for row in spec.controls.points)
     lines.append(f"[controls] points={points}")
-    lines.append(f'[sigma] expr="{", ".join(c.sigma_exprs)}"')
-    lines.append(f'[f] expr="{", ".join(c.f_exprs)}"')
-    lines.append(f'[gamma] expr="{c.gamma_expr}"')
-    lines.append(f'[g] expr="{c.g_expr}"')
-    lines.append(f'[h] expr="{c.h_expr}"')
+    lines.append(f'[sigma] expr="{", ".join(e.source for e in c.sigma_exprs)}"')
+    lines.append(f'[f] expr="{", ".join(e.source for e in c.f_exprs)}"')
+    lines.append(f'[gamma] expr="{c.gamma_expr.source}"')
+    lines.append(f'[g] expr="{c.g_expr.source}"')
+    lines.append(f'[h] expr="{c.h_expr.source}"')
     gr = spec.growth
     lines.append(
         f"[growth] C_f={gr.C_f!r} C_sigma_inv={gr.C_sigma_inv!r} C_poly={gr.C_poly!r} p={gr.p!r}"
@@ -420,17 +420,18 @@ def _cmd_ladder(args) -> int:
     for key in sorted(report.sup_gap_core):
         print(f"  (n={key[0]}, m={key[1]}): core gap {report.sup_gap_core[key]:.3e}")
     print(f"ordering violations: n {report.violation_n:.2e}, m {report.violation_m:.2e}")
-    if report.exhaustion_gap is not None:
-        print(f"exhaustion gap: {report.exhaustion_gap!r}")
+    print(f"exhaustion gap: {report.exhaustion_gap!r}")
     ok = report.monotone
     if args.paths > 0:
         x0 = _parse_x0(args.x0, spec)
         tg = TimeGrid(0.0, spec.horizon_T, args.steps)
         batch = simulate_uncontrolled(spec, 0.0, x0, tg, args.paths, args.seed)
         mrep = mc.truncation_ladder_mc(spec, batch, _parse_basis(args.basis), n_list, m_list)
-        print(f"path ladder ({args.paths} paths): y0 untruncated {mrep.y0_untruncated!r}")
+        print(
+            f"path ladder ({args.paths} paths): y0 untruncated {mrep.y0_untruncated!r}, "
+            f"exhaustion gap: {mrep.exhaustion_gap!r}"
+        )
         for comp in mrep.comparisons:
-            z = comp.mean_diff / comp.se if comp.se > 0 else math.inf
             print(
                 f"  {comp.axis}: {comp.low}->{comp.high} (fixed {comp.fixed}): "
                 f"paired diff {comp.mean_diff:+.4e} +- {comp.se:.1e} ({'ok' if comp.ok else 'VIOLATION'})"

@@ -56,13 +56,9 @@ class TruncationIndex:
 
     @classmethod
     def covering(cls, radius: float) -> TruncationIndex:
-        """The smallest pair of integer radii that ``covers`` ``radius``."""
+        """The smallest pair with both radii >= radius + 1: no cutoff acts on |x| <= radius."""
         r = math.ceil(radius) + 1
         return cls(r, r)
-
-    def covers(self, radius: float) -> bool:
-        """Both radii reach radius + 1, so neither cutoff acts on |x| <= radius."""
-        return self.n >= radius + 1.0 and self.m >= radius + 1.0
 
 
 def ladder_pairs(n_list, m_list):

@@ -326,7 +326,7 @@ class MCLadderReport:
     y0: dict
     y0_untruncated: float
     comparisons: tuple[MCLadderComparison, ...]
-    exhaustion_gap: float | None  # |y0(n,m) - y0| for cutoff-free pairs, bitwise 0
+    exhaustion_gap: float  # |y0(n,m) - y0| at the pair covering the paths, bitwise 0
 
     @property
     def passed(self) -> bool:
@@ -343,6 +343,7 @@ def truncation_ladder_mc(
     """Ladder of truncated solves on one common batch, paired comparisons.
 
     Only the root of each solve is kept: its y0 and per-path y0_samples.
+    Exhaustion is one more solve, at the pair covering the largest |x| of the batch.
     """
     n_list = tuple(sorted(int(v) for v in n_list))
     m_list = tuple(sorted(int(v) for v in m_list))
@@ -352,6 +353,8 @@ def truncation_ladder_mc(
         y0[key], samples[key] = run.y0, run.y0_samples
         del run  # frees this solve's per-path arrays before the next one
     base_y0 = solve_rbsde(spec, batch, basis).y0
+    reach = float(np.max(np.linalg.norm(batch.states, axis=-1)))
+    cover_y0 = solve_rbsde(spec, batch, basis, trunc=TruncationIndex.covering(reach)).y0
 
     npaths = batch.count
     comparisons = []
@@ -363,14 +366,9 @@ def truncation_ladder_mc(
                                mean_diff=float(np.mean(diff)), se=se)
         )
 
-    exhaustion = None
-    big = [key for key in y0 if TruncationIndex(*key).covers(spec.domain.radius)]
-    if big:
-        exhaustion = min(abs(y0[key] - base_y0) for key in big)
-
     return MCLadderReport(
         y0=y0,
         y0_untruncated=base_y0,
         comparisons=tuple(comparisons),
-        exhaustion_gap=exhaustion,
+        exhaustion_gap=abs(cover_y0 - base_y0),
     )

@@ -21,7 +21,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .expr import parse_expression
+from .expr import ExpressionTree, parse_expression
 
 __all__ = [
     "ControlSet",
@@ -122,12 +122,13 @@ class Box:
 
     @property
     def radius(self) -> float:
-        return float(max(np.max(np.abs(self.lo)), np.max(np.abs(self.hi))))
+        """Euclidean norm of the farthest corner, the norm the truncation cutoffs measure."""
+        return float(np.linalg.norm(np.maximum(np.abs(self.lo), np.abs(self.hi))))
 
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Vectorised model coefficients plus optional expression metadata.
+    """Vectorised model coefficients plus the parsed expressions behind them, if any.
 
     sigma: (t, X[n,d]) -> [n,d,d];  g: (X[n,d]) -> [n];  h: (t, X[n,d]) -> [n].
 
@@ -136,10 +137,11 @@ class CoefficientField:
     when the coefficient ignores the state.  ``t`` is a scalar or one time
     per row.  g and h may return a scalar, which ``ProblemSpec`` broadcasts.
 
-    ``reads(name)`` and ``sigma_diagonal`` are derived from the expressions
-    on construction, so also by ``dataclasses.replace``; a coefficient
-    without an expression reads both t and x.  A parameter may not be
-    named t, x<j> or a<j>, the names of the variables.
+    The ``*_expr(s)`` fields hold ``ExpressionTree``s, each with its text as
+    ``source``.  ``reads(name)`` and ``sigma_diagonal`` are read off them on
+    construction, so also by ``dataclasses.replace``; a coefficient without
+    an expression reads both t and x.  A parameter may not be named t, x<j>
+    or a<j>, the names of the variables.
     """
 
     sigma: Callable
@@ -147,11 +149,11 @@ class CoefficientField:
     gamma: Callable
     g: Callable
     h: Callable
-    sigma_exprs: tuple[str, ...] | None = None
-    f_exprs: tuple[str, ...] | None = None
-    gamma_expr: str | None = None
-    g_expr: str | None = None
-    h_expr: str | None = None
+    sigma_exprs: tuple[ExpressionTree, ...] | None = None
+    f_exprs: tuple[ExpressionTree, ...] | None = None
+    gamma_expr: ExpressionTree | None = None
+    g_expr: ExpressionTree | None = None
+    h_expr: ExpressionTree | None = None
     params: Mapping[str, float] | None = None
     # every off-diagonal sigma entry reads neither t nor x and is 0.0 under params
     sigma_diagonal: bool = field(init=False)
@@ -163,11 +165,11 @@ class CoefficientField:
         if shadowed:
             raise ValueError(f"parameter names {shadowed} shadow the variables t, x<j> and a<j>")
         exprs = {"sigma": self.sigma_exprs, "f": self.f_exprs, "gamma": self.gamma_expr, "g": self.g_expr, "h": self.h_expr}
-        reads = {k: frozenset("tx") if e is None else _reads([e] if isinstance(e, str) else e) for k, e in exprs.items()}
+        reads = {k: frozenset("tx") if e is None else _reads(e if isinstance(e, tuple) else [e]) for k, e in exprs.items()}
         # off-diagonal entries sit at the row-major positions not divisible by dim + 1
         sig = self.sigma_exprs
         off = [e for i, e in enumerate(sig or ()) if i % (math.isqrt(len(sig)) + 1)]
-        diagonal = sig is not None and all(not _reads([e]) and float(parse_expression(e)(params)) == 0.0 for e in off)
+        diagonal = sig is not None and all(not _reads([e]) and float(e(params)) == 0.0 for e in off)
         object.__setattr__(self, "_reads_of", reads)
         object.__setattr__(self, "sigma_diagonal", diagonal)
 
@@ -289,9 +291,9 @@ def sigma_apply(sig: np.ndarray, V: np.ndarray) -> np.ndarray:
 # -- expression compilation ---------------------------------------------------
 
 
-def _reads(exprs) -> frozenset[str]:
-    """The subset of {"t", "x"} that the expression strings name."""
-    names = (v for e in exprs for v in parse_expression(e).variables)
+def _reads(trees) -> frozenset[str]:
+    """The subset of {"t", "x"} that the parsed expressions name."""
+    names = (v for tree in trees for v in tree.variables)
     return frozenset(v[0] for v in names if _VARIABLE.fullmatch(v)) - {"a"}
 
 
@@ -344,7 +346,7 @@ def compile_coefficients(
     g_tree = parse_expression(g_expr, pnames | xnames)
     h_tree = parse_expression(h_expr, pnames | xnames | {"t"})
 
-    if not _reads(sigma_exprs):
+    if not _reads(sig_trees):
         const = np.array([tr(dict(params)) for tr in sig_trees], dtype=float).reshape(dim, dim)
         const.setflags(write=False)
 
@@ -380,11 +382,11 @@ def compile_coefficients(
         gamma=gamma_fn,
         g=g_fn,
         h=h_fn,
-        sigma_exprs=tuple(sigma_exprs),
-        f_exprs=tuple(f_exprs),
-        gamma_expr=gamma_expr,
-        g_expr=g_expr,
-        h_expr=h_expr,
+        sigma_exprs=tuple(sig_trees),
+        f_exprs=tuple(f_trees),
+        gamma_expr=gamma_tree,
+        g_expr=g_tree,
+        h_expr=h_tree,
         params=dict(params),
     )
 

@@ -15,13 +15,13 @@ from ctrlstop.paths import _log_density_step, _step
 def per_control(spec, t, X, a):
     """Drift [n, d] and running reward [n] of every row of X under the one control ``a``.
 
-    The spec's f and gamma expression strings are parsed here and evaluated
-    one row at a time, x_j bound to a one-element array and a_j to a[j];
-    ``t`` is a scalar or one time per row.
+    The spec's f and gamma expressions are parsed again here from their
+    ``source`` text and evaluated one row at a time, x_j bound to a
+    one-element array and a_j to a[j]; ``t`` is a scalar or one time per row.
     """
     c = spec.coefficients
-    f_trees = [parse_expression(e) for e in c.f_exprs]
-    gamma_tree = parse_expression(c.gamma_expr)
+    f_trees = [parse_expression(e.source) for e in c.f_exprs]
+    gamma_tree = parse_expression(c.gamma_expr.source)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     a = np.atleast_1d(np.asarray(a, dtype=float))
     ts = np.broadcast_to(np.asarray(t, dtype=float), X.shape[:1])

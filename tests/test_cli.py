@@ -94,9 +94,10 @@ def test_parse_rejects_invalid_problems():
 
 def test_emit_requires_expression_backing():
     spec = build_builtin("bachelier_put")
-    stripped = dataclasses.replace(spec.coefficients, sigma_exprs=None)
-    with pytest.raises(ValueError, match="expression-backed"):
-        emit_problem_file(dataclasses.replace(spec, coefficients=stripped))
+    for name in ("sigma_exprs", "f_exprs", "gamma_expr", "g_expr", "h_expr"):
+        stripped = dataclasses.replace(spec.coefficients, **{name: None})
+        with pytest.raises(ValueError, match="expression-backed"):
+            emit_problem_file(dataclasses.replace(spec, coefficients=stripped))
 
 
 def test_load_problem_from_disk(tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +21,7 @@ from ctrlstop.hamilton import (
     truncate_values,
     unit_direction_batch,
 )
-from ctrlstop.model import build_builtin, validate
+from ctrlstop.model import Box, build_builtin, validate
 
 from oracles import per_control
 
@@ -300,8 +302,24 @@ def test_ladder_pairs_and_the_exhaustion_cover():
         ("m", 4, 1, 3, (4, 3), (4, 1)),
     ]
     assert TruncationIndex.covering(4.0) == TruncationIndex.covering(3.2) == TruncationIndex(5, 5)
-    assert TruncationIndex(5, 5).covers(4.0) and TruncationIndex(5, 5).covers(3.2)
-    assert not TruncationIndex(5, 4).covers(4.0) and not TruncationIndex(4, 5).covers(3.2)
+
+
+_BOUND = st.floats(-20.0, 20.0, allow_nan=False)
+# one (a, b) pair of distinct bounds per axis, d = 1 to 3
+_BOX_BOUNDS = st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.tuples(_BOUND, _BOUND).filter(lambda p: p[0] != p[1]), min_size=d, max_size=d)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BOX_BOUNDS)
+def test_the_pair_covering_a_box_radius_cuts_no_corner(bounds):
+    lo, hi = (np.array(side) for side in zip(*(sorted(p) for p in bounds)))
+    box = Box(lo, hi)
+    cover = TruncationIndex.covering(box.radius)
+    corners = np.array(list(itertools.product(*zip(lo, hi))))
+    for level in (cover.n, cover.m):
+        assert np.all(cutoff_batch(level, corners) == 1.0)
 
 
 def test_unit_direction_small_cases():

@@ -179,6 +179,16 @@ def test_ladder_orders_and_exhausts():
     assert abs(report.y0[(1, 1)] - report.y0_untruncated) > 1e-3
 
 
+def test_ladder_exhaustion_covers_the_paths_beyond_the_box():
+    # from x0 = 3.5 the paths leave the [-4, 4] box, so a pair covering the box would still cut
+    spec = _drift_reward_spec()
+    batch = _batch(spec, [3.5], steps=25, count=4000, seed=1)
+    assert float(np.max(np.abs(batch.states))) > TruncationIndex.covering(spec.domain.radius).m + 1
+    basis = RegressionBasis(cells_per_axis=25)
+    report = truncation_ladder_mc(spec, batch, basis, n_list=(1, 5), m_list=(1, 5))
+    assert report.exhaustion_gap == 0.0
+
+
 def test_singular_polynomial_design_is_reported():
     X = np.repeat([0.0, 1.0], 50)[:, None]
     basis = RegressionBasis(kind="polynomial", degree=5)

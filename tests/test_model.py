@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctrlstop import acceptance
+from ctrlstop import acceptance, model
 from ctrlstop.expr import parse_expression
 from ctrlstop.model import (
     Box,
@@ -66,7 +67,8 @@ def test_box_geometry():
         Box(np.array([1.0]), np.array([1.0]))
     b = Box(np.array([-3.0, -1.0]), np.array([2.0, 5.0]))
     assert b.dim == 2
-    assert b.radius == 5.0
+    # the Euclidean norm of the farthest corner (3, 5), the norm the cutoffs measure
+    assert b.radius == math.sqrt(34.0)
 
 
 def test_spec_rejects_dimension_mismatch():
@@ -247,13 +249,26 @@ def test_structure_is_not_an_option(flag):
 def test_replace_derives_the_facts_again():
     c = build_builtin("controlled_drift_abs").coefficients
     assert c.reads("h") == set() and c.sigma_diagonal
-    assert dataclasses.replace(c, h_expr="x1").reads("h") == {"x"}
-    assert dataclasses.replace(c, h_expr="h_floor*t").reads("h") == {"t"}
+    assert dataclasses.replace(c, h_expr=parse_expression("x1")).reads("h") == {"x"}
+    assert dataclasses.replace(c, h_expr=parse_expression("h_floor*t")).reads("h") == {"t"}
     # without an expression, a coefficient reads both
     assert dataclasses.replace(c, h_expr=None).reads("h") == {"t", "x"}
     assert not dataclasses.replace(c, sigma_exprs=None).sigma_diagonal
     # control components are not state
     assert c.reads("f") == set()
+
+
+@pytest.mark.parametrize("name", ("triangle-1d", "rbsde-5d", "policy-2d-localvol"))
+def test_building_a_spec_parses_each_expression_once(name, monkeypatch):
+    calls = []
+
+    def counted(text, *args):
+        calls.append(text)
+        return parse_expression(text, *args)
+
+    monkeypatch.setattr(model, "parse_expression", counted)
+    c = benchmark_spec(name).coefficients
+    assert len(calls) == len(c.sigma_exprs) + len(c.f_exprs) + 3
 
 
 PUT_LIKE = {

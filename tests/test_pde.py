@@ -260,6 +260,13 @@ def test_truncation_ladder_is_monotone_and_exhausts():
     assert report.sup_gap_core[(5, 5)] == 0.0
 
 
+def test_ladder_exhaustion_covers_the_corners_of_a_2d_box():
+    # the corners of [-4, 4]^2 lie at |x| = 5.66, beyond the sup-norm radius 4
+    spec = build_builtin("controlled_drift_abs", {"d": 2})
+    report = ladder(spec, make_grid(spec, 41), n_list=(1, 5), m_list=(1, 5))
+    assert report.exhaustion_gap == 0.0
+
+
 def test_truncation_identity_holds_inside_the_radius():
     spec = build_builtin("controlled_drift_abs")
     grid = make_grid(spec, 81)

@@ -53,6 +53,8 @@ REMOVED_ATTRIBUTES = {
     ("ctrlstop.model", "ProblemSpec"): ("f", "gamma"),
     ("ctrlstop.model", "ControlSet"): ("index_of",),
     ("ctrlstop.expr", "ExpressionTree"): ("is_constant",),
+    # each ladder solves at the covering pair of its own reach; nothing else asks what a pair covers
+    ("ctrlstop.hamilton", "TruncationIndex"): ("covers",),
 }
 
 
