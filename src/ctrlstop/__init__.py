@@ -39,7 +39,6 @@ from .pde import (
     PolicyField,
     SpaceTimeGrid,
     ValueField,
-    comparison_check,
     extract_policy,
     ladder,
     make_grid,
@@ -87,7 +86,6 @@ __all__ = [
     "solve",
     "extract_policy",
     "ladder",
-    "comparison_check",
     "RegressionBasis",
     "BackwardSolveResult",
     "solve_rbsde",

@@ -90,20 +90,22 @@ def _constant_drift_spec(theta: float):
     )
 
 
-def _free_put_spec(shift: float):
-    """Put payoff without a live obstacle; used for shift equivariance."""
-    g_expr = "max(1-x1,0)" if shift == 0 else f"max(1-x1,0)+{shift!r}"
+PUT_PAYOFF = "max(1-x1,0)"
+
+
+def _put_spec(g: str, h: str):
+    """The put's diffusion, sigma 0.2 on [-3, 5], with terminal reward g and obstacle h."""
     return build_builtin(
         "custom",
         {
-            "name": "free-put",
+            "name": "put",
             "dim": 1,
             "T": 1.0,
             "sigma": ("0.2",),
             "f": ("0",),
             "gamma": "0",
-            "g": g_expr,
-            "h": "-1000000000",
+            "g": g,
+            "h": h,
             "controls": [[0.0]],
             "growth": {"C_f": 0.0, "C_sigma_inv": 5.0, "C_poly": 1e9, "p": 1.0},
             "lo": -3.0,
@@ -390,25 +392,21 @@ def _check_unit_direction(shared):
 
 
 def _check_comparison(shared):
-    spec = build_builtin("bachelier_put")
-    grid = pde.make_grid(spec, 201)
-    base_g = spec.coefficients.g
-    base_h = spec.coefficients.h
-    pairs = [
-        ((base_g, base_h), (lambda X: base_g(X) + 0.1, lambda t, X: base_h(t, X) + 0.1)),
-        ((base_g, base_h), (base_g, lambda t, X: base_h(t, X) + 0.05)),
-    ]
-    comp = pde.comparison_check(spec, grid, pairs)
+    """The put's value lies below the values for g + 0.1 with h + 0.1 and for
+    h + 0.05; with the obstacle out of play, g + 0.5 adds 0.5.  One grid."""
+    put, free = PUT_PAYOFF, "-1000000000"
+    grid = pde.make_grid(_put_spec(put, put), 201)
 
-    spec0 = _free_put_spec(0.0)
-    spec_c = _free_put_spec(0.5)
-    grid0 = pde.make_grid(spec0, 201)
-    v0 = pde.solve(spec0, grid0)
-    vc = pde.solve(spec_c, grid0)
-    shift_err = float(np.max(np.abs(vc.values - (v0.values + 0.5))))
+    def values(g, h):
+        return pde.solve(_put_spec(g, h), grid).values
 
-    ok = comp["passed"] and shift_err <= 1e-12
-    return ok, f"ordering violation={comp['max_violation']:.1e}; shift error={shift_err:.1e}"
+    base = values(put, put)
+    above = ((put + "+0.1", put + "+0.1"), (put, put + "+0.05"))
+    violation = max(float(np.max(base - values(g, h))) for g, h in above)
+    shift_err = float(np.max(np.abs(values(put + "+0.5", free) - (values(put, free) + 0.5))))
+
+    ok = violation <= 1e-10 and shift_err <= 1e-12
+    return ok, f"ordering violation={violation:.1e}; shift error={shift_err:.1e}"
 
 
 def _check_refinement(shared):

@@ -175,10 +175,8 @@ def load_problem(path: str | Path, validate_spec: bool = True) -> ProblemSpec:
 
 
 def emit_problem_file(spec: ProblemSpec) -> str:
-    """Inverse of ``parse_problem_file`` for expression-backed problems."""
+    """Inverse of ``parse_problem_file``: every coefficient is written as the source of its expression."""
     c = spec.coefficients
-    if None in (c.sigma_exprs, c.f_exprs, c.gamma_expr, c.g_expr, c.h_expr):
-        raise ValueError("only expression-backed problems can be written to a file")
     lines = [f'[problem] dim={spec.dim} T={spec.horizon_T!r} name="{spec.name}"']
     if c.params:
         pairs = " ".join(f"{k}={float(v)!r}" for k, v in sorted(c.params.items()))

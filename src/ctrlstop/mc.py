@@ -343,7 +343,8 @@ def truncation_ladder_mc(
     """Ladder of truncated solves on one common batch, paired comparisons.
 
     Only the root of each solve is kept: its y0 and per-path y0_samples.
-    Exhaustion is one more solve, at the pair covering the largest |x| of the batch.
+    Exhaustion is measured at the pair covering the largest |x| of the batch:
+    its listed y0, or one more solve when the lists miss it.
     """
     n_list = tuple(sorted(int(v) for v in n_list))
     m_list = tuple(sorted(int(v) for v in m_list))
@@ -354,7 +355,9 @@ def truncation_ladder_mc(
         del run  # frees this solve's per-path arrays before the next one
     base_y0 = solve_rbsde(spec, batch, basis).y0
     reach = float(np.max(np.linalg.norm(batch.states, axis=-1)))
-    cover_y0 = solve_rbsde(spec, batch, basis, trunc=TruncationIndex.covering(reach)).y0
+    cover = TruncationIndex.covering(reach)
+    key = (cover.n, cover.m)
+    cover_y0 = y0[key] if key in y0 else solve_rbsde(spec, batch, basis, trunc=cover).y0
 
     npaths = batch.count
     comparisons = []

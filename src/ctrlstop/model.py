@@ -7,8 +7,8 @@ feedback control with a stopping time:
 
     maximise  E[ integral_0^tau gamma(s,X,a) ds + h(tau,X) 1{tau<T} + g(X) 1{tau=T} ].
 
-Coefficients are vectorised callables; builtins are backed by parsed
-expression trees so that problem files round-trip exactly.
+Coefficients are vectorised callables compiled from parsed expression
+trees; the trees stay beside them, so problem files round-trip exactly.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class Box:
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Vectorised model coefficients plus the parsed expressions behind them, if any.
+    """Vectorised model coefficients plus the parsed expressions behind them.
 
     sigma: (t, X[n,d]) -> [n,d,d];  g: (X[n,d]) -> [n];  h: (t, X[n,d]) -> [n].
 
@@ -137,11 +137,11 @@ class CoefficientField:
     when the coefficient ignores the state.  ``t`` is a scalar or one time
     per row.  g and h may return a scalar, which ``ProblemSpec`` broadcasts.
 
-    The ``*_expr(s)`` fields hold ``ExpressionTree``s, each with its text as
-    ``source``.  ``reads(name)`` and ``sigma_diagonal`` are read off them on
-    construction, so also by ``dataclasses.replace``; a coefficient without
-    an expression reads both t and x.  A parameter may not be named t, x<j>
-    or a<j>, the names of the variables.
+    The ``*_expr(s)`` fields and ``params`` are required: each field holds
+    the ``ExpressionTree``s the callable was compiled from, each with its
+    text as ``source``.  ``reads(name)`` and ``sigma_diagonal`` are read off
+    them on construction, so also by ``dataclasses.replace``.  A parameter
+    may not be named t, x<j> or a<j>, the names of the variables.
     """
 
     sigma: Callable
@@ -149,28 +149,26 @@ class CoefficientField:
     gamma: Callable
     g: Callable
     h: Callable
-    sigma_exprs: tuple[ExpressionTree, ...] | None = None
-    f_exprs: tuple[ExpressionTree, ...] | None = None
-    gamma_expr: ExpressionTree | None = None
-    g_expr: ExpressionTree | None = None
-    h_expr: ExpressionTree | None = None
-    params: Mapping[str, float] | None = None
+    sigma_exprs: tuple[ExpressionTree, ...]
+    f_exprs: tuple[ExpressionTree, ...]
+    gamma_expr: ExpressionTree
+    g_expr: ExpressionTree
+    h_expr: ExpressionTree
+    params: Mapping[str, float]
     # every off-diagonal sigma entry reads neither t nor x and is 0.0 under params
     sigma_diagonal: bool = field(init=False)
     _reads_of: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        params = dict(self.params or {})
-        shadowed = sorted(name for name in params if _VARIABLE.fullmatch(name))
+        shadowed = sorted(name for name in self.params if _VARIABLE.fullmatch(name))
         if shadowed:
             raise ValueError(f"parameter names {shadowed} shadow the variables t, x<j> and a<j>")
-        exprs = {"sigma": self.sigma_exprs, "f": self.f_exprs, "gamma": self.gamma_expr, "g": self.g_expr, "h": self.h_expr}
-        reads = {k: frozenset("tx") if e is None else _reads(e if isinstance(e, tuple) else [e]) for k, e in exprs.items()}
+        exprs = {"sigma": self.sigma_exprs, "f": self.f_exprs, "gamma": [self.gamma_expr], "g": [self.g_expr], "h": [self.h_expr]}
         # off-diagonal entries sit at the row-major positions not divisible by dim + 1
         sig = self.sigma_exprs
-        off = [e for i, e in enumerate(sig or ()) if i % (math.isqrt(len(sig)) + 1)]
-        diagonal = sig is not None and all(not _reads([e]) and float(e(params)) == 0.0 for e in off)
-        object.__setattr__(self, "_reads_of", reads)
+        off = [e for i, e in enumerate(sig) if i % (math.isqrt(len(sig)) + 1)]
+        diagonal = all(not _reads([e]) and float(e(self.params)) == 0.0 for e in off)
+        object.__setattr__(self, "_reads_of", {k: _reads(e) for k, e in exprs.items()})
         object.__setattr__(self, "sigma_diagonal", diagonal)
 
     def reads(self, name: str) -> frozenset[str]:

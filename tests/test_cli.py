@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from ctrlstop import pde
+from ctrlstop import mc, pde
 from ctrlstop.cli import (
     ProblemFileError,
     emit_problem_file,
@@ -16,7 +17,7 @@ from ctrlstop.cli import (
     parse_problem_file,
 )
 from ctrlstop.hamilton import TruncationIndex
-from ctrlstop.model import build_builtin
+from ctrlstop.model import CoefficientField, build_builtin
 from ctrlstop.paths import TimeGrid, simulate_controlled
 
 from oracles import per_control
@@ -93,11 +94,12 @@ def test_parse_rejects_invalid_problems():
 
 
 def test_emit_requires_expression_backing():
-    spec = build_builtin("bachelier_put")
+    """No coefficient field lacks an expression, so every spec can be written out."""
+    c = build_builtin("bachelier_put").coefficients
+    fields = {f.name: getattr(c, f.name) for f in dataclasses.fields(c) if f.init}
     for name in ("sigma_exprs", "f_exprs", "gamma_expr", "g_expr", "h_expr"):
-        stripped = dataclasses.replace(spec.coefficients, **{name: None})
-        with pytest.raises(ValueError, match="expression-backed"):
-            emit_problem_file(dataclasses.replace(spec, coefficients=stripped))
+        with pytest.raises(TypeError, match=name):
+            CoefficientField(**{k: v for k, v in fields.items() if k != name})
 
 
 def test_load_problem_from_disk(tmp_path):
@@ -391,3 +393,22 @@ def test_convergence_command(capsys):
     assert main(argv) == 0
     assert "refinement contracts" in capsys.readouterr().out
     assert main(["convergence", "--builtin", "bachelier_put", "--nx-list", "51,101"]) == 2
+
+
+def test_ladder_solves_a_listed_covering_pair_once(monkeypatch, capsys):
+    """Box radius 4 is covered by (5, 5), a listed pair: four pairs and the untruncated solve, per ladder."""
+    calls = {"pde": 0, "mc": 0}
+
+    def counted(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(pde, "solve", counted("pde", pde.solve))
+    monkeypatch.setattr(mc, "solve_rbsde", counted("mc", mc.solve_rbsde))
+    argv = ["ladder", "--builtin", "controlled_drift_abs", "--nx", "41", "--n-list", "1,5", "--m-list", "1,5"]
+    assert main([*argv, "--paths", "500", "--steps", "5"]) == 0
+    assert re.findall(r"exhaustion gap: (\S+)", capsys.readouterr().out) == ["0.0", "0.0"]
+    assert calls == {"pde": 5, "mc": 5}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -218,7 +219,7 @@ def _fact_case(name):
     custom = {
         "drift-reward": acceptance._drift_reward_spec,
         "constant-drift": lambda: acceptance._constant_drift_spec(0.5),
-        "free-put": lambda: acceptance._free_put_spec(0.0),
+        "free-put": lambda: acceptance._put_spec(acceptance.PUT_PAYOFF, "-1000000000"),
     }
     return (custom[name]() if name in custom else build_builtin(name)).coefficients
 
@@ -240,22 +241,29 @@ def test_derived_facts_equal_the_former_flags(name):
 @pytest.mark.parametrize("flag", FORMER_FLAGS)
 def test_structure_is_not_an_option(flag):
     c = build_builtin("bachelier_put").coefficients
+    fields = {f.name: getattr(c, f.name) for f in dataclasses.fields(c) if f.init}
     with pytest.raises((TypeError, ValueError)):
-        CoefficientField(sigma=c.sigma, f=c.f, gamma=c.gamma, g=c.g, h=c.h, **{flag: True})
+        CoefficientField(**fields, **{flag: True})
     with pytest.raises((TypeError, ValueError)):
         dataclasses.replace(c, **{flag: True})
 
 
 def test_replace_derives_the_facts_again():
-    c = build_builtin("controlled_drift_abs").coefficients
+    c = build_builtin("controlled_drift_abs", {"d": 2}).coefficients
     assert c.reads("h") == set() and c.sigma_diagonal
     assert dataclasses.replace(c, h_expr=parse_expression("x1")).reads("h") == {"x"}
     assert dataclasses.replace(c, h_expr=parse_expression("h_floor*t")).reads("h") == {"t"}
-    # without an expression, a coefficient reads both
-    assert dataclasses.replace(c, h_expr=None).reads("h") == {"t", "x"}
-    assert not dataclasses.replace(c, sigma_exprs=None).sigma_diagonal
+    assert dataclasses.replace(c, h_expr=parse_expression("x2+0*t")).reads("h") == {"t", "x"}
+    one, zero = parse_expression("1"), parse_expression("0*x1")
+    assert not dataclasses.replace(c, sigma_exprs=(one, zero, zero, one)).sigma_diagonal
     # control components are not state
     assert c.reads("f") == set()
+
+
+def test_every_expression_and_the_params_are_required():
+    params = inspect.signature(CoefficientField).parameters
+    required = ("sigma_exprs", "f_exprs", "gamma_expr", "g_expr", "h_expr", "params")
+    assert [name for name in required if params[name].default is not inspect.Parameter.empty] == []
 
 
 @pytest.mark.parametrize("name", ("triangle-1d", "rbsde-5d", "policy-2d-localvol"))
@@ -420,6 +428,21 @@ def test_validation_fails_a_drift_that_is_nan_under_one_control():
     (check,) = [c for c in report.checks if c.name == "f_linear_growth"]
     assert not check.passed
     assert check.worst_point == ("non-finite f",)
+
+
+@pytest.mark.parametrize(
+    "key, check",
+    [("sigma", "sigma_inverse_bound"), ("gamma", "gamma_poly_growth"), ("g", "g_poly_growth"), ("h", "h_poly_growth")],
+)
+def test_validation_fails_a_coefficient_that_is_non_finite_at_some_samples(key, check):
+    # exp(1000*x1) overflows to inf for x1 > 0.71, inside the put's box [-3, 5]
+    blowup = "exp(1000*x1)"
+    spec = build_builtin("custom", {**PUT_LIKE, key: (blowup,) if key == "sigma" else blowup})
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = validate(spec, samples=256, seed=0)
+    (found,) = [c for c in report.checks if c.name == check]
+    assert not found.passed and found.measured == math.inf
+    assert found.worst_point == (f"non-finite {key}",)
 
 
 def test_drift_growth_ties_go_to_the_lowest_control_then_the_first_sample():

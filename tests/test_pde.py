@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from ctrlstop import pde
+from ctrlstop.expr import parse_expression
 from ctrlstop.hamilton import TruncationIndex
 from ctrlstop.model import build_builtin
 from ctrlstop.paths import TimeGrid
 from ctrlstop.pde import (
     SpaceTimeGrid,
-    comparison_check,
     extract_policy,
     ladder,
     make_grid,
@@ -244,7 +244,6 @@ def test_extracted_control_pushes_away_from_the_origin():
     policy = extract_policy(spec, field)
     idx = policy.control_indices(0.0, np.array([[2.0], [-2.0]]))
     assert idx[0] == 2 and idx[1] == 0  # +kappa right of 0, -kappa left
-    assert policy.control_points.shape == (3, 1)
 
 
 def test_truncation_ladder_is_monotone_and_exhausts():
@@ -395,22 +394,24 @@ def test_cfl_violation_is_reported():
 
 
 def test_dominating_generator_needs_diagonal_sigma():
-    spec = _custom(
-        dim=2,
-        sigma=["1", "0.5", "0.5", "1"],
-        f=["0", "0"],
-        g="0",
-        controls=[[0.0, 0.0]],
-        lo=-2.0,
-        hi=2.0,
-        growth={"C_f": 0.0, "C_sigma_inv": 2.0, "C_poly": 1.0, "p": 1.0},
-    )
-    grid = SpaceTimeGrid(box=spec.domain, nx=(15, 15), nt=600, horizon_T=1.0)
-    with pytest.raises(ValueError, match="diagonal sigma"):
-        solve(spec, grid, generator="dominating")
-    # sizing a grid builds the scheme, so make_grid raises the same error
-    with pytest.raises(ValueError, match="diagonal sigma"):
-        make_grid(spec, 15, generator="dominating")
+    # diagonal as sigma_diagonal reads it, so an off-diagonal of 1e-13 is refused too
+    for sigma in (["1", "0.5", "0.5", "1"], ["1", "0.3", "0", "1"], ["1", "1e-13", "0", "1"]):
+        spec = _custom(
+            dim=2,
+            sigma=sigma,
+            f=["0", "0"],
+            g="0",
+            controls=[[0.0, 0.0]],
+            lo=-2.0,
+            hi=2.0,
+            growth={"C_f": 0.0, "C_sigma_inv": 2.0, "C_poly": 1.0, "p": 1.0},
+        )
+        grid = SpaceTimeGrid(box=spec.domain, nx=(15, 15), nt=600, horizon_T=1.0)
+        with pytest.raises(ValueError, match="require diagonal sigma"):
+            solve(spec, grid, generator="dominating")
+        # sizing a grid builds the scheme, so make_grid raises the same error
+        with pytest.raises(ValueError, match="require diagonal sigma"):
+            make_grid(spec, 15, generator="dominating")
 
 
 def test_dominating_generator_bounds_the_value_on_the_same_grid():
@@ -422,41 +423,19 @@ def test_dominating_generator_bounds_the_value_on_the_same_grid():
 
 
 def test_comparison_check_detects_order_both_ways():
-    spec = build_builtin("decaying_obstacle")
-    grid = make_grid(spec, 61)
+    """The decaying obstacle's value against its twin with the same bump added to g and h."""
 
-    def bump(X):
-        return 0.25 * np.exp(-X[:, 0] ** 2)
+    def decaying(bump=""):
+        return _custom(
+            sigma=["sigma0"], g="max(K-x1,0)" + bump, h="max(K-x1,0)*(1+beta*(T-t))" + bump,
+            params={"sigma0": 0.2, "K": 1.0, "beta": 0.5, "T": 1.0}, lo=-3.0, hi=5.0,
+        )
 
-    low = (lambda X: spec.g(X), lambda t, X: spec.h(t, X))
-    high = (
-        lambda X: spec.g(X) + bump(X),
-        lambda t, X: spec.h(t, X) + bump(X),
-    )
-    ordered = comparison_check(spec, grid, [(low, high)])
-    assert ordered["passed"]
-    assert ordered["max_violation"] <= 1e-10
-    reversed_ = comparison_check(spec, grid, [(high, low)])
-    assert not reversed_["passed"]
-    assert reversed_["max_violation"] > 0.1
-
-
-def test_comparison_check_clears_the_obstacle_flags_of_its_replaced_h(monkeypatch):
-    spec = build_builtin("controlled_drift_abs", {"h_floor": 0.8})
-    assert spec.coefficients.reads("h") == set()
-    seen = []
-    real_solve = pde.solve
-
-    def recording_solve(spec, grid):
-        seen.append(spec.coefficients)
-        return real_solve(spec, grid)
-
-    monkeypatch.setattr(pde, "solve", recording_solve)
-    pair = (lambda X: spec.g(X), lambda t, X: spec.h(t, X))
-    comparison_check(spec, make_grid(spec, 41), [(pair, pair)])
-    assert len(seen) == 2
-    # the replaced g and h have no expression, so they read both t and x
-    assert all(c.reads("h") == c.reads("g") == {"t", "x"} for c in seen)
+    low, high = decaying(), decaying("+0.25*exp(-x1*x1)")
+    grid = make_grid(low, 61)
+    v_low, v_high = (solve(spec, grid).values for spec in (low, high))
+    assert float(np.max(v_low - v_high)) <= 1e-10
+    assert float(np.max(v_high - v_low)) > 0.1
 
 
 def test_time_free_state_dependent_sigma_is_built_once_with_the_same_bits():
@@ -477,12 +456,14 @@ def test_time_free_state_dependent_sigma_is_built_once_with_the_same_bits():
     def with_sigma(**over):
         return dataclasses.replace(spec, coefficients=dataclasses.replace(spec.coefficients, **over))
 
+    read_t = parse_expression("0.3+0.1*tanh(x1)+0*t")
+    assert dataclasses.replace(spec.coefficients, sigma_exprs=(read_t,)).reads("sigma") == {"t", "x"}
     grid = make_grid(spec, 81)
     hoisted = solve(with_sigma(sigma=counted(spec.coefficients.sigma)), grid)
     assert times == [0.0]
     times.clear()
-    # an expression-less twin reads t as far as anyone can tell, so it is built per slice
-    per_slice = solve(with_sigma(sigma=counted(spec.coefficients.sigma), sigma_exprs=None), grid)
+    # a twin whose expression also names t is built per slice
+    per_slice = solve(with_sigma(sigma=counted(spec.coefficients.sigma), sigma_exprs=(read_t,)), grid)
     assert len(times) == grid.nt
     for name in ("values", "control", "binding"):
         assert getattr(hoisted, name).tobytes() == getattr(per_slice, name).tobytes()

@@ -17,7 +17,8 @@ MODULES = ("ctrlstop", *(f"ctrlstop.{m.name}" for m in pkgutil.iter_modules(ctrl
 _TWINS = ("HamiltonianValue", "hamiltonian", "sup_hamiltonian", "truncated_sup_hamiltonian", "cutoff", "unit_direction")
 REMOVED = {
     # girsanov_log_batch looks the controls up as it steps; nothing labels a stored batch
-    "ctrlstop": (*_TWINS, "dominating_generator", "attach_controls"),
+    # every coefficient is compiled from its expression; an ordering is two expression-backed solves
+    "ctrlstop": (*_TWINS, "dominating_generator", "attach_controls", "comparison_check"),
     "ctrlstop.hamilton": (*_TWINS, "_one_row"),
     # each parse returns one closure; variables are gathered while parsing
     "ctrlstop.expr": ("_Num", "_Var", "_Neg", "_Bin", "_Call"),
@@ -27,13 +28,15 @@ REMOVED = {
     # the tests build the per-step terms from _log_density_step; the package needs only their sum
     "ctrlstop.paths": ("attach_controls", "_neumaier_sum", "_constant_sigma", "girsanov_log_terms"),
     # the sweep records the control; extract_policy has no kernel pass to block
-    "ctrlstop.pde": ("POLICY_BLOCK_ROWS",),
+    "ctrlstop.pde": ("POLICY_BLOCK_ROWS", "comparison_check"),
 }
 # keyword options no caller set; the grid box is spec.domain and the others are module constants
 REMOVED_OPTIONS = {
     ("ctrlstop.pde", "make_grid"): ("box", "cfl"),
     ("ctrlstop.pde", "ladder"): ("core_fraction",),
     ("ctrlstop.pde", "SpaceTimeGrid.core_mask"): ("fraction",),
+    # a copy of spec.controls.points that nothing read
+    ("ctrlstop.pde", "PolicyField"): ("control_points",),
     # fields nothing read: the start point is states[:, 0] and the seed stays with the caller
     ("ctrlstop.paths", "PathBatch"): ("seed", "x0"),
     # the partition spans spec.domain; Z lives one slice at a time, and the arguments stay with the caller

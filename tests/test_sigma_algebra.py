@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrlstop.hamilton import _control_values, sup_hamiltonian_batch
-from ctrlstop.model import CoefficientField, build_builtin, sigma_apply
+from ctrlstop.model import build_builtin, sigma_apply
 from ctrlstop.paths import PathBatch, TimeGrid
 
 from oracles import girsanov_log_terms
@@ -45,6 +45,17 @@ def _custom(sigma, params=None, dim=2, f=("a1", "a2")):
     )
 
 
+def _lapack_twin(spec):
+    """``spec`` with ``sigma_diagonal`` cleared, so every sigma solve takes LAPACK's gesv.
+
+    A 1 x 1 sigma has no off-diagonal expression that could clear it, so the
+    derived field is overwritten on a copy.
+    """
+    coeffs = dataclasses.replace(spec.coefficients)
+    object.__setattr__(coeffs, "sigma_diagonal", False)
+    return dataclasses.replace(spec, coefficients=coeffs)
+
+
 # -- the derived sigma_diagonal ------------------------------------------------
 
 
@@ -70,10 +81,6 @@ def test_flag_is_clear_on_other_inputs():
     # the full-sigma problem of tests/test_batched_equivalence.py
     full = _custom(("0.8+0.2*tanh(x1)", "0.1*tanh(x2-t)", "0.05", "0.8+0.2*tanh(x2+t)"))
     assert not full.coefficients.sigma_diagonal
-    spec = build_builtin("bachelier_put")
-    c = spec.coefficients
-    hand_built = CoefficientField(sigma=c.sigma, f=c.f, gamma=c.gamma, g=c.g, h=c.h)
-    assert not hand_built.sigma_diagonal
 
 
 def test_full_sigma_goes_through_lapack(monkeypatch):
@@ -164,7 +171,7 @@ def test_zero_on_the_diagonal_raises_like_gesv():
 @settings(max_examples=25, deadline=None)
 @given(d=st.integers(1, 3), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
 def test_diagonal_division_matches_the_lapack_path_end_to_end(d, n, seed):
-    """A diagonal spec gives the bits of its expression-less twin, which takes LAPACK."""
+    """A diagonal spec gives the bits of its LAPACK twin, the same spec with ``sigma_diagonal`` cleared."""
     rng = np.random.default_rng(seed)
     sigma = [
         f"{rng.uniform(0.5, 2.0)!r}+0.3*tanh(x{i + 1}-{rng.uniform(-1, 1)!r}*t)" if i == j else "0"
@@ -174,8 +181,7 @@ def test_diagonal_division_matches_the_lapack_path_end_to_end(d, n, seed):
     f = tuple(f"{rng.uniform(-2, 2)!r}*a1+{rng.uniform(-1, 1)!r}*x{j + 1}*a2" for j in range(d))
     spec = _custom(sigma, dim=d, f=f)
     assert spec.coefficients.sigma_diagonal
-    lapack = dataclasses.replace(spec, coefficients=dataclasses.replace(spec.coefficients, sigma_exprs=None))
-    assert not lapack.coefficients.sigma_diagonal
+    lapack = _lapack_twin(spec)
     X = rng.uniform(-2.0, 2.0, size=(n, d))
     Z = rng.standard_normal((n, d)) * np.exp(rng.uniform(-3.0, 3.0, size=(n, 1)))
     ts = rng.uniform(0.0, 1.0, size=n)
