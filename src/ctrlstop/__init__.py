@@ -36,7 +36,6 @@ from .paths import (
     simulate_uncontrolled,
 )
 from .pde import (
-    PolicyField,
     SpaceTimeGrid,
     ValueField,
     extract_policy,
@@ -81,7 +80,6 @@ __all__ = [
     "girsanov_log_batch",
     "SpaceTimeGrid",
     "ValueField",
-    "PolicyField",
     "make_grid",
     "solve",
     "extract_policy",

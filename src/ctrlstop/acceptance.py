@@ -114,25 +114,14 @@ def _put_spec(g: str, h: str):
     )
 
 
-def _bachelier_field(shared, nx=401):
+def _solved_field(shared, name, nx):
+    """(spec, field) of builtin ``name`` on its own nx grid; the field is also its strategy."""
+
     def build():
-        spec = build_builtin("bachelier_put")
-        grid = pde.make_grid(spec, nx)
-        field = pde.solve(spec, grid)
-        return spec, field
+        spec = build_builtin(name)
+        return spec, pde.solve(spec, pde.make_grid(spec, nx))
 
-    return shared.get(("bachelier", nx), build)
-
-
-def _controlled_field(shared, nx=401):
-    def build():
-        spec = build_builtin("controlled_drift_abs")
-        grid = pde.make_grid(spec, nx)
-        field = pde.solve(spec, grid)
-        policy = pde.extract_policy(spec, field)
-        return spec, field, policy
-
-    return shared.get(("controlled", nx), build)
+    return shared.get((name, nx), build)
 
 
 def _decaying_obstacle_run(shared):
@@ -158,14 +147,14 @@ def _sample_tx(spec, samples, seed):
 
 
 def _check_closed_form(shared):
-    spec, field = _bachelier_field(shared, 401)
+    spec, field = _solved_field(shared, "bachelier_put", 401)
     v = field.at(0.0, np.array([1.0]))
     rel = abs(v - CLOSED_FORM_ATM_PUT) / CLOSED_FORM_ATM_PUT
     return rel <= 0.01, f"v(0,1)={v:.10f} rel.err={rel:.2e} (tol 1e-2)"
 
 
 def _check_method_triangle(shared):
-    spec, field, policy = _controlled_field(shared, 401)
+    spec, field = _solved_field(shared, "controlled_drift_abs", 401)
     x0 = np.array([0.5])
     v_pde = field.at(0.0, x0)
 
@@ -174,7 +163,7 @@ def _check_method_triangle(shared):
     basis = mc.RegressionBasis(kind="polynomial", degree=6)
     back = mc.solve_rbsde(spec, batch, basis)
 
-    est = strategy.evaluate(spec, policy, tg, x0, 100_000, seed=12)
+    est = strategy.evaluate(spec, field, tg, x0, 100_000, seed=12)
 
     budget = strategy.SCHEME_BUDGET_REL * max(0.1, abs(v_pde))
     pairs = [
@@ -223,8 +212,9 @@ def _check_complementarity(shared):
     field = pde.solve(spec, grid)
     nodes = grid.nodes()
     h_all = np.stack([spec.h(float(t), nodes).reshape(grid.shape) for t in grid.times[:-1]])
-    clipped = int(field.binding.sum())
-    exact_clip = bool(np.array_equal(field.values[:-1][field.binding], h_all[field.binding]))
+    binding = field.stop_mask[:-1]
+    clipped = int(binding.sum())
+    exact_clip = bool(np.array_equal(field.values[:-1][binding], h_all[binding]))
 
     ok = residual == 0.0 and reflected > 0 and clipped > 0 and exact_clip
     detail = (
@@ -333,10 +323,8 @@ def _check_change_of_measure(shared):
     const_ok = abs(const.mean - 1.0) <= 3.0 * const.stderr
     moment_ok = abs(const.q_moment - oracle) <= 0.05 * oracle
 
-    spec_f = build_builtin("controlled_drift_abs")
-    grid = pde.make_grid(spec_f, 201)
-    policy = pde.extract_policy(spec_f, pde.solve(spec_f, grid))
-    fb = strategy.martingale_check(spec_f, policy, tg, np.array([0.5]), 100_000, seed=83)
+    spec_f, field_f = _solved_field(shared, "controlled_drift_abs", 201)
+    fb = strategy.martingale_check(spec_f, field_f, tg, np.array([0.5]), 100_000, seed=83)
     fb_ok = abs(fb.mean - 1.0) <= 3.0 * fb.stderr
 
     ok = zero_ok and const_ok and moment_ok and fb_ok
@@ -350,14 +338,13 @@ def _check_change_of_measure(shared):
 def _check_optimality(shared):
     tg = TimeGrid(0.0, 1.0, 50)
 
-    spec_c, field_c, policy_c = _controlled_field(shared, 401)
-    rep_c = strategy.optimality_gap(spec_c, field_c, policy_c, tg, np.array([0.5]), 100_000, seed=91)
+    spec_c, field_c = _solved_field(shared, "controlled_drift_abs", 401)
+    rep_c = strategy.optimality_gap(spec_c, field_c, tg, np.array([0.5]), 100_000, seed=91)
     zero_row = next(r for r in rep_c.rows if r.name == "constant control (0.0)")
     strict = zero_row.gap < -3.0 * zero_row.se_combined
 
-    spec_b, field_b = _bachelier_field(shared, 401)
-    policy_b = pde.extract_policy(spec_b, field_b)
-    rep_b = strategy.optimality_gap(spec_b, field_b, policy_b, tg, np.array([1.0]), 100_000, seed=92)
+    spec_b, field_b = _solved_field(shared, "bachelier_put", 401)
+    rep_b = strategy.optimality_gap(spec_b, field_b, tg, np.array([1.0]), 100_000, seed=92)
     hold = rep_b.optimal.breakdown.fraction_stopped_early == 0.0
 
     ok = rep_c.passed and strict and rep_b.passed and hold
@@ -412,7 +399,7 @@ def _check_comparison(shared):
 def _check_refinement(shared):
     errs = []
     for nx in (101, 201, 401):
-        _, field = _bachelier_field(shared, nx)
+        _, field = _solved_field(shared, "bachelier_put", nx)
         errs.append(abs(field.at(0.0, np.array([1.0])) - CLOSED_FORM_ATM_PUT))
     ok = all(errs[i + 1] <= errs[i] / 1.5 for i in range(len(errs) - 1))
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]

@@ -212,7 +212,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
-def write_value_policy_csv(path: Path, spec: ProblemSpec, field: pde.ValueField, policy: pde.PolicyField) -> None:
+def write_value_policy_csv(path: Path, spec: ProblemSpec, field: pde.ValueField) -> None:
     grid = field.grid
     nodes = grid.nodes()
     header = ["t"] + [f"x{j + 1}" for j in range(grid.dim)] + ["value", "h", "a_index", "stop"]
@@ -221,8 +221,8 @@ def write_value_policy_csv(path: Path, spec: ProblemSpec, field: pde.ValueField,
         for i, t in enumerate(grid.times):
             h = spec.h(float(t), nodes)
             vals = field.values[i].ravel()
-            args = policy.argmax[i].ravel()
-            stops = policy.stop_mask[i].ravel()
+            args = field.control[i].ravel()
+            stops = field.stop_mask[i].ravel()
             for r in range(nodes.shape[0]):
                 yield (
                     [_fmt(t)]
@@ -346,16 +346,15 @@ def _cmd_solve_pde(args) -> int:
     spec = _resolve_spec(args)
     grid = pde.make_grid(spec, args.nx, nt=args.nt, generator=args.generator)
     field = pde.solve(spec, grid, trunc=_trunc_from(args), generator=args.generator)
-    policy = pde.extract_policy(spec, field)
     x0 = _parse_x0(args.x0, spec)
     print(f"problem: {spec.name} (d={spec.dim}, T={spec.horizon_T})")
     print(f"grid: nx={grid.nx} nt={grid.nt} dt={grid.dt:.3e} cfl_ratio={field.scheme_meta['cfl_ratio']:.3f}")
     print(f"v(0, {','.join(f'{v:g}' for v in x0)}) = {field.at(0.0, x0)!r}")
-    frac = float(np.mean(policy.stop_mask[:-1]))
+    frac = float(np.mean(field.stop_mask[:-1]))
     print(f"stop region (before horizon): {frac:.4%} of nodes")
     if args.out:
         out = _out_dir(args)
-        write_value_policy_csv(out / "value_policy.csv", spec, field, policy)
+        write_value_policy_csv(out / "value_policy.csv", spec, field)
         print(f"wrote {out / 'value_policy.csv'}")
     return 0
 
@@ -385,9 +384,8 @@ def _cmd_simulate(args) -> int:
     x0 = _parse_x0(args.x0, spec)
     grid = pde.make_grid(spec, args.nx, nt=args.nt)
     field = pde.solve(spec, grid)
-    policy = pde.extract_policy(spec, field)
     tg = TimeGrid(0.0, spec.horizon_T, args.steps)
-    report = strategy.optimality_gap(spec, field, policy, tg, x0, args.paths, seed=args.seed)
+    report = strategy.optimality_gap(spec, field, tg, x0, args.paths, seed=args.seed)
     print(f"problem: {spec.name}; v(0,x0) = {report.field_value!r}")
     opt = report.optimal
     print(
@@ -402,7 +400,7 @@ def _cmd_simulate(args) -> int:
         out = _out_dir(args)
         rows = [("extracted policy", opt)] + [(r.name, r.estimate) for r in report.rows]
         write_strategy_csv(out / "strategy.csv", rows)
-        batch = simulate_controlled(spec, policy, 0.0, x0, tg, min(args.paths, args.dump_paths), args.seed)
+        batch = simulate_controlled(spec, field, 0.0, x0, tg, min(args.paths, args.dump_paths), args.seed)
         write_paths_csv(out / "paths.csv", spec, batch)
         print(f"wrote {out / 'strategy.csv'} and {out / 'paths.csv'}")
     return 0 if report.passed else 1

@@ -657,7 +657,7 @@ def validate(spec: ProblemSpec, samples: int = 4096, seed: int = 0) -> Validatio
 
     def f_check():
         fv, _ = spec.control_rows(ts, xs, ks)
-        if np.any(np.isnan(fv)):
+        if not np.all(np.isfinite(fv)):
             return np.inf, gr.C_f, ("non-finite f",)
         ratios = np.linalg.norm(fv, axis=1) / (1.0 + xnorm)
         # ties go to the lowest control index, then to the first sample

@@ -10,8 +10,10 @@ The same sweep records the projection and the control: a node binds when the
 obstacle pushed the step up, v - vtilde > 0, by more than a round-off floor,
 and its control is the step's maximiser, the optimal feedback of the scheme's
 Markov chain.  Binding nodes store v = h exactly and form the stopping region
-(the increasing process K of the reflected BSDE moves only there), so policy
-extraction and the complementarity check read the records.
+(the increasing process K of the reflected BSDE moves only there).  The solved
+``ValueField`` is therefore its own strategy: ``control_indices`` and
+``stop_at`` read the records at the nearest node, and the complementarity
+check reads the stop mask.
 
 First derivatives are upwinded one-sided per drift-component sign, jointly
 with the sup over the finite control set, which keeps the scheme monotone
@@ -34,7 +36,6 @@ from .model import Box, ProblemSpec, dominating_weights
 __all__ = [
     "SpaceTimeGrid",
     "ValueField",
-    "PolicyField",
     "LadderReport",
     "make_grid",
     "solve",
@@ -135,37 +136,35 @@ class SpaceTimeGrid:
 
 @dataclass(frozen=True)
 class ValueField:
+    """The solved value and the feedback strategy the sweep recorded with it."""
+
     grid: SpaceTimeGrid
-    values: np.ndarray   # [nt+1, *shape]
-    binding: np.ndarray  # [nt, *shape] bool; the obstacle pushed the step up
-    control: np.ndarray  # [nt+1, *shape] int16; step t_{i+1} -> t_i's maximiser, -1 under phi
+    values: np.ndarray     # [nt+1, *shape]
+    stop_mask: np.ndarray  # [nt+1, *shape] bool; the obstacle pushed the step up, final slice all True
+    control: np.ndarray    # [nt+1, *shape] int16; step t_{i+1} -> t_i's maximiser, -1 under phi
     scheme_meta: dict
 
     def __post_init__(self):
         self.values.setflags(write=False)
-        self.binding.setflags(write=False)
+        self.stop_mask.setflags(write=False)
         self.control.setflags(write=False)
 
+    def _lookup(self, records: np.ndarray, t: float, X) -> np.ndarray:
+        """``records`` at the nearest node of each row of X on slice t (constant extension outside the box).
+
+        The slice is taken first: at d = 1 one index that mixes the slice
+        number with the space indices gathers several times slower.
+        """
+        return records[self.grid.time_index(t)][self.grid.space_indices(X)]
+
     def at(self, t: float, x) -> float:
-        return float(self.values[self.grid.time_index(t)][self.grid.space_indices(x)][0])
-
-
-@dataclass(frozen=True)
-class PolicyField:
-    grid: SpaceTimeGrid
-    argmax: np.ndarray           # [nt+1, *shape] control indices
-    stop_mask: np.ndarray        # [nt+1, *shape]; final slice all True
-
-    def __post_init__(self):
-        self.argmax.setflags(write=False)
-        self.stop_mask.setflags(write=False)
+        return float(self._lookup(self.values, t, x)[0])
 
     def control_indices(self, t: float, X: np.ndarray) -> np.ndarray:
-        """Nearest-node policy lookup (constant extension outside the box)."""
-        return self.argmax[self.grid.time_index(t)][self.grid.space_indices(X)]
+        return self._lookup(self.control, t, X)
 
     def stop_at(self, t: float, X: np.ndarray) -> np.ndarray:
-        return self.stop_mask[self.grid.time_index(t)][self.grid.space_indices(X)]
+        return self._lookup(self.stop_mask, t, X)
 
 
 def _covariance(sig: np.ndarray):
@@ -375,12 +374,12 @@ def solve(
 ) -> ValueField:
     """Backward sweep; terminal slice is g exactly, every slice obeys v >= h.
 
-    The sweep also records where the obstacle binds (``ValueField.binding``):
+    The sweep also records where the obstacle binds (``ValueField.stop_mask``):
     the push v - vtilde exceeds BINDING_FLOOR * (1 + max |v|).  The push is
     h - vtilde where the obstacle binds and 0 elsewhere; the floor needs the
-    whole field, so the push is thresholded once the sweep ends.
-    ``ValueField.control`` keeps each step's control; the terminal slice,
-    where every path stops, repeats slice nt-1.
+    whole field, so the push is thresholded once the sweep ends.  Every path
+    stops on the terminal slice.  ``ValueField.control`` keeps each step's
+    control; the terminal slice repeats slice nt-1.
     """
     if spec.dim != grid.dim:
         raise ValueError("grid dimension does not match the problem")
@@ -396,8 +395,9 @@ def solve(
         np.maximum(vt, sch.at("h", float(times[i])), out=values[i])
         np.subtract(values[i], vt, out=push[i])
     control[nt] = control[nt - 1]
+    stop = np.ones((nt + 1, *grid.shape), dtype=bool)
     # max |v| as max(max v, -min v): no field-sized temporary
-    binding = push > BINDING_FLOOR * (1.0 + max(float(np.max(values)), -float(np.min(values))))
+    np.greater(push, BINDING_FLOOR * (1.0 + max(float(np.max(values)), -float(np.min(values)))), out=stop[:-1])
     meta = {
         "generator": generator,
         "trunc": None if trunc is None else (trunc.n, trunc.m),
@@ -406,22 +406,12 @@ def solve(
         "boundary": "zero-gradient edge extension",
         "coeff_time": "source slice",
     }
-    return ValueField(grid=grid, values=values, binding=binding, control=control, scheme_meta=meta)
+    return ValueField(grid=grid, values=values, stop_mask=stop, control=control, scheme_meta=meta)
 
 
-def extract_policy(spec: ProblemSpec, field: ValueField) -> PolicyField:
-    """Feedback control and stopping region of a solved value field.
-
-    Both are the sweep's own records: the control is ``field.control``, shared
-    without a copy (-1 under the dominating generator, which a forward run
-    rejects), and the stopping region is ``field.binding``, so both follow
-    whatever generator and truncation produced the field; the final slice
-    stops by convention.
-    """
-    grid = field.grid
-    stop = np.ones((grid.nt + 1, *grid.shape), dtype=bool)
-    stop[:-1] = field.binding
-    return PolicyField(grid=grid, argmax=field.control, stop_mask=stop)
+def extract_policy(spec: ProblemSpec, field: ValueField) -> ValueField:
+    """The solved field itself: it answers ``control_indices`` and ``stop_at``."""
+    return field
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,16 @@
 """Forward evaluation of feedback strategies and martingale diagnostics.
 
 A strategy is anything with ``control_indices(t, X) -> int array`` and
-``stop_at(t, X) -> bool array``; extracted policy fields qualify.  Each
-challenger of ``default_challengers`` is such a pair of callables put
-together from existing parts: the policy's own methods, a constant
-policy's control rule, a seeded random control, and rules that stop at
-once or never.  ``evaluate`` asks ``stop_at`` first at each step, and both
-only about live rows: a policy answers row by row.  The paths run
-``paths.CHUNK`` at a time, so a policy that answers row by row gives each
-path the same reward whatever the count.  The one that does not is the
-random-control challenger: it draws one control per row it is asked about,
-so above ``CHUNK`` paths its draws, and its estimate, depend on the
+``stop_at(t, X) -> bool array``; a solved ``pde.ValueField`` qualifies, read
+at the nearest node.  Each challenger of ``default_challengers`` is such a
+pair of callables put together from existing parts: the policy's own
+methods, a constant policy's control rule, a seeded random control, and
+rules that stop at once or never.  ``evaluate`` asks ``stop_at`` first at
+each step, and both only about live rows: a policy answers row by row.  The
+paths run ``paths.CHUNK`` at a time, so a policy that answers row by row
+gives each path the same reward whatever the count.  The one that does not
+is the random-control challenger: it draws one control per row it is asked
+about, so above ``CHUNK`` paths its draws, and its estimate, depend on the
 chunking.
 
 The reward of one path stopped at node i is
@@ -155,7 +155,7 @@ def evaluate(
 
 
 def default_challengers(spec: ProblemSpec, policy, seed: int = 0):
-    """Named suboptimal variants of an extracted policy: each pairs a control rule with a stop rule."""
+    """Named suboptimal variants of a policy, such as a solved field: each pairs a control rule with a stop rule."""
     k = spec.controls.k
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0)))
 
@@ -207,23 +207,22 @@ class OptimalityReport:
 def optimality_gap(
     spec: ProblemSpec,
     field,
-    policy,
     grid: TimeGrid,
     x0,
     count: int,
     seed: int = 0,
 ) -> OptimalityReport:
-    """Check the extracted policy against the field value and challengers.
+    """Check a solved field's own strategy against its value and challengers.
 
     The simulated optimal payoff must match the field value within Monte-Carlo
     noise plus a discretisation budget, and no challenger may beat it by more
     than two combined standard errors.
     """
-    optimal = evaluate(spec, policy, grid, x0, count, seed)
+    optimal = evaluate(spec, field, grid, x0, count, seed)
     v0 = float(field.at(float(grid.t0), np.asarray(x0, dtype=float)))
     budget = 2.0 * optimal.stderr + SCHEME_BUDGET_REL * max(0.1, abs(v0))
     rows = []
-    for j, (name, ch) in enumerate(default_challengers(spec, policy, seed=seed)):
+    for j, (name, ch) in enumerate(default_challengers(spec, field, seed=seed)):
         est = evaluate(spec, ch, grid, x0, count, seed + 1000 + j)
         se = math.hypot(est.stderr, optimal.stderr)
         rows.append(ChallengerRow(name=name, estimate=est, gap=est.mean - optimal.mean, se_combined=se))

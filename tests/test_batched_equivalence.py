@@ -60,11 +60,6 @@ def field(spec):
     return pde.solve(spec, pde.make_grid(spec, nx=21))
 
 
-@pytest.fixture(scope="module")
-def policy(spec, field):
-    return pde.extract_policy(spec, field)
-
-
 def _correlated_spec():
     """The correlated d=2 spec of tools/output_digest.py's pde-variants."""
     return build_builtin(
@@ -127,7 +122,6 @@ def test_recorded_control_is_the_maximiser_of_the_replayed_step(spec, field, cas
     # every path stops at the horizon; the terminal slice repeats the last step
     assert np.array_equal(field.control[-1], field.control[-2])
     assert field.control.dtype == np.int16 and not field.control.flags.writeable
-    assert pde.extract_policy(spec, field).argmax is field.control
 
 
 def _old_simulate(spec, policy, grid, count, seed):
@@ -179,15 +173,15 @@ def _old_evaluate(spec, policy, grid, count, seed):
     return states, controls, mean, stderr, float(np.mean(running)), float(np.mean(stopped))
 
 
-def test_evaluate_matches_the_per_control_loop(spec, policy):
+def test_evaluate_matches_the_per_control_loop(spec, field):
     grid = TimeGrid(0.0, 1.0, 12)
-    states, controls, mean, stderr, running, stopped = _old_evaluate(spec, policy, grid, 3000, 5)
+    states, controls, mean, stderr, running, stopped = _old_evaluate(spec, field, grid, 3000, 5)
     assert len(np.unique(controls)) > 2
     assert 0.0 < stopped < 1.0
-    batch = simulate_controlled(spec, policy, 0.0, X0, grid, 3000, 5)
+    batch = simulate_controlled(spec, field, 0.0, X0, grid, 3000, 5)
     assert np.array_equal(batch.states, states)
     assert np.array_equal(batch.controls, controls)
-    est = evaluate(spec, policy, grid, X0, 3000, seed=5)
+    est = evaluate(spec, field, grid, X0, 3000, seed=5)
     assert (est.mean, est.stderr) == (mean, stderr)
     assert est.breakdown.running == running
     assert est.breakdown.fraction_stopped_early == stopped
@@ -238,14 +232,14 @@ def _staged_log_density(spec, policy, x0, grid, count, seed):
     return _neumaier_sum(girsanov_log_terms(spec, batch))
 
 
-def test_martingale_check_matches_the_per_control_loop(spec, policy):
+def test_martingale_check_matches_the_per_control_loop(spec, field):
     grid = TimeGrid(0.0, 1.0, 12)
-    labelled = _labelled(simulate_uncontrolled(spec, 0.0, X0, grid, 3000, 7), policy)
+    labelled = _labelled(simulate_uncontrolled(spec, 0.0, X0, grid, 3000, 7), field)
     assert len(np.unique(labelled.controls)) > 2
     terms = _old_log_terms(spec, labelled)
     assert np.array_equal(girsanov_log_terms(spec, labelled), terms)
     m = np.exp(_neumaier_sum(terms))
-    est = martingale_check(spec, policy, grid, X0, 3000, seed=7)
+    est = martingale_check(spec, field, grid, X0, 3000, seed=7)
     assert est.mean == float(np.mean(m))
     assert est.stderr == float(np.std(m, ddof=1) / math.sqrt(3000))
     assert est.q_moment == float(np.mean(m**1.5))
@@ -282,8 +276,8 @@ def _density_case(name, spec):
                 "hi": 4.0,
             },
         )
-        policy = pde.extract_policy(local, pde.solve(local, pde.make_grid(local, nx=81)))
-        return local, policy, np.array([0.8, 0.8]), TimeGrid(0.0, 1.0, 50), 50_000, 3
+        field = pde.solve(local, pde.make_grid(local, nx=81))
+        return local, field, np.array([0.8, 0.8]), TimeGrid(0.0, 1.0, 50), 50_000, 3
     if name == "state-dependent-sigma":
         return spec, _SplitPolicy(spec.controls.k), np.array([0.3, -0.2]), TimeGrid(0.0, 1.0, 12), BLOCK + 900, 11
     if name == "constant-sigma":
@@ -307,8 +301,7 @@ def _density_case(name, spec):
         return const, _SplitPolicy(9), np.array([0.3, -0.2]), TimeGrid(0.0, 1.0, 12), BLOCK + 900, 12
     # the feedback policy of acceptance check 8
     push = build_builtin("controlled_drift_abs")
-    policy = pde.extract_policy(push, pde.solve(push, pde.make_grid(push, 201)))
-    return push, policy, np.array([0.5]), TimeGrid(0.0, 1.0, 50), 100_000, 83
+    return push, pde.solve(push, pde.make_grid(push, 201)), np.array([0.5]), TimeGrid(0.0, 1.0, 50), 100_000, 83
 
 
 @pytest.mark.parametrize("name", ["localvol-policy", "state-dependent-sigma", "constant-sigma", "check-8-feedback"])

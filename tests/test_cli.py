@@ -164,8 +164,8 @@ def test_solve_pde_stop_column_is_the_solved_binding_record(tmp_path, builtin, p
     lines = (tmp_path / "value_policy.csv").read_text().splitlines()
     assert lines[0].split(",")[-1] == "stop"
     stop = np.array([int(line.rsplit(",", 1)[1]) for line in lines[1:]], dtype=bool)
-    expected = np.concatenate([field.binding.ravel(), np.ones(int(np.prod(grid.shape)), dtype=bool)])
-    assert np.array_equal(stop, expected)
+    assert np.array_equal(stop, field.stop_mask.ravel())
+    assert np.all(field.stop_mask[-1])
     # the a_index column is the sweep's control record: -1 throughout under phi
     a_index = np.array([int(line.split(",")[-2]) for line in lines[1:]])
     assert np.array_equal(a_index, field.control.ravel())
@@ -295,8 +295,8 @@ def test_simulate_paths_csv_log_density_is_the_running_sum(tmp_path, capsys):
     assert main(argv) in (0, 1)  # 1 only flags the optimality report; the CSVs are written either way
     capsys.readouterr()
     spec = load_problem(problem)
-    policy = pde.extract_policy(spec, pde.solve(spec, pde.make_grid(spec, 41)))
-    batch = simulate_controlled(spec, policy, 0.0, [0.8, 0.8], TimeGrid(0.0, 1.0, 8), 40, 4)
+    field = pde.solve(spec, pde.make_grid(spec, 41))
+    batch = simulate_controlled(spec, field, 0.0, [0.8, 0.8], TimeGrid(0.0, 1.0, 8), 40, 4)
     terms = _per_control_log_terms(spec, batch)
     assert len(np.unique(batch.controls)) > 1 and np.any(terms != 0.0)
     lines = (tmp_path / "sim" / "paths.csv").read_text().splitlines()

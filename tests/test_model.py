@@ -432,12 +432,18 @@ def test_validation_fails_a_drift_that_is_nan_under_one_control():
 
 @pytest.mark.parametrize(
     "key, check",
-    [("sigma", "sigma_inverse_bound"), ("gamma", "gamma_poly_growth"), ("g", "g_poly_growth"), ("h", "h_poly_growth")],
+    [
+        ("sigma", "sigma_inverse_bound"),
+        ("f", "f_linear_growth"),
+        ("gamma", "gamma_poly_growth"),
+        ("g", "g_poly_growth"),
+        ("h", "h_poly_growth"),
+    ],
 )
 def test_validation_fails_a_coefficient_that_is_non_finite_at_some_samples(key, check):
     # exp(1000*x1) overflows to inf for x1 > 0.71, inside the put's box [-3, 5]
     blowup = "exp(1000*x1)"
-    spec = build_builtin("custom", {**PUT_LIKE, key: (blowup,) if key == "sigma" else blowup})
+    spec = build_builtin("custom", {**PUT_LIKE, key: (blowup,) if key in ("sigma", "f") else blowup})
     with np.errstate(over="ignore", invalid="ignore"):
         report = validate(spec, samples=256, seed=0)
     (found,) = [c for c in report.checks if c.name == check]

@@ -37,7 +37,7 @@ def test_pde_variants_digest_each_solve_and_repeat(capsys):
         "state-sigma-d1-nx81",
     )
     for name in solves:
-        for part in ("nt", "scheme_meta.cfl_ratio", "values", "binding", "argmax", "stop_mask"):
+        for part in ("nt", "scheme_meta.cfl_ratio", "values", "control", "stop_mask"):
             assert len(first[f"{name}.{part}"]) == 64
     assert "controlled_drift_abs-nx81-trunc22.scheme_meta.trunc[0]" in first
     assert len({first[f"{name}.values"] for name in solves}) == len(solves)
@@ -114,7 +114,7 @@ def test_forward_variants_digest_each_loop_and_repeat(capsys):
     tool = _load()
     first = tool.run_forward_variants()
     name = "state-drift-d1-nx81"
-    for part in ("values", "argmax", "stop_mask", "evaluate.mean", "evaluate.stderr", "martingale_check.mean"):
+    for part in ("values", "control", "stop_mask", "evaluate.mean", "evaluate.stderr", "martingale_check.mean"):
         assert len(first[f"{name}.{part}"]) == 64
     # the drift reads the state, so the forward loops gather from a [k, n, d] table
     spec = tool._state_drift_spec()

@@ -7,6 +7,8 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrlstop import pde
 from ctrlstop.expr import parse_expression
@@ -113,11 +115,12 @@ def test_binding_record_equals_the_replayed_projection(make_spec, nx, trunc, gen
     grid = make_grid(spec, nx, generator=generator)
     field = solve(spec, grid, trunc=trunc, generator=generator)
     expected = _replayed_binding(spec, field, trunc, generator)
-    assert field.binding.dtype == bool
-    assert field.binding.shape == (grid.nt, *grid.shape)
+    assert field.stop_mask.dtype == bool
+    assert field.stop_mask.shape == (grid.nt + 1, *grid.shape)
     assert 0 < np.count_nonzero(expected) < expected.size
-    assert np.array_equal(field.binding, expected)
-    assert not field.binding.flags.writeable
+    assert np.array_equal(field.stop_mask[:-1], expected)
+    assert np.all(field.stop_mask[-1])
+    assert not field.stop_mask.flags.writeable
 
 
 def test_solution_never_falls_below_the_obstacle():
@@ -137,22 +140,23 @@ def test_projection_pins_binding_nodes_to_the_obstacle():
     assert np.count_nonzero(binding) > 0
     assert np.array_equal(field.values[:-1][binding], h_all[:-1][binding])
     # the recorded region lies inside the strict set and pins the same way
-    assert not np.any(field.binding & ~binding)
-    assert np.array_equal(field.values[:-1][field.binding], h_all[:-1][field.binding])
+    record = field.stop_mask[:-1]
+    assert not np.any(record & ~binding)
+    assert np.array_equal(field.values[:-1][record], h_all[:-1][record])
 
 
 def test_dominating_field_stops_where_its_own_sweep_binds():
     spec = build_builtin("decaying_obstacle", {"beta": 2.0})
     grid = make_grid(spec, 81, generator="dominating")
     field = solve(spec, grid, generator="dominating")
-    policy = extract_policy(spec, field)
     record = _replayed_binding(spec, field, generator="dominating")
     # replaying with the default generator marks stop nodes the dominating
     # sweep never projected
     assert np.count_nonzero(_replayed_binding(spec, field)) > 0
-    assert np.array_equal(policy.stop_mask[:-1], record)
-    assert np.array_equal(policy.stop_mask[:-1], field.binding)
-    assert np.all(policy.stop_mask[-1])
+    assert np.array_equal(field.stop_mask[:-1], record)
+    assert np.all(field.stop_mask[-1])
+    # the field is its own strategy; extract_policy only hands it back
+    assert extract_policy(spec, field) is field
 
 
 def test_dominating_field_records_no_control():
@@ -160,9 +164,51 @@ def test_dominating_field_records_no_control():
     grid = make_grid(spec, 81, generator="dominating")
     field = solve(spec, grid, generator="dominating")
     assert np.all(field.control == -1)
-    policy = extract_policy(spec, field)
     with pytest.raises(ValueError, match="control indices must lie in"):
-        evaluate(spec, policy, TimeGrid(0.0, spec.horizon_T, 10), np.array([0.5]), 50, seed=0)
+        evaluate(spec, field, TimeGrid(0.0, spec.horizon_T, 10), np.array([0.5]), 50, seed=0)
+
+
+# a share in [0, 1] in steps of 1/20, printed as a short decimal literal
+SHARES = st.integers(0, 20).map(lambda k: k / 20)
+
+
+def _random_1d_spec(p, lift=0.0):
+    """Expression-backed 1-d problem on [-2, 2] with state- and time-dependent
+    sigma, drift, reward and obstacle; h(T, .) <= g, and ``lift`` raises h."""
+    gain = f"(max({0.5 + p[0]}-x1,0)+{0.3 * p[1]}*x1)"
+    return _custom(
+        sigma=[f"{0.3 + 0.4 * p[2]}+{0.2 * p[3]}*tanh(x1+t)"],
+        f=[f"a1*(1+{0.5 * p[4]}*tanh(x1))"],
+        gamma=f"{p[5]}*x1-{p[6]}*a1*a1*(1+t)",
+        g=gain,
+        h=f"{gain}*(1+{2.0 * p[7]}*(1-t))-{0.5 * p[8]}+{lift}",
+        controls=[[-1.0], [0.0], [1.0]],
+        growth={"C_f": 2.0, "C_sigma_inv": 10.0, "C_poly": 1e9, "p": 1.0},
+        lo=-2.0,
+        hi=2.0,
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.lists(SHARES, min_size=9, max_size=9), lift=SHARES, share=SHARES)
+def test_random_problems_keep_the_sweep_invariants(p, lift, share):
+    spec = _random_1d_spec(p)
+    grid = make_grid(spec, 41)
+    field = solve(spec, grid)
+    nodes = grid.nodes()
+    h_all = np.stack([spec.h(float(t), nodes).reshape(grid.shape) for t in grid.times])
+    assert np.array_equal(field.values[-1], spec.g(nodes).reshape(grid.shape))
+    assert np.all(field.values >= h_all)
+    stop = field.stop_mask[:-1]
+    assert np.array_equal(field.values[:-1][stop], h_all[:-1][stop])
+    # the strategy's lookups at the nodes of a slice read that slice's records
+    for i in {0, round(share * grid.nt), grid.nt}:
+        t = float(grid.times[i])
+        assert np.array_equal(field.stop_at(t, nodes), field.stop_mask[i])
+        assert np.array_equal(field.control_indices(t, nodes), field.control[i])
+    # comparison: a higher obstacle never lowers the value (check 11's tolerance)
+    raised = solve(_random_1d_spec(p, lift), grid)
+    assert float(np.min(raised.values - field.values)) >= -1e-10
 
 
 def test_bachelier_value_near_closed_form():
@@ -177,20 +223,18 @@ def test_bachelier_value_near_closed_form():
 def test_put_without_decay_never_stops_early():
     spec = build_builtin("bachelier_put")
     field = solve(spec, make_grid(spec, 101))
-    policy = extract_policy(spec, field)
     # interior nodes never bind; the replicated-edge boundary column may
-    assert not np.any(policy.stop_mask[:-1][:, 1:-1])
-    assert not bool(policy.stop_at(0.0, np.array([[1.0]]))[0])
-    assert np.all(policy.stop_mask[-1])
+    assert not np.any(field.stop_mask[:-1][:, 1:-1])
+    assert not bool(field.stop_at(0.0, np.array([[1.0]]))[0])
+    assert np.all(field.stop_mask[-1])
 
 
 def test_decaying_obstacle_stops_deep_in_the_money():
     spec = build_builtin("decaying_obstacle", {"beta": 2.0})
     field = solve(spec, make_grid(spec, 161))
-    policy = extract_policy(spec, field)
-    assert np.any(policy.stop_mask[0])
-    assert bool(policy.stop_at(0.0, np.array([[-2.0]]))[0])
-    assert not bool(policy.stop_at(0.0, np.array([[4.5]]))[0])
+    assert np.any(field.stop_mask[0])
+    assert bool(field.stop_at(0.0, np.array([[-2.0]]))[0])
+    assert not bool(field.stop_at(0.0, np.array([[4.5]]))[0])
 
 
 def _old_generator(spec, grid, W, t):
@@ -225,7 +269,6 @@ def test_stop_mask_equals_the_tolerance_rule_it_replaces(name, params, nx):
     spec = build_builtin(name, params)
     grid = make_grid(spec, nx)
     field = solve(spec, grid)
-    policy = extract_policy(spec, field)
     vtilde, h_all = _replay(spec, field)
     delta = 1e-9 * (1.0 + float(np.max(np.abs(field.values))))
     binding = (h_all[:-1] - vtilde) > delta
@@ -234,15 +277,14 @@ def test_stop_mask_equals_the_tolerance_rule_it_replaces(name, params, nx):
     for eps in (None, 0.0, 1.0):
         eps_node = eps if eps is not None else 10.0 * grid.dt * (1.0 + np.abs(gen))
         old = binding & (field.values[:-1] - h_all[:-1] <= eps_node)
-        assert np.array_equal(policy.stop_mask[:-1], old)
-    assert np.all(policy.stop_mask[-1])
+        assert np.array_equal(field.stop_mask[:-1], old)
+    assert np.all(field.stop_mask[-1])
 
 
 def test_extracted_control_pushes_away_from_the_origin():
     spec = build_builtin("controlled_drift_abs")
     field = solve(spec, make_grid(spec, 81))
-    policy = extract_policy(spec, field)
-    idx = policy.control_indices(0.0, np.array([[2.0], [-2.0]]))
+    idx = field.control_indices(0.0, np.array([[2.0], [-2.0]]))
     assert idx[0] == 2 and idx[1] == 0  # +kappa right of 0, -kappa left
 
 
@@ -465,7 +507,7 @@ def test_time_free_state_dependent_sigma_is_built_once_with_the_same_bits():
     # a twin whose expression also names t is built per slice
     per_slice = solve(with_sigma(sigma=counted(spec.coefficients.sigma), sigma_exprs=(read_t,)), grid)
     assert len(times) == grid.nt
-    for name in ("values", "control", "binding"):
+    for name in ("values", "control", "stop_mask"):
         assert getattr(hoisted, name).tobytes() == getattr(per_slice, name).tobytes()
 
 

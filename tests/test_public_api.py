@@ -18,7 +18,7 @@ _TWINS = ("HamiltonianValue", "hamiltonian", "sup_hamiltonian", "truncated_sup_h
 REMOVED = {
     # girsanov_log_batch looks the controls up as it steps; nothing labels a stored batch
     # every coefficient is compiled from its expression; an ordering is two expression-backed solves
-    "ctrlstop": (*_TWINS, "dominating_generator", "attach_controls", "comparison_check"),
+    "ctrlstop": (*_TWINS, "dominating_generator", "attach_controls", "comparison_check", "PolicyField"),
     "ctrlstop.hamilton": (*_TWINS, "_one_row"),
     # each parse returns one closure; variables are gathered while parsing
     "ctrlstop.expr": ("_Num", "_Var", "_Neg", "_Bin", "_Call"),
@@ -28,22 +28,25 @@ REMOVED = {
     # the tests build the per-step terms from _log_density_step; the package needs only their sum
     "ctrlstop.paths": ("attach_controls", "_neumaier_sum", "_constant_sigma", "girsanov_log_terms"),
     # the sweep records the control; extract_policy has no kernel pass to block
-    "ctrlstop.pde": ("POLICY_BLOCK_ROWS", "comparison_check"),
+    # the solved ValueField answers control_indices and stop_at itself
+    "ctrlstop.pde": ("POLICY_BLOCK_ROWS", "comparison_check", "PolicyField"),
 }
 # keyword options no caller set; the grid box is spec.domain and the others are module constants
 REMOVED_OPTIONS = {
     ("ctrlstop.pde", "make_grid"): ("box", "cfl"),
     ("ctrlstop.pde", "ladder"): ("core_fraction",),
     ("ctrlstop.pde", "SpaceTimeGrid.core_mask"): ("fraction",),
-    # a copy of spec.controls.points that nothing read
-    ("ctrlstop.pde", "PolicyField"): ("control_points",),
+    # a copy of spec.controls.points that nothing read; the stop mask, final slice included, replaces binding
+    ("ctrlstop.pde", "ValueField"): ("control_points", "binding"),
     # fields nothing read: the start point is states[:, 0] and the seed stays with the caller
     ("ctrlstop.paths", "PathBatch"): ("seed", "x0"),
     # the partition spans spec.domain; Z lives one slice at a time, and the arguments stay with the caller
     ("ctrlstop.mc", "RegressionBasis"): ("cond_threshold", "box"),
     ("ctrlstop.mc", "BackwardSolveResult"): ("z_nodes", "basis", "trunc", "generator"),
-    ("ctrlstop.strategy", "optimality_gap"): ("challengers", "scheme_budget_rel"),
     ("ctrlstop.strategy", "martingale_check"): ("q",),
+    # the field passed in is the strategy evaluated or written
+    ("ctrlstop.strategy", "optimality_gap"): ("challengers", "scheme_budget_rel", "policy"),
+    ("ctrlstop.cli", "write_value_policy_csv"): ("policy",),
     # derived from the expressions on construction: CoefficientField.reads and sigma_diagonal
     ("ctrlstop.model", "CoefficientField"): (
         "sigma_constant", "sigma_diagonal", "f_t_free", "gamma_t_free", "h_t_free", "h_x_free",

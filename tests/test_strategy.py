@@ -12,7 +12,7 @@ from ctrlstop import strategy
 from ctrlstop.model import build_builtin
 from ctrlstop.paths import CHUNK, TimeGrid, _diffusion, _draw_increments, girsanov_log_batch
 from ctrlstop.paths import PathBatch, simulate_controlled, simulate_uncontrolled
-from ctrlstop.pde import extract_policy, make_grid, solve
+from ctrlstop.pde import make_grid, solve
 from ctrlstop.strategy import (
     Breakdown,
     ConstantPolicy,
@@ -83,8 +83,7 @@ def test_running_reward_accrues_once_per_surviving_step():
 def test_forward_simulation_matches_the_field_value():
     spec = build_builtin("decaying_obstacle", {"beta": 2.0})
     field = solve(spec, make_grid(spec, 161))
-    policy = extract_policy(spec, field)
-    est = evaluate(spec, policy, TimeGrid(0.0, 1.0, 50), [1.0], 20000, seed=4)
+    est = evaluate(spec, field, TimeGrid(0.0, 1.0, 50), [1.0], 20000, seed=4)
     v0 = field.at(0.0, [1.0])
     assert abs(est.mean - v0) <= 2.0 * est.stderr + 0.015 * max(0.1, abs(v0))
     assert est.breakdown.fraction_stopped_early > 0.05
@@ -106,10 +105,7 @@ def test_challenger_names_cover_the_control_set():
 def test_optimality_report_accepts_the_extracted_policy():
     spec = build_builtin("controlled_drift_abs")
     field = solve(spec, make_grid(spec, 161))
-    policy = extract_policy(spec, field)
-    report = optimality_gap(
-        spec, field, policy, TimeGrid(0.0, 1.0, 40), [0.5], 20000, seed=21
-    )
+    report = optimality_gap(spec, field, TimeGrid(0.0, 1.0, 40), [0.5], 20000, seed=21)
     assert report.passed, (report.field_gap, report.field_budget)
     assert report.field_gap <= report.field_budget
     by_name = {row.name: row for row in report.rows}

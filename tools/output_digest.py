@@ -12,26 +12,25 @@
 Runs each pipeline of ``perfbench/workloads.py`` once at the given benchmark
 seed and size divisor and prints one JSON object: for every workload, the
 digest of each array and number the pipeline's layer calls return (the PDE
-field and its projection record, the policy's argmax and stop mask, path
-states and increments, the change-of-measure log densities, the backward
-pass's Y, reflections and per-node mean |Z|, the forward estimates) and of
-the run values, counters and gate messages.  The package calls are recorded by wrapping
-module attributes from outside for the length of the run; neither the
-package nor the benchmark is edited.
+field with its control and stop mask, path states and increments, the
+change-of-measure log densities, the backward pass's Y, reflections and
+per-node mean |Z|, the forward estimates) and of the run values, counters
+and gate messages.  The package calls are recorded by wrapping module
+attributes from outside for the length of the run; neither the package nor
+the benchmark is edited.
 
 The ``pde-variants`` entry, part of ``--workload all``, covers PDE solves the
 pipelines never reach: fixed small grids under the dominating generator, a
 truncation, a correlated sigma and a sigma that reads the state but not t,
 built once per solve.  For each it digests the grid's nt, the scheme
-metadata, the field and its projection record, and the extracted policy's
-argmax and stop mask; seed and size divisor do not apply.  The
-``mc-variants`` entry does the same for backward passes the pipelines never
+metadata and the field's values, control and stop mask; seed and size
+divisor do not apply.  The ``mc-variants`` entry does the same for backward passes the pipelines never
 reach: fixed small path batches solved under a truncation, under the
 dominating generator, with an obstacle that reads the state and with a
 constant correlated sigma, digesting Y, the reflections, y0 and its
 per-path samples.  The ``forward-variants`` entry solves a problem whose
-drift and running reward read the state, extracts its policy and runs
-``evaluate`` and ``martingale_check`` on it, so the forward loops gather
+drift and running reward read the state and runs ``evaluate`` and
+``martingale_check`` on the solved field, so the forward loops gather
 rows from a control table with one row per state, which no pipeline does.
 The ``expr-variants`` entry parses a fixed list of expressions that uses
 every function, every number form, every position of a unary minus, a
@@ -78,7 +77,6 @@ from ctrlstop import (  # noqa: E402
     TruncationIndex,
     build_builtin,
     evaluate,
-    extract_policy,
     make_grid,
     martingale_check,
     simulate_uncontrolled,
@@ -94,9 +92,9 @@ EXPR_VARIANTS = "expr-variants"
 # (module, attribute): the calls whose results are digested.  The workloads
 # module's own bindings cover the pipeline's layer calls; the rest are the
 # calls those layers make on the way (forward paths and change of measure).
+# extract_policy hands back the field solve returned, so it is not recorded.
 RECORDED = (
     ("workloads", "solve"),
-    ("workloads", "extract_policy"),
     ("workloads", "simulate_uncontrolled"),
     ("workloads", "solve_rbsde"),
     ("workloads", "evaluate"),
@@ -213,18 +211,16 @@ def _pde_variants():
 
 
 def run_pde_variants() -> dict:
-    """Solve each PDE variant on its own make_grid grid; digest what the solve and extraction return."""
+    """Solve each PDE variant on its own make_grid grid; digest what the solve returns."""
     digests = {}
     for key, spec, nx, trunc, generator in _pde_variants():
         field = solve(spec, make_grid(spec, nx, generator=generator), trunc=trunc, generator=generator)
-        policy = extract_policy(spec, field)
         parts = {
             "nt": field.grid.nt,
             "scheme_meta": field.scheme_meta,
             "values": field.values,
-            "binding": field.binding,
-            "argmax": policy.argmax,
-            "stop_mask": policy.stop_mask,
+            "control": field.control,
+            "stop_mask": field.stop_mask,
         }
         digest_tree(key, parts, digests)
     return dict(sorted(digests.items()))
@@ -291,17 +287,16 @@ def _state_drift_spec():
 
 
 def run_forward_variants() -> dict:
-    """Solve the state-drift problem at nx 81; digest the field, its policy and 3000 forward paths of each loop."""
+    """Solve the state-drift problem at nx 81; digest the field and 3000 forward paths of each loop under it."""
     spec = _state_drift_spec()
     field = solve(spec, make_grid(spec, 81))
-    policy = extract_policy(spec, field)
     grid = TimeGrid(0.0, 1.0, 20)
     parts = {
         "values": field.values,
-        "argmax": policy.argmax,
-        "stop_mask": policy.stop_mask,
-        "evaluate": evaluate(spec, policy, grid, [0.5], 3000, seed=60),
-        "martingale_check": martingale_check(spec, policy, grid, [0.5], 3000, seed=61),
+        "control": field.control,
+        "stop_mask": field.stop_mask,
+        "evaluate": evaluate(spec, field, grid, [0.5], 3000, seed=60),
+        "martingale_check": martingale_check(spec, field, grid, [0.5], 3000, seed=61),
     }
     digests = {}
     digest_tree("state-drift-d1-nx81", parts, digests)
