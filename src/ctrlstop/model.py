@@ -229,7 +229,7 @@ class ProblemSpec:
     def control_rows(self, t, X: np.ndarray, idx):
         """Drift [n, d] and running reward [n], row i under control points[idx[i]].
 
-        Row i of table entry idx[i], gathered from one ``control_table``
+        Row i of table entry idx[i], one flat ``take`` from one ``control_table``
         call; a part with one row per control is taken whole.  For a
         coefficient that reads x the table costs k times the per-row work.
         An index outside [0, k) raises ValueError instead of wrapping around.
@@ -237,8 +237,10 @@ class ProblemSpec:
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.controls.k):
             raise ValueError(f"control indices must lie in [0, {self.controls.k})")
+        # row i of entry idx[i] is row idx[i] * n + i of the table's k * n rows
         return tuple(
-            np.take(T[:, 0], idx, axis=0) if T.shape[1] == 1 else T[idx, np.arange(idx.size)]
+            np.take(T[:, 0], idx, axis=0) if T.shape[1] == 1
+            else T.reshape(-1, *T.shape[2:]).take(idx * idx.size + np.arange(idx.size), axis=0)
             for T in self.control_table(t, X)
         )
 
@@ -311,11 +313,14 @@ def _env(params, t=None, X=None, A=None):
 
 
 def _assemble_columns(n, values):
-    """[n, len(values)] with column j set to values[j]; a constant fills its column by broadcasting."""
-    out = np.empty((n, len(values)))
+    """[n, len(values)] with column j set to values[j]; a constant fills its column by broadcasting.
+
+    The transposed view of contiguous [len(values), n] rows: a strided column write costs twice as much.
+    """
+    out = np.empty((len(values), n))
     for j, val in enumerate(values):
-        out[:, j] = val
-    return out
+        out[j] = val
+    return out.T
 
 
 def compile_coefficients(

@@ -119,24 +119,10 @@ class SpaceTimeGrid:
         """Nearest time slice, clipped to [0, nt]."""
         return min(max(int(round(t / self.dt)), 0), self.nt)
 
-    def space_indices(self, X) -> tuple[np.ndarray, ...]:
-        """Nearest-node index arrays, one per axis, clipped to the box.
-
-        X is one point [d] or a batch [n, d]; each array has one entry per row.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = []
-        for j in range(self.dim):
-            idx = np.rint((X[:, j] - self.box.lo[j]) / self.dxs[j]).astype(np.int64)
-            np.maximum(idx, 0, out=idx)
-            np.minimum(idx, self.nx[j] - 1, out=idx)
-            out.append(idx)
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class ValueField:
-    """The solved value and the feedback strategy the sweep recorded with it."""
+    """The solved value and the feedback strategy the sweep recorded with it, each read at the nearest node."""
 
     grid: SpaceTimeGrid
     values: np.ndarray     # [nt+1, *shape]
@@ -152,10 +138,17 @@ class ValueField:
     def _lookup(self, records: np.ndarray, t: float, X) -> np.ndarray:
         """``records`` at the nearest node of each row of X on slice t (constant extension outside the box).
 
-        The slice is taken first: at d = 1 one index that mixes the slice
-        number with the space indices gathers several times slower.
+        X is one point [d] or a batch [n, d].  Per axis the index is rounded (half to even) and clipped,
+        then folded into one flat node index, so the slice gives every row with one ``take``.
         """
-        return records[self.grid.time_index(t)][self.grid.space_indices(X)]
+        g = self.grid
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        for j in range(g.dim):
+            idx = np.rint((X[:, j] - g.box.lo[j]) / g.dxs[j]).astype(np.int64)
+            np.maximum(idx, 0, out=idx)
+            np.minimum(idx, g.nx[j] - 1, out=idx)
+            flat = idx if j == 0 else flat * g.nx[j] + idx
+        return records[g.time_index(t)].reshape(-1).take(flat)
 
     def at(self, t: float, x) -> float:
         return float(self._lookup(self.values, t, x)[0])

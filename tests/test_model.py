@@ -548,6 +548,34 @@ def test_control_rows_match_per_control_coefficients(
         assert F[i].tobytes() == f_ref[0].tobytes() and G[i].tobytes() == g_ref[0].tobytes()
 
 
+def test_control_rows_gather_a_reward_that_reads_only_the_state():
+    """gamma reads x but no control, so its [k, n] table repeats one row k times with stride 0."""
+    spec = build_builtin(
+        "custom",
+        {
+            "dim": 2,
+            "T": 1.0,
+            "sigma": ["1", "0", "0", "1"],
+            "f": ["a1-0.5*x1", "x1*x2*a1"],
+            "gamma": "0.3*x1*x2-x2",
+            "g": "0",
+            "h": "0",
+            "controls": [[-1.0], [0.25], [0.5], [1.0]],
+            "growth": {"C_f": 10.0, "C_sigma_inv": 1.0, "C_poly": 10.0, "p": 2.0},
+            "lo": -2.0,
+            "hi": 2.0,
+        },
+    )
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-2.0, 2.0, size=(9, 2))
+    idx = rng.integers(0, 4, size=9)
+    assert spec.control_table(0.4, X)[1].strides[0] == 0
+    F, G = spec.control_rows(0.4, X, idx)
+    for i in range(9):
+        f_ref, g_ref = per_control(spec, 0.4, X[i : i + 1], spec.controls.points[idx[i]])
+        assert F[i].tobytes() == f_ref[0].tobytes() and G[i].tobytes() == g_ref[0].tobytes()
+
+
 def test_control_rows_reject_indices_outside_the_control_set():
     spec = build_builtin("controlled_drift_abs")
     X = np.zeros((2, 1))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ctrlstop import pde
 from ctrlstop.expr import parse_expression
 from ctrlstop.hamilton import TruncationIndex
-from ctrlstop.model import build_builtin
+from ctrlstop.model import Box, build_builtin
 from ctrlstop.paths import TimeGrid
 from ctrlstop.pde import (
     SpaceTimeGrid,
@@ -541,21 +541,74 @@ def test_product_form_covariance_matches_the_einsum_bitwise(d):
         assert cross is None
 
 
+def _nearest_node(field, records, t, X):
+    """``records`` on slice t at each row's nearest node: per axis rint, clipped to the box, one index tuple."""
+    g = field.grid
+    idx = tuple(
+        np.clip(np.rint((X[:, j] - g.box.lo[j]) / g.dxs[j]).astype(np.int64), 0, g.nx[j] - 1) for j in range(g.dim)
+    )
+    return records[g.time_index(t)][idx]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@settings(max_examples=30, deadline=None)
+@given(
+    nx=st.lists(st.integers(3, 12), min_size=2, max_size=2),
+    nt=st.integers(1, 6),
+    lo=st.lists(st.integers(-16, 16), min_size=2, max_size=2),
+    log_dx=st.integers(-3, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_field_lookups_equal_the_per_axis_nearest_node(d, nx, nt, lo, log_dx, seed):
+    # a power-of-two spacing from a multiple of 1/4, so half-node points are exact ties
+    dx = 2.0**log_dx
+    nx = tuple(nx[:d])
+    lo = np.array(lo[:d]) / 4.0
+    box = Box(lo, lo + (np.array(nx) - 1) * dx)
+    rng = np.random.default_rng(seed)
+    shape = (nt + 1, *nx)
+    field = pde.ValueField(
+        grid=SpaceTimeGrid(box=box, nx=nx, nt=nt, horizon_T=1.0),
+        values=rng.standard_normal(shape),
+        stop_mask=rng.random(shape) < 0.5,
+        control=rng.integers(-1, 9, size=shape).astype(np.int16),
+        scheme_meta={},
+    )
+    span = box.hi - box.lo
+    ties = lo + (rng.integers(-2, max(nx) + 2, size=(40, d)) + 0.5) * dx
+    assert np.all((ties - lo) / dx % 1.0 == 0.5)
+    X = np.concatenate(
+        [
+            rng.uniform(lo - span, box.hi + span, size=(40, d)),  # inside and outside the box
+            ties,
+            rng.choice([-1e9, 1e9], size=(4, d)),  # far outside
+        ]
+    )
+    for t in (*rng.uniform(-0.2, 1.2, size=3), 0.0, 1.0):
+        for got, records in ((field.stop_at(t, X), field.stop_mask), (field.control_indices(t, X), field.control)):
+            ref = _nearest_node(field, records, t, X)
+            assert got.dtype == records.dtype and np.array_equal(got, ref)
+        ref = _nearest_node(field, field.values, t, X)
+        assert [field.at(t, x) for x in X] == ref.tolist()
+
+
 def test_grid_construction_and_lookup():
     spec = build_builtin("bachelier_put")
     grid = make_grid(spec, 51, nt=777)
     assert grid.nt == 777
     assert grid.nx == (51,)
-    assert grid.space_indices([99.0]) == (50,)
-    assert grid.space_indices([-99.0]) == (0,)
-    (i,) = grid.space_indices(np.array([[-99.0], [1.0], [1.1], [99.0]]))
-    assert i.tolist() == [0, 25, 26, 50]  # 1.1 sits at node 25.625
     assert grid.time_index(-1.0) == 0
     assert grid.time_index(0.5) == 388  # 388.5 rounds half to even
     assert grid.time_index(0.5005) == 389
     assert grid.time_index(9.0) == 777
     field = solve(spec, make_grid(spec, 51))
     assert field.at(1.0, [1.0]) == 0.0  # terminal payoff at the strike
+    # a record holding each node's own index reads back the nearest node
+    nodes = np.tile(np.arange(51), (field.grid.nt + 1, 1))
+    assert field._lookup(nodes, 0.5, [99.0]).tolist() == [50]
+    assert field._lookup(nodes, 0.5, [-99.0]).tolist() == [0]
+    i = field._lookup(nodes, 0.5, np.array([[-99.0], [1.0], [1.1], [99.0]]))
+    assert i.tolist() == [0, 25, 26, 50]  # 1.1 sits at node 25.625
     with pytest.raises(ValueError, match="at least 3 nodes"):
         SpaceTimeGrid(box=spec.domain, nx=(2,), nt=10, horizon_T=1.0)
     with pytest.raises(ValueError, match="one node count per axis"):

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from ctrlstop.hamilton import _control_values, sup_hamiltonian_batch
 from ctrlstop.model import build_builtin, sigma_apply
-from ctrlstop.paths import PathBatch, TimeGrid
+from ctrlstop.paths import PathBatch, TimeGrid, _diffusion
+from ctrlstop.pde import _covariance
 
 from oracles import girsanov_log_terms
 
@@ -96,6 +97,33 @@ def test_full_sigma_goes_through_lapack(monkeypatch):
     diag = _custom(("0.8+0.2*tanh(x1)", "0", "0", "0.8+0.2*tanh(x2+t)"))
     diag.sigma_solve(diag.sigma(0.3, X), X)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [
+        ("0.8+0.2*tanh(x1)", "0", "0", "0.8+0.2*tanh(x2+t)"),  # diagonal, as in the localvol benchmark problem
+        ("0.8+0.2*tanh(x1)", "0.1*tanh(x2-t)", "0.05", "0.8+0.2*tanh(x2+t)"),  # correlated
+    ],
+)
+def test_a_sigma_that_reads_x_gives_the_bits_of_its_contiguous_copy(sigma):
+    """A compiled sigma that reads the state is the transposed view of contiguous [d*d, n] rows;
+    every reader gives the bits of the same entries in C order."""
+    spec = _custom(sigma)
+    assert spec.coefficients.sigma_diagonal == (sigma[1] == "0")
+    rng = np.random.default_rng(17)
+    X = rng.uniform(-2.0, 2.0, size=(257, 2))
+    V = rng.standard_normal((257, 2)) * np.exp(rng.uniform(-3.0, 3.0, size=(257, 1)))
+    sig = spec.sigma(0.3, X)
+    dense = np.ascontiguousarray(sig)
+    assert not sig.flags.c_contiguous and sig.strides[0] == sig.itemsize
+    assert sigma_apply(sig, V).tobytes() == sigma_apply(dense, V).tobytes()
+    for transpose in (False, True):
+        got = spec.sigma_solve(sig, V, transpose=transpose)
+        assert got.tobytes() == spec.sigma_solve(dense, V, transpose=transpose).tobytes()
+    (diag, cross), (diag_ref, cross_ref) = _covariance(sig), _covariance(dense)
+    assert [a.tobytes() for a in (*diag, cross)] == [a.tobytes() for a in (*diag_ref, cross_ref)]
+    assert _diffusion(spec, sig, V).tobytes() == _diffusion(spec, dense, V).tobytes()
 
 
 # -- sigma_solve ---------------------------------------------------------------

@@ -235,6 +235,30 @@ class _Recorder:
 
 
 @pytest.fixture(scope="module")
+def correlated_localvol():
+    """d = 2 with a correlated sigma and a drift that read the state, and a reward that reads only the state."""
+    spec = build_builtin(
+        "custom",
+        {
+            "dim": 2,
+            "T": 1.0,
+            "sigma": ["0.9+0.1*tanh(x1)", "0.3*tanh(x2-t)", "-0.2", "0.7+0.1*tanh(x1+x2)"],
+            "f": ["a1-0.2*x1", "0.5*a1+0.1*tanh(x2)"],
+            "gamma": "0.05*x1*x2",
+            "g": "max(1-0.5*x1-0.5*x2,0)",
+            "h": "max(1-0.5*x1-0.5*x2,0)*(1+0.5*(1-t))",
+            "controls": [[1.0], [0.0], [-1.0]],
+            "growth": {"C_f": 5.0, "C_sigma_inv": 3.0, "C_poly": 10.0, "p": 2.0},
+            "lo": -4.0,
+            "hi": 4.0,
+        },
+    )
+    c = spec.coefficients
+    assert {"t", "x"} <= c.reads("sigma") and not c.sigma_diagonal and "x" in c.reads("f")
+    return spec
+
+
+@pytest.fixture(scope="module")
 def correlated():
     """d = 2 with a constant, non-diagonal sigma and a state-dependent reward."""
     spec = build_builtin(
@@ -263,9 +287,9 @@ def _two_pass(spec, policy, grid, x0, count, seed):
     states = np.empty((grid.steps + 1, count, spec.dim))
     controls = np.empty((grid.steps, count), dtype=np.int64)
     states[0] = x0
-    sig = spec.sigma(grid.t0, states[0])  # the full [n, d, d] batch
     for i in range(grid.steps):
         t = float(grid.nodes[i])
+        sig = spec.sigma(t, states[i])  # the full [n, d, d] batch
         controls[i] = policy.control_indices(t, states[i])
         drift, _ = spec.control_rows(t, states[i], controls[i])
         states[i + 1] = states[i] + drift * grid.dt + _diffusion(spec, sig, dW[i])
@@ -312,6 +336,23 @@ def test_one_pass_equals_the_two_pass_evaluation(correlated, policy, stopped):
     est = evaluate(correlated, policy, grid, [0.2, 0.1], count, seed=11)
     assert stopped[0] <= est.breakdown.fraction_stopped_early <= stopped[1]
     assert est == _two_pass(correlated, policy, grid, np.array([0.2, 0.1]), count, 11)
+
+
+@pytest.mark.parametrize(
+    "policy, stopped",
+    [
+        (_Band(1.1), (0.5, 0.75)),  # about 62% of the paths stop
+        (_Band(-9.0), (1.0, 1.0)),  # every path stops at the first node: no step is taken
+        (_Band(-9.0, stop_from=0.5), (1.0, 1.0)),  # every path stops at t = 0.5
+        (_Band(99.0), (0.0, 0.0)),  # none stops
+    ],
+)
+def test_one_pass_equals_the_two_pass_evaluation_under_a_state_dependent_sigma(correlated_localvol, policy, stopped):
+    grid = TimeGrid(0.0, 1.0, 10)
+    count = 2 * CHUNK + 900  # three chunks, the last a partial block
+    est = evaluate(correlated_localvol, policy, grid, [0.2, 0.1], count, seed=14)
+    assert stopped[0] <= est.breakdown.fraction_stopped_early <= stopped[1]
+    assert est == _two_pass(correlated_localvol, policy, grid, np.array([0.2, 0.1]), count, 14)
 
 
 def test_policy_is_asked_about_live_rows_only(correlated):
