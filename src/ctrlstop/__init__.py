@@ -16,7 +16,6 @@ from .hamilton import (
     TruncationIndex,
     sup_hamiltonian_batch,
     truncate_values,
-    unit_direction_batch,
 )
 from .model import (
     Box,
@@ -72,7 +71,6 @@ __all__ = [
     "TIE_TOL",
     "sup_hamiltonian_batch",
     "truncate_values",
-    "unit_direction_batch",
     "TimeGrid",
     "PathBatch",
     "simulate_uncontrolled",

@@ -69,7 +69,7 @@ def _split_top_level(text: str) -> list[str]:
     return parts
 
 
-def parse_problem_file(text: str, validate_spec: bool = True) -> ProblemSpec:
+def parse_problem_file(text: str) -> ProblemSpec:
     sections: dict[str, dict[str, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -162,16 +162,15 @@ def parse_problem_file(text: str, validate_spec: bool = True) -> ProblemSpec:
     except Exception as exc:
         raise ProblemFileError(f"cannot assemble problem: {exc}") from exc
 
-    if validate_spec:
-        report = validate(spec, samples=1024, seed=0)
-        if not report.passed:
-            names = ", ".join(c.name for c in report.failing())
-            raise ProblemFileError(f"problem rejected by validation: {names}")
+    report = validate(spec, samples=1024, seed=0)
+    if not report.passed:
+        names = ", ".join(c.name for c in report.failing())
+        raise ProblemFileError(f"problem rejected by validation: {names}")
     return spec
 
 
-def load_problem(path: str | Path, validate_spec: bool = True) -> ProblemSpec:
-    return parse_problem_file(Path(path).read_text(), validate_spec=validate_spec)
+def load_problem(path: str | Path) -> ProblemSpec:
+    return parse_problem_file(Path(path).read_text())
 
 
 def emit_problem_file(spec: ProblemSpec) -> str:

@@ -8,9 +8,8 @@ damps the positive part beyond radius n and the negative part beyond radius m:
     rho_m(x)   = clip(m + 1 - |x|, 0, 1).
 
 Every kernel takes a batch of rows, X [n, d] and Z [n, d]; a single point is
-a one-row batch.  H* is ``sup_hamiltonian_batch``, rho_m is ``cutoff_batch``,
-the damping is ``truncate_values`` and the direction ell(z) of a linearised
-bounded generator is ``unit_direction_batch``.  H* returns the value only;
+a one-row batch.  H* is ``sup_hamiltonian_batch``, rho_m is ``cutoff_batch``
+and the damping is ``truncate_values``.  H* returns the value only;
 ``first_maximiser`` is the one tie rule for a table of control values, by
 which the finite-difference step records its control.
 """
@@ -33,8 +32,6 @@ __all__ = [
     "sup_hamiltonian_batch",
     "cutoff_batch",
     "truncate_values",
-    "unit_direction_batch",
-    "tail_norms",
     "TIE_TOL",
     "first_maximiser",
 ]
@@ -142,34 +139,3 @@ def truncate_values(values: np.ndarray, rho_n: np.ndarray, rho_m: np.ndarray) ->
     pos = np.maximum(values, 0.0)
     neg = np.maximum(-values, 0.0)
     return pos * rho_n - neg * rho_m
-
-
-def tail_norms(Z: np.ndarray) -> np.ndarray:
-    """Trailing-subvector norms [n, d+1] by a backward hypot cascade.
-
-    Column i holds |Z[:, i:]|; column 0 is the full Euclidean norm and the
-    reference against which the direction identity is exact up to a few ulp.
-    """
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    n, d = Z.shape
-    tails = np.zeros((n, d + 1))
-    for i in range(d - 1, -1, -1):
-        tails[:, i] = np.hypot(Z[:, i], tails[:, i + 1])
-    return tails
-
-
-def unit_direction_batch(Z: np.ndarray) -> np.ndarray:
-    """Direction ell(z) per row, Z [n, d] -> ell [n, d], with ell(z) . z = |z|
-    and |ell_i| <= 1.
-
-    ell_i = (|z_{i:}| - |z_{i+1:}|) / z_i when z_i != 0 and 0 otherwise,
-    with |.| the Euclidean norm of the trailing subvector; the last component
-    degenerates to sign(z_d).
-    """
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    tails = tail_norms(Z)
-    ell = np.zeros_like(Z)
-    nz = Z != 0.0
-    diffs = tails[:, :-1] - tails[:, 1:]
-    ell[nz] = diffs[nz] / Z[nz]
-    return ell

@@ -218,14 +218,15 @@ def optimality_gap(
 
     The simulated optimal payoff must match the field value within Monte-Carlo
     noise plus a discretisation budget, and no challenger may beat it by more
-    than two combined standard errors.
+    than two combined standard errors.  Every challenger runs on the optimal
+    run's seed, so all of them see the same Brownian increments.
     """
     optimal = evaluate(spec, field, grid, x0, count, seed)
     v0 = float(field.at(float(grid.t0), np.asarray(x0, dtype=float)))
     budget = 2.0 * optimal.stderr + SCHEME_BUDGET_REL * max(0.1, abs(v0))
     rows = []
-    for j, (name, ch) in enumerate(default_challengers(spec, field, seed=seed)):
-        est = evaluate(spec, ch, grid, x0, count, seed + 1000 + j)
+    for name, ch in default_challengers(spec, field, seed=seed):
+        est = evaluate(spec, ch, grid, x0, count, seed)
         se = math.hypot(est.stderr, optimal.stderr)
         rows.append(ChallengerRow(name=name, estimate=est, gap=est.mean - optimal.mean, se_combined=se))
     return OptimalityReport(

@@ -1,4 +1,4 @@
-"""Reference forms the tests replay against the package's one-pass loops."""
+"""Reference forms the tests replay against the package's one-pass loops, and the problems they share."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from ctrlstop.expr import parse_expression
+from ctrlstop.model import build_builtin
 from ctrlstop.paths import _log_density_step, _step
 
 
@@ -63,3 +64,26 @@ def benchmark_spec(name: str):
     sys.modules[module_spec.name] = module  # its dataclasses resolve their annotations there
     module_spec.loader.exec_module(module)
     return module.build_spec(name)
+
+
+def random_1d_spec(p, lift=0.0, shift=0.0):
+    """Expression-backed 1-d problem on [-2, 2] with state- and time-dependent
+    sigma, drift, reward and obstacle, from nine shares ``p`` in [0, 1];
+    h(T, .) <= g, ``lift`` raises h and ``shift`` raises both g and h."""
+    gain = f"(max({0.5 + p[0]}-x1,0)+{0.3 * p[1]}*x1)"
+    return build_builtin(
+        "custom",
+        {
+            "dim": 1,
+            "T": 1.0,
+            "sigma": [f"{0.3 + 0.4 * p[2]}+{0.2 * p[3]}*tanh(x1+t)"],
+            "f": [f"a1*(1+{0.5 * p[4]}*tanh(x1))"],
+            "gamma": f"{p[5]}*x1-{p[6]}*a1*a1*(1+t)",
+            "g": f"{gain}+{shift}",
+            "h": f"{gain}*(1+{2.0 * p[7]}*(1-t))-{0.5 * p[8]}+{lift}+{shift}",
+            "controls": [[-1.0], [0.0], [1.0]],
+            "growth": {"C_f": 2.0, "C_sigma_inv": 10.0, "C_poly": 1e9, "p": 1.0},
+            "lo": -2.0,
+            "hi": 2.0,
+        },
+    )

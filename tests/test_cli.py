@@ -88,9 +88,6 @@ def test_parse_rejects_invalid_problems():
     bad = GOOD_FILE.replace('[h] expr="max(K-x1,0)"', '[h] expr="max(K-x1,0.5)"')
     with pytest.raises(ProblemFileError, match="rejected by validation: terminal_barrier"):
         parse_problem_file(bad)
-    # the same text loads with validation off
-    spec = parse_problem_file(bad, validate_spec=False)
-    assert spec.name == "demo"
 
 
 def test_emit_requires_expression_backing():
@@ -380,11 +377,13 @@ def test_ladder_command(capsys):
 
 
 def test_verify_subset(tmp_path, capsys):
-    assert main(["verify", "--only", "10", "--out", str(tmp_path)]) == 0
+    assert main(["verify", "--only", "6", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "[PASS] 10" in out
+    assert "[PASS]  6" in out
     assert "1/1 checks passed" in out
-    assert "[PASS] 10" in (tmp_path / "verify.txt").read_text()
+    assert "[PASS]  6" in (tmp_path / "verify.txt").read_text()
+    # id 10 is retired, so it is refused like any id that names no check
+    assert main(["verify", "--only", "10"]) == 2
     assert main(["verify", "--only", "99"]) == 2
 
 

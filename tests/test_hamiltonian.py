@@ -1,4 +1,4 @@
-"""Hamiltonian maximisation, truncation, and the unit direction."""
+"""Hamiltonian maximisation and truncation."""
 
 from __future__ import annotations
 
@@ -17,9 +17,7 @@ from ctrlstop.hamilton import (
     first_maximiser,
     ladder_pairs,
     sup_hamiltonian_batch,
-    tail_norms,
     truncate_values,
-    unit_direction_batch,
 )
 from ctrlstop.model import Box, build_builtin, validate
 
@@ -42,19 +40,6 @@ def _one_row(spec, t, x, z):
 def _cutoff_oracle(m, x):
     """rho_m(x) = clip(m + 1 - |x|, 0, 1) at one point, in plain Python floats."""
     return float(np.clip(m + 1.0 - np.linalg.norm(np.atleast_1d(x)), 0.0, 1.0))
-
-
-def _unit_direction_oracle(z):
-    """ell(z) at one point by a loop over its trailing-subvector norms."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    d = z.size
-    tails = np.zeros(d + 1)
-    for i in range(d - 1, -1, -1):
-        tails[i] = np.hypot(z[i], tails[i + 1])
-    ell = np.zeros(d)
-    nz = z != 0.0
-    ell[nz] = (tails[:-1][nz] - tails[1:][nz]) / z[nz]
-    return ell
 
 
 @pytest.fixture(scope="module")
@@ -320,32 +305,3 @@ def test_the_pair_covering_a_box_radius_cuts_no_corner(bounds):
     corners = np.array(list(itertools.product(*zip(lo, hi))))
     for level in (cover.n, cover.m):
         assert np.all(cutoff_batch(level, corners) == 1.0)
-
-
-def test_unit_direction_small_cases():
-    assert np.array_equal(unit_direction_batch([[3.0, 4.0]]), [[1.0 / 3.0, 1.0]])
-    assert np.array_equal(unit_direction_batch([[0.0, -2.0]]), [[0.0, -1.0]])
-    assert np.array_equal(unit_direction_batch([[-5.0]]), [[-1.0]])
-    assert np.array_equal(unit_direction_batch([[0.0, 0.0, 0.0]]), np.zeros((1, 3)))
-
-
-def test_unit_direction_batch_matches_single():
-    rng = np.random.default_rng(7)
-    Z = rng.normal(size=(200, 3)) * 10.0
-    Z[::7, 1] = 0.0
-    Z[0] = 0.0
-    batch = unit_direction_batch(Z)
-    for i in range(0, 200, 13):
-        assert np.array_equal(batch[i], _unit_direction_oracle(Z[i]))
-
-
-@pytest.mark.parametrize("d", [1, 2, 5])
-def test_unit_direction_identity_and_bound(d):
-    rng = np.random.default_rng(40 + d)
-    Z = rng.normal(size=(5000, d)) * np.exp(rng.uniform(-8, 8, size=(5000, 1)))
-    Z[::11] = 0.0
-    ell = unit_direction_batch(Z)
-    norms = tail_norms(Z)[:, 0]
-    dots = np.einsum("nd,nd->n", ell, Z)
-    assert np.all(np.abs(dots - norms) <= 8.0 * np.spacing(np.maximum(norms, 1e-300)))
-    assert np.max(np.abs(ell)) <= 1.0

@@ -24,8 +24,10 @@ from ctrlstop.mc import (
 )
 from ctrlstop.model import Box, build_builtin
 from ctrlstop.paths import TimeGrid, simulate_uncontrolled
+from oracles import random_1d_spec
 
 CLOSED_FORM_ATM_PUT = 0.0797884560802865
+SHARES = st.integers(0, 20).map(lambda k: k / 20)
 
 
 def _batch(spec, x0, steps, count, seed):
@@ -100,6 +102,24 @@ def test_complementarity_is_exact():
     # every written entry, not only the positive ones, sits on the obstacle bit for bit
     pushed = K != 0.0
     assert np.array_equal(result.y_nodes[pushed].view(np.int64), result.obstacle_nodes[pushed].view(np.int64))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.lists(SHARES, min_size=9, max_size=9),
+    basis=st.sampled_from([RegressionBasis(cells_per_axis=10), RegressionBasis(kind="polynomial", degree=3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_problems_keep_the_backward_invariants(p, basis, seed):
+    spec = random_1d_spec(p)
+    batch = _batch(spec, [0.0], steps=10, count=2000, seed=seed)
+    result = solve_rbsde(spec, batch, basis)
+    assert np.array_equal(result.y_nodes[:, -1], spec.g(batch.states[:, -1]))
+    assert np.all(result.y_nodes >= result.obstacle_nodes)
+    assert skorokhod_residual(result) == 0.0
+    K = result.k_increments
+    assert np.all(K >= 0.0)
+    assert np.array_equal(result.y_nodes[K > 0], result.obstacle_nodes[K > 0])
 
 
 def test_terminal_slice_is_exact():

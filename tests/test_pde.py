@@ -23,7 +23,7 @@ from ctrlstop.pde import (
     solve,
 )
 from ctrlstop.strategy import evaluate
-from oracles import benchmark_spec
+from oracles import benchmark_spec, random_1d_spec
 
 CLOSED_FORM_ATM_PUT = 0.0797884560802865  # sigma sqrt(T / (2 pi)) at K = x0
 
@@ -172,27 +172,10 @@ def test_dominating_field_records_no_control():
 SHARES = st.integers(0, 20).map(lambda k: k / 20)
 
 
-def _random_1d_spec(p, lift=0.0):
-    """Expression-backed 1-d problem on [-2, 2] with state- and time-dependent
-    sigma, drift, reward and obstacle; h(T, .) <= g, and ``lift`` raises h."""
-    gain = f"(max({0.5 + p[0]}-x1,0)+{0.3 * p[1]}*x1)"
-    return _custom(
-        sigma=[f"{0.3 + 0.4 * p[2]}+{0.2 * p[3]}*tanh(x1+t)"],
-        f=[f"a1*(1+{0.5 * p[4]}*tanh(x1))"],
-        gamma=f"{p[5]}*x1-{p[6]}*a1*a1*(1+t)",
-        g=gain,
-        h=f"{gain}*(1+{2.0 * p[7]}*(1-t))-{0.5 * p[8]}+{lift}",
-        controls=[[-1.0], [0.0], [1.0]],
-        growth={"C_f": 2.0, "C_sigma_inv": 10.0, "C_poly": 1e9, "p": 1.0},
-        lo=-2.0,
-        hi=2.0,
-    )
-
-
 @settings(max_examples=25, deadline=None)
 @given(p=st.lists(SHARES, min_size=9, max_size=9), lift=SHARES, share=SHARES)
 def test_random_problems_keep_the_sweep_invariants(p, lift, share):
-    spec = _random_1d_spec(p)
+    spec = random_1d_spec(p)
     grid = make_grid(spec, 41)
     field = solve(spec, grid)
     nodes = grid.nodes()
@@ -207,8 +190,19 @@ def test_random_problems_keep_the_sweep_invariants(p, lift, share):
         assert np.array_equal(field.stop_at(t, nodes), field.stop_mask[i])
         assert np.array_equal(field.control_indices(t, nodes), field.control[i])
     # comparison: a higher obstacle never lowers the value (check 11's tolerance)
-    raised = solve(_random_1d_spec(p, lift), grid)
+    raised = solve(random_1d_spec(p, lift), grid)
     assert float(np.min(raised.values - field.values)) >= -1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.lists(SHARES, min_size=9, max_size=9), c=st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+def test_random_problems_shift_with_their_rewards(p, c):
+    """Adding c to both g and h adds c to the value, up to rounding (check 11's shift on random specs)."""
+    spec = random_1d_spec(p)
+    grid = make_grid(spec, 41)
+    base = solve(spec, grid).values
+    shifted = solve(random_1d_spec(p, shift=c), grid).values
+    assert np.max(np.abs(shifted - (base + c))) <= 1e-12 * (1.0 + np.max(np.abs(base)))
 
 
 def test_bachelier_value_near_closed_form():

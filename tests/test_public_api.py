@@ -18,8 +18,9 @@ _TWINS = ("HamiltonianValue", "hamiltonian", "sup_hamiltonian", "truncated_sup_h
 REMOVED = {
     # girsanov_log_batch looks the controls up as it steps; nothing labels a stored batch
     # every coefficient is compiled from its expression; an ordering is two expression-backed solves
-    "ctrlstop": (*_TWINS, "dominating_generator", "attach_controls", "comparison_check", "PolicyField"),
-    "ctrlstop.hamilton": (*_TWINS, "_one_row"),
+    # the direction ell(z) with ell(z) . z = |z|: neither solver needs it, as H* is a max over the controls
+    "ctrlstop": (*_TWINS, "dominating_generator", "attach_controls", "comparison_check", "PolicyField", "unit_direction_batch"),
+    "ctrlstop.hamilton": (*_TWINS, "_one_row", "unit_direction_batch", "tail_norms"),
     # each parse returns one closure; variables are gathered while parsing
     "ctrlstop.expr": ("_Num", "_Var", "_Neg", "_Bin", "_Call"),
     # a constant g or h is broadcast by ProblemSpec as a read-only view
@@ -47,6 +48,9 @@ REMOVED_OPTIONS = {
     # the field passed in is the strategy evaluated or written
     ("ctrlstop.strategy", "optimality_gap"): ("challengers", "scheme_budget_rel", "policy"),
     ("ctrlstop.cli", "write_value_policy_csv"): ("policy",),
+    # a problem file is always validated as it is read
+    ("ctrlstop.cli", "parse_problem_file"): ("validate_spec",),
+    ("ctrlstop.cli", "load_problem"): ("validate_spec",),
     # derived from the expressions on construction: CoefficientField.reads and sigma_diagonal
     ("ctrlstop.model", "CoefficientField"): (
         "sigma_constant", "sigma_diagonal", "f_t_free", "gamma_t_free", "h_t_free", "h_x_free",

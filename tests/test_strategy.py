@@ -114,9 +114,36 @@ def test_optimality_report_accepts_the_extracted_policy():
     assert zero.gap < -3.0 * zero.se_combined
     stop = by_name["optimal control, stop immediately"]
     assert stop.estimate.mean == -10.0
-    # the obstacle never binds here, so suppressing stops changes nothing
+    # the obstacle never binds here, and the challengers run on the optimal run's paths,
+    # so suppressing stops gives the optimal estimate bit for bit
     never = by_name["optimal control, never stop early"]
-    assert abs(never.gap) <= 2.0 * never.se_combined
+    assert never.estimate == report.optimal
+    assert never.gap == 0.0
+
+
+def test_a_state_dependent_drift_keeps_its_challengers_below_the_optimal_run():
+    """No challenger beats the extracted policy: on common paths, never stopping
+    early cannot look better by the noise of an independent run."""
+    spec = build_builtin(
+        "custom",
+        {
+            "name": "state-drift-d1",
+            "dim": 1,
+            "T": 1.0,
+            "sigma": ["1"],
+            "f": ["a1*(1+0.2*tanh(x1))"],
+            "gamma": "-0.1*a1*a1*(1+0.2*tanh(x1))",
+            "g": "max(abs(x1),0.8)",
+            "h": "0.8",
+            "controls": [[-1.0], [0.0], [1.0]],
+            "growth": {"C_f": 1.5, "C_sigma_inv": 1.0, "C_poly": 10.0, "p": 1.0},
+            "lo": -4.0,
+            "hi": 4.0,
+        },
+    )
+    field = solve(spec, make_grid(spec, 81))
+    report = optimality_gap(spec, field, TimeGrid(0.0, 1.0, 50), [0.5], 20000, seed=0)
+    assert report.passed, [(row.name, row.gap, row.se_combined) for row in report.rows]
 
 
 def test_martingale_check_zero_drift_is_exact():
