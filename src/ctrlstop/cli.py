@@ -369,6 +369,8 @@ def _cmd_solve_mc(args) -> int:
     print(f"paths={args.paths} steps={args.steps} seed={args.seed} basis={args.basis}")
     print(f"y0 = {result.y0!r} +- {result.se_y0:.3e}")
     print(f"skorokhod residual = {mc.skorokhod_residual(result)!r}")
+    if args.generator == "hstar":
+        print(f"H* controls: {spec._hstar_rows.size} of {spec.controls.k}")
     if args.out:
         out = _out_dir(args)
         write_rbsde_csv(out / "rbsde.csv", result)

@@ -12,6 +12,11 @@ a one-row batch.  H* is ``sup_hamiltonian_batch``, rho_m is ``cutoff_batch``
 and the damping is ``truncate_values``.  H* returns the value only;
 ``first_maximiser`` is the one tie rule for a table of control values, by
 which the finite-difference step records its control.
+
+H* is a max of terms affine in W = sigma^-T z, so only upper extreme points of
+{(f, gamma)} attain it.  With f and gamma free of t and x it skips a control whose
+drift is the exact midpoint of two other, distinct drifts and whose reward is at most
+their exact mean: strictly inside a segment of the hull, it never beats both ends.
 """
 
 from __future__ import annotations
@@ -82,8 +87,8 @@ def check_generator(generator: str, trunc: TruncationIndex | None) -> None:
         raise ValueError("the dominating generator takes no truncation; drop trunc")
 
 
-def _control_values(spec: ProblemSpec, t, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """H(t, x_i, z_i, a_k) for every control and row, shape [k, n].
+def _control_values(spec: ProblemSpec, t, X: np.ndarray, Z: np.ndarray, rows=None) -> np.ndarray:
+    """H(t, x_i, z_i, a_k) for every control and row, shape [k, n]; with ``rows``, those controls only.
 
     z . sigma^{-1} f is evaluated as W . f with W = sigma^{-T} z, so sigma is
     inverted once per call and the control set enters through one drift and
@@ -99,6 +104,8 @@ def _control_values(spec: ProblemSpec, t, X: np.ndarray, Z: np.ndarray) -> np.nd
     else:
         W = spec.sigma_solve(sig, Z, transpose=True).T                       # [d, n]
     F, G = spec.control_table(t, X)
+    if rows is not None and rows.size < F.shape[0]:
+        F, G = F[rows], G[rows]
     if F.shape[1] == 1:
         vals = F[:, 0, :] @ W
     else:
@@ -119,12 +126,14 @@ def sup_hamiltonian_batch(spec: ProblemSpec, t, X: np.ndarray, Z: np.ndarray):
 
     X and Z must both be [n, spec.dim] (a 1-d array is one row).  Returns
     the values [n]; they are ``first_maximiser``'s maxima of the same table.
+    Only controls that can attain the maximum are evaluated, by the module
+    docstring's exact rule, found on a spec's first call and cached on it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     if Z.shape != X.shape or X.shape[1:] != (spec.dim,):
         raise ValueError(f"X and Z must both be [n, {spec.dim}], got {X.shape} and {Z.shape}")
-    return np.max(_control_values(spec, t, X, Z), axis=0)
+    return np.max(_control_values(spec, t, X, Z, spec._hstar_rows), axis=0)
 
 
 def cutoff_batch(m: float, X: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ trees; the trees stay beside them, so problem files round-trip exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -226,13 +227,38 @@ class ProblemSpec:
         G = np.broadcast_to(G, (k, 1 if G.ndim == 2 and G.shape[1] == 1 else n))
         return F, G
 
+    @functools.cached_property
+    def _hstar_rows(self) -> np.ndarray:
+        """The controls that can attain H*'s maximum, by the rule of ``hamilton``'s docstring; found on first use."""
+        if self.coefficients.reads("f") | self.coefficients.reads("gamma"):
+            return np.broadcast_to(np.arange(self.controls.k), (self.controls.k,))  # read-only, as shared
+        F, G = (T[:, 0] for T in self.control_table(0.0, np.zeros((1, self.dim))))
+        order = np.lexsort((np.arange(G.size), -G, *F.T))  # of one drift, the first with the largest reward leads
+        keep = np.sort(order[np.r_[True, np.any(F[order][1:] != F[order][:-1], axis=1)]])
+        F, G, drop = F[keep], G[keep], np.zeros(keep.size, dtype=bool)
+        for lo in range(0, G.size**2, 2**16):  # the pairs a < b, from 2^16 ordered pairs at a time
+            a, b = np.divmod(np.arange(lo, min(lo + 2**16, G.size**2)), G.size)
+            a, b, code, pair = a[a < b], b[a < b], 0, 0
+            for col in F.T:  # keep the pairs whose exact sum is 2 F_c on the columns so far, c by its row code
+                s, ok = _exact_sum(col[a], col[b])
+                u, r = np.unique(2.0 * col, return_inverse=True)
+                i = np.minimum(np.searchsorted(u, s), u.size - 1)
+                uc, code = np.unique(code * u.size + r, return_inverse=True)
+                p = np.minimum(np.searchsorted(uc, pair * u.size + i), uc.size - 1)
+                ok &= (u[i] == s) & (uc[p] == pair * u.size + i)
+                a, b, pair = a[ok], b[ok], p[ok]
+            c = np.argsort(code)[pair]
+            s, ok = _exact_sum(G[a], G[b])
+            drop[c[ok & (2.0 * G[c] <= s)]] = True
+        return np.broadcast_to(keep[~drop], (np.sum(~drop),))
+
     def control_rows(self, t, X: np.ndarray, idx):
         """Drift [n, d] and running reward [n], row i under control points[idx[i]].
 
-        Row i of table entry idx[i], one flat ``take`` from one ``control_table``
-        call; a part with one row per control is taken whole.  For a
-        coefficient that reads x the table costs k times the per-row work.
-        An index outside [0, k) raises ValueError instead of wrapping around.
+        Row i of table entry idx[i], one flat ``take`` from one ``control_table`` call;
+        a part with one row per control is taken whole, one with stride 0 over the
+        controls is its first entry.  For a coefficient that reads x the table costs
+        k times the per-row work.  An index outside [0, k) raises ValueError.
         """
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.controls.k):
@@ -240,6 +266,7 @@ class ProblemSpec:
         # row i of entry idx[i] is row idx[i] * n + i of the table's k * n rows
         return tuple(
             np.take(T[:, 0], idx, axis=0) if T.shape[1] == 1
+            else T[0] if T.strides[0] == 0
             else T.reshape(-1, *T.shape[2:]).take(idx * idx.size + np.arange(idx.size), axis=0)
             for T in self.control_table(t, X)
         )
@@ -260,6 +287,13 @@ class ProblemSpec:
         if transpose:
             sig = np.swapaxes(sig, 1, 2)
         return np.linalg.solve(sig, V[..., None])[..., 0]
+
+
+def _exact_sum(x: np.ndarray, y: np.ndarray):
+    """x + y and where that sum is exact: TwoSum's error term is zero (NaN on overflow)."""
+    s = x + y
+    v = s - x
+    return s, (x - (s - v)) + (y - v) == 0.0
 
 
 def _shaped(out: np.ndarray, shape: tuple) -> np.ndarray:

@@ -198,6 +198,23 @@ def test_solve_mc_reports_and_writes(tmp_path, capsys):
     assert len(lines) == 12  # header + 11 nodes
 
 
+@pytest.mark.parametrize(
+    "params, generator, line",
+    [
+        (["--param", "d=5"], "hstar", "H* controls: 32 of 243"),
+        ([], "hstar", "H* controls: 2 of 3"),
+        (["--param", "h_floor=0.8"], "dominating", None),
+    ],
+)
+def test_solve_mc_reports_the_controls_hstar_evaluates(params, generator, line, capsys):
+    argv = ["solve-mc", "--builtin", "controlled_drift_abs", *params, "--generator", generator]
+    assert main(argv + ["--paths", "500", "--steps", "4", "--basis", "poly:2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [x for x in lines if x.startswith("H* controls")] == ([line] if line else [])
+    if line:
+        assert lines[lines.index(line) - 1].startswith("skorokhod residual = ")
+
+
 def test_solve_mc_rejects_unknown_basis():
     argv = ["solve-mc", "--builtin", "bachelier_put", "--paths", "100", "--steps", "4", "--basis", "fourier:3"]
     assert main(argv) == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from ctrlstop.hamilton import (
 )
 from ctrlstop.model import Box, build_builtin, validate
 
-from oracles import per_control
+from oracles import benchmark_spec, per_control
 
 
 def _first_maximisers(spec, t, X, Z):
@@ -109,10 +110,34 @@ def test_kernel_rejects_rows_that_do_not_match():
     assert sup_hamiltonian_batch(spec, 0.0, np.zeros(2), np.ones(2)).shape == (1,)
 
 
-# the three builtins and the d=5 problem of the MC benchmark (243 controls)
+def _table_spec(f, gamma, controls, dim=1):
+    """Custom spec with sigma = I whose drift and reward are the given expressions."""
+    return build_builtin(
+        "custom",
+        {
+            "dim": dim,
+            "T": 1.0,
+            "sigma": ["1" if i == j else "0" for i in range(dim) for j in range(dim)],
+            "f": f,
+            "gamma": gamma,
+            "g": "0",
+            "h": "0",
+            "controls": controls,
+            "growth": {"C_f": 1e9, "C_sigma_inv": 1.0, "C_poly": 1e9, "p": 1.0},
+            "lo": -2.0,
+            "hi": 2.0,
+        },
+    )
+
+
+_THREE = [[-1.0], [0.0], [1.0]]
+
+# the three builtins, the d=5 problem of the MC benchmark (243 controls, H* evaluates
+# its 32 corners) and a linear reward, under which H* skips the middle control
 _VALUE_SPECS = {
     **{name: build_builtin(name) for name in ("bachelier_put", "controlled_drift_abs", "decaying_obstacle")},
     "controlled_drift_abs-d5": build_builtin("controlled_drift_abs", {"d": 5}),
+    "linear-reward": _table_spec(["a1"], "0.1*a1", _THREE),
 }
 
 
@@ -136,6 +161,86 @@ def test_values_are_the_first_maximisers_maxima_bit_for_bit(name, n, per_row_t, 
     vals = sup_hamiltonian_batch(spec, t, X, Z)
     assert vals.shape == (n,)
     assert vals.tobytes() == first_maximiser(_control_values(spec, t, X, Z))[0].tobytes()
+
+
+def test_hstar_rows_keep_the_controls_that_can_attain_the_maximum():
+    d5 = build_builtin("controlled_drift_abs", {"d": 5})
+    corners = np.flatnonzero(np.all(np.abs(d5.controls.points) == 1.0, axis=1))
+    assert corners.size == 32 and np.array_equal(d5._hstar_rows, corners)
+    assert d5._hstar_rows is d5._hstar_rows and not d5._hstar_rows.flags.writeable
+    assert build_builtin("controlled_drift_abs")._hstar_rows.tolist() == [0, 2]
+    # the reward -0.2 |a|^2 lifts the interior of the 3 x 3 grid onto a concave surface
+    assert benchmark_spec("policy-2d-localvol")._hstar_rows.tolist() == list(range(9))
+    assert _table_spec(["a1"], "0.1*a1", _THREE)._hstar_rows.tolist() == [0, 2]
+    assert _table_spec(["a1"], "-0.1*a1*a1", _THREE)._hstar_rows.tolist() == [0, 1, 2]
+    # a drift that reads x, or a reward that reads t, keeps every control
+    assert _table_spec(["a1*(1+0.1*x1)"], "0", _THREE)._hstar_rows.tolist() == [0, 1, 2]
+    assert _table_spec(["a1"], "0.1*t*a1", _THREE)._hstar_rows.tolist() == [0, 1, 2]
+    # one drift for all: the first control with the largest reward stays
+    assert _table_spec(["0.5"], "0", _THREE)._hstar_rows.tolist() == [0]
+    assert _table_spec(["0.5"], "-a1*a1", _THREE)._hstar_rows.tolist() == [1]
+    assert _table_spec(["0.5"], "a1*a1", _THREE)._hstar_rows.tolist() == [0]
+    # a drift that is a midpoint only up to rounding keeps its control; in the plane the
+    # rounded midpoint of (0.1, 0.1) and (0.2, 0.3) lies off their segment, a vertex
+    assert _table_spec(["a1"], "0", [[0.1], [0.2], [0.3]])._hstar_rows.tolist() == [0, 1, 2]
+    plane = _table_spec(["a1", "a2"], "0", [[0.1, 0.1], [0.2, 0.3], [0.15000000000000002, 0.2]], dim=2)
+    assert plane._hstar_rows.tolist() == [0, 1, 2]
+
+
+def _upper_hull(points):
+    """The vertices of the upper hull of 2-d points (x, y) in exact arithmetic: the
+    points that some direction (w, 1) makes the only maximiser of w x + y."""
+    hull = []
+    for p in sorted(set(points), key=lambda q: (q[0], -q[1])):
+        if hull and hull[-1][0] == p[0]:
+            continue  # the same drift with a smaller reward
+        while len(hull) >= 2 and (hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1]) >= (
+            p[0] - hull[-2][0]
+        ) * (hull[-1][1] - hull[-2][1]):
+            hull.pop()
+        hull.append(p)
+    return set(hull)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([1, 1, 2, 3]),
+    k=st.integers(1, 14),
+    off=st.integers(0, 2),
+    scale=st.integers(-4, 4),
+    reward=st.sampled_from(["zero", "linear", "concave", "convex", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hstar_rows_give_the_exact_maximum_on_random_tables(d, k, off, scale, reward, seed):
+    """Drifts on a small integer lattice scaled by 2^scale, so midpoints are exact, plus a few
+    off-lattice drifts and the rounded midpoint of two of them; the controls are the rows
+    (F, G), read back by f = a1..ad and gamma = a(d+1)."""
+    rng = np.random.default_rng(seed)
+    F = np.concatenate([rng.integers(-2, 3, size=(k, d)) * 2.0**scale, rng.uniform(-3.0, 3.0, size=(off, d))])
+    F = np.concatenate([F, (F[k:][:1] + F[k:][1:2]) / 2.0])
+    G = {
+        "zero": np.zeros(len(F)),
+        "linear": F @ (rng.integers(-3, 4, size=d) * 0.25),
+        "concave": -0.5 * np.sum(F * F, axis=1),
+        "convex": 0.5 * np.sum(F * F, axis=1),
+        "random": rng.uniform(-1.0, 1.0, size=len(F)),
+    }[reward]
+    pts = np.unique(np.column_stack([F, G]), axis=0)
+    spec = _table_spec([f"a{j + 1}" for j in range(d)], f"a{d + 1}", pts, dim=d)
+    kept = spec._hstar_rows
+    assert np.all(np.diff(kept) > 0) and 1 <= kept.size <= len(pts)
+    rows = [(tuple(map(Fraction, p[:d])), Fraction(p[d])) for p in pts]
+    for w in rng.standard_normal((50, d)) * np.exp(rng.uniform(-3.0, 3.0, size=(50, 1))):
+        wf = [Fraction(x) for x in w]
+        vals = [sum(a * b for a, b in zip(wf, f)) + g for f, g in rows]
+        assert max(vals[i] for i in kept) == max(vals)
+    # the upper extreme points: at d = 1 the vertices of the upper hull, at d = 2
+    # under a zero reward the vertices of the drifts' hull, its upper and lower halves
+    if d == 1:
+        assert _upper_hull([(f[0], g) for f, g in rows]) <= {(rows[i][0][0], rows[i][1]) for i in kept}
+    if d == 2 and reward == "zero":
+        vertices = _upper_hull([f for f, _ in rows]) | {(x, -y) for x, y in _upper_hull([(x, -y) for (x, y), _ in rows])}
+        assert vertices <= {rows[i][0] for i in kept}
 
 
 def _random_spec(d: int, x_in_f: bool, x_in_gamma: bool, k: int, rng) -> object:
