@@ -10,6 +10,15 @@ cross-checked by forward simulation of the extracted strategy
 
 from __future__ import annotations
 
+import ctypes
+import os
+
+# glibc raises its mmap threshold to the size of each large block it frees, so the solvers' big arrays move
+# into the brk heap and its fragmentation shifts the peak resident set between identical runs.  Fixed
+# thresholds map every block of 4 MiB or more on its own and keep at most 4 MiB of freed heap.
+if "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {}):  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    ctypes.CDLL(None).mallopt(-3, 4 << 20), ctypes.CDLL(None).mallopt(-1, 4 << 20)
+
 from .expr import EvalError, ExpressionTree, ParseError, parse_expression
 from .hamilton import (
     TIE_TOL,

@@ -5,6 +5,9 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -652,3 +655,35 @@ def test_coefficient_columns_equal_the_stacked_assembly_bitwise(case, n, per_row
     table = coeffs.f(t, X, A)  # the rows of A as a control table; row i of entry i is the reference row
     got = table[np.arange(n), np.arange(n) if table.shape[1] > 1 else 0]
     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+_FREED_BLOCK = """
+import numpy as np
+import ctrlstop
+
+def anon():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("RssAnon:"))
+
+for _ in range(3):
+    np.ones(1 << 20)
+before = anon()
+block = np.ones(1 << 20)
+held = anon()
+del block
+print(held - before, anon() - before)
+"""
+
+
+@pytest.mark.skipif(
+    "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}) or not os.path.exists("/proc/self/status"),
+    reason="glibc allocator thresholds, read through /proc",
+)
+def test_a_freed_large_array_leaves_the_resident_set():
+    # with glibc's dynamic threshold the first free moves later 8 MiB blocks into the heap, which
+    # keeps them resident; importing the package fixes the threshold, so each gets its own mapping.
+    # A fresh interpreter, so that no earlier test's heap can hold the block.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(model.__file__))}
+    out = subprocess.run([sys.executable, "-c", _FREED_BLOCK], env=env, capture_output=True, text=True, check=True)
+    held, kept = map(int, out.stdout.split())
+    assert held > 7 * 1024 and kept < 1024
