@@ -17,7 +17,7 @@ import numpy as np
 from . import mc, pde, strategy
 from .hamilton import sup_hamiltonian_batch
 from .model import build_builtin, dominating_generator_batch
-from .paths import TimeGrid, simulate_uncontrolled
+from .paths import TimeGrid, _stderr, simulate_uncontrolled
 
 __all__ = ["CheckResult", "run_all", "render", "CLOSED_FORM_ATM_PUT", "CHECK_IDS"]
 
@@ -297,7 +297,7 @@ def _check_domination(shared):
     run_h = mc.solve_rbsde(spec, batch, basis)
     run_phi = mc.solve_rbsde(spec, batch, basis, generator="dominating")
     diff = run_phi.y0_samples - run_h.y0_samples
-    se = float(np.std(diff, ddof=1) / math.sqrt(batch.count))
+    se = _stderr(diff)
     mc_ok = float(np.mean(diff)) >= -2.0 * se
 
     ok = viol == 0 and pde_ok and mc_ok

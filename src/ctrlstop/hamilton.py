@@ -11,7 +11,8 @@ Every kernel takes a batch of rows, X [n, d] and Z [n, d]; a single point is
 a one-row batch.  H* is ``sup_hamiltonian_batch``, rho_m is ``cutoff_batch``
 and the damping is ``truncate_values``.  H* returns the value only;
 ``first_maximiser`` is the one tie rule for a table of control values, by
-which the finite-difference step records its control.
+which the finite-difference step records its control.  Both solvers' truncation
+ladders run through ``_ladder_runs`` and compare by ``ladder_pairs``.
 
 H* is a max of terms affine in W = sigma^-T z, so only upper extreme points of
 {(f, gamma)} attain it.  With f and gamma free of t and x it skips a control whose
@@ -77,6 +78,18 @@ def ladder_pairs(n_list, m_list):
     for n in n_list:
         for m1, m2 in itertools.pairwise(m_list):
             yield "m", n, m1, m2, (n, m2), (n, m1)
+
+
+def _ladder_runs(solve, n_list, m_list, reach):
+    """(n_list, m_list, runs, base, cover): the sorted lists, ``solve(TruncationIndex(n, m))`` per pair,
+    ``solve(None)`` and the run at the pair covering ``reach``, solved once more only if the lists miss it."""
+    n_list = tuple(sorted(int(v) for v in n_list))
+    m_list = tuple(sorted(int(v) for v in m_list))
+    runs = {(n, m): solve(TruncationIndex(n, m)) for n in n_list for m in m_list}
+    base = solve(None)
+    cover = TruncationIndex.covering(reach)
+    key = (cover.n, cover.m)
+    return n_list, m_list, runs, base, runs[key] if key in runs else solve(cover)
 
 
 def check_generator(generator: str, trunc: TruncationIndex | None) -> None:

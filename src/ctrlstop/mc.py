@@ -31,15 +31,14 @@ for smooth problems.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hamilton import TruncationIndex, check_generator, cutoff_batch, ladder_pairs, sup_hamiltonian_batch, truncate_values
+from .hamilton import TruncationIndex, _ladder_runs, check_generator, cutoff_batch, ladder_pairs, sup_hamiltonian_batch, truncate_values
 from .model import Box, ProblemSpec, dominating_generator_batch
-from .paths import PathBatch, _step
+from .paths import PathBatch, _stderr, _step
 
 __all__ = [
     "RegressionBasis",
@@ -280,7 +279,6 @@ def solve_rbsde(
 
     y0_samples = Y[1] + gen0 * dt
     y0 = float(np.mean(Y[0]))
-    se_y0 = float(np.std(y0_samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     # read-only bases, so the transposed result views have no writable owner
     for arr in (Y, K, H):
         arr.setflags(write=False)
@@ -291,7 +289,7 @@ def solve_rbsde(
         k_increments=K.T,
         obstacle_nodes=np.broadcast_to(H, (N + 1, n)).T,
         y0=y0,
-        se_y0=se_y0,
+        se_y0=_stderr(y0_samples),
         y0_samples=y0_samples,
         diagnostics={
             "condition_numbers": conds,
@@ -342,35 +340,26 @@ def truncation_ladder_mc(
 ) -> MCLadderReport:
     """Ladder of truncated solves on one common batch, paired comparisons.
 
-    Only the root of each solve is kept: its y0 and per-path y0_samples.
-    Exhaustion is measured at the pair covering the largest |x| of the batch:
-    its listed y0, or one more solve when the lists miss it.
+    Only the root of each solve is kept: its y0 and per-path y0_samples, so
+    each solve's per-path arrays are freed before the next one runs.
+    Exhaustion is measured at the pair covering the largest |x| of the batch.
     """
-    n_list = tuple(sorted(int(v) for v in n_list))
-    m_list = tuple(sorted(int(v) for v in m_list))
-    y0, samples = {}, {}
-    for key in itertools.product(n_list, m_list):
-        run = solve_rbsde(spec, batch, basis, trunc=TruncationIndex(*key))
-        y0[key], samples[key] = run.y0, run.y0_samples
-        del run  # frees this solve's per-path arrays before the next one
-    base_y0 = solve_rbsde(spec, batch, basis).y0
-    reach = float(np.max(np.linalg.norm(batch.states, axis=-1)))
-    cover = TruncationIndex.covering(reach)
-    key = (cover.n, cover.m)
-    cover_y0 = y0[key] if key in y0 else solve_rbsde(spec, batch, basis, trunc=cover).y0
+    def root(trunc):
+        run = solve_rbsde(spec, batch, basis, trunc=trunc)
+        return run.y0, run.y0_samples
 
-    npaths = batch.count
+    reach = float(np.max(np.linalg.norm(batch.states, axis=-1)))
+    n_list, m_list, runs, (base_y0, _), (cover_y0, _) = _ladder_runs(root, n_list, m_list, reach)
     comparisons = []
     for axis, fixed, low, high, below, above in ladder_pairs(n_list, m_list):
-        diff = samples[above] - samples[below]
-        se = float(np.std(diff, ddof=1) / math.sqrt(npaths)) if npaths > 1 else 0.0
+        diff = runs[above][1] - runs[below][1]
         comparisons.append(
             MCLadderComparison(axis=axis, fixed=fixed, low=low, high=high,
-                               mean_diff=float(np.mean(diff)), se=se)
+                               mean_diff=float(np.mean(diff)), se=_stderr(diff))
         )
 
     return MCLadderReport(
-        y0=y0,
+        y0={key: y0 for key, (y0, _) in runs.items()},
         y0_untruncated=base_y0,
         comparisons=tuple(comparisons),
         exhaustion_gap=abs(cover_y0 - base_y0),

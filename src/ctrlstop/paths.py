@@ -4,13 +4,13 @@ Brownian increments are drawn in fixed blocks of ``BLOCK`` (8192) paths,
 each block from its own ``SeedSequence((seed, block))`` stream, so a batch is
 reproducible bit-for-bit for a given (spec, arguments, seed) no matter how
 the work is scheduled, and enlarging the batch keeps existing blocks
-unchanged.  ``_increment_blocks`` is that one draw rule: each block is drawn
+unchanged.  ``_increment_chunks`` is the one writer: each block is drawn
 path-major and written transposed into time-major increments, so the bits do
-not depend on the storage order.  ``_draw_increments`` writes every block
-into a whole batch's [N, n, d] array; the forward loops ask
-``_increment_chunks`` for ``CHUNK`` (two blocks of) paths at a time, written
-into one reused [N, CHUNK, d] buffer, so their memory does not grow with the
-path count.
+not depend on the storage order.  A stored batch takes every path as one
+[N, n, d] chunk; the forward loops take ``CHUNK`` (two blocks of) paths at a
+time, written into one reused [N, CHUNK, d] buffer, so their memory does not
+grow with the path count.  ``_stderr`` is the one standard error of a
+Monte-Carlo mean.
 
 A batch is stored time-major: states [N+1, n, d], increments [N, n, d] and,
 from ``simulate_controlled`` only, controls [N, n], so one step of every path
@@ -36,6 +36,7 @@ control table.  Each step's log-density term is ``_log_density_step``'s.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,22 +122,6 @@ def _frozen_view(buf: np.ndarray) -> np.ndarray:
     return buf.swapaxes(0, 1)
 
 
-def _increment_blocks(count: int, steps: int, dim: int, dt: float, seed: int):
-    """Yield (first path, block): each block's path-major [rows, steps, dim] draw, scaled by sqrt(dt).
-
-    Block b is paths [b BLOCK, (b + 1) BLOCK) from ``SeedSequence((seed, b))``.
-    Every block is drawn into one buffer, so a block is valid only until the
-    next one is drawn; a fresh draw per block grew the heap.
-    """
-    root = np.sqrt(dt)
-    buf = np.empty((min(BLOCK, count), steps, dim))
-    for b, start in enumerate(range(0, count, BLOCK)):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
-        block = rng.standard_normal(out=buf[: min(BLOCK, count - start)])
-        block *= root
-        yield start, block
-
-
 def _items(arr: np.ndarray) -> np.ndarray:
     """A [..., dim] array as one opaque item per leading index.
 
@@ -146,30 +131,39 @@ def _items(arr: np.ndarray) -> np.ndarray:
     return arr.view(np.dtype((np.void, arr.itemsize * arr.shape[-1])))[..., 0]
 
 
-def _draw_increments(count: int, steps: int, dim: int, dt: float, seed: int) -> np.ndarray:
-    """Time-major [steps, count, dim] increments: every block written transposed."""
-    out = np.empty((steps, count, dim))
-    items = _items(out)
-    for start, block in _increment_blocks(count, steps, dim, dt, seed):
-        items[:, start : start + len(block)] = _items(block).T
-    return out
+def _increment_chunks(count: int, steps: int, dim: int, dt: float, seed: int, rows: int = CHUNK):
+    """Yield (first path, dW): time-major [steps, rows, dim] increments of ``rows`` paths at a time.
 
-
-def _increment_chunks(count: int, steps: int, dim: int, dt: float, seed: int):
-    """Yield (first path, dW): time-major [steps, rows, dim] increments of ``CHUNK`` paths at a time.
-
-    The blocks are ``_draw_increments``'s, written transposed into one
-    buffer that every chunk reuses, so each path gets the same bits and a
-    chunk is valid only until the next one is asked for.
+    ``rows`` is a multiple of ``BLOCK`` or ``count``.  Block b is paths
+    [b BLOCK, (b + 1) BLOCK) from ``SeedSequence((seed, b))``, drawn path-major,
+    scaled by sqrt(dt) and written transposed into the chunk, so a path's bits
+    depend neither on ``rows`` nor on the storage order.  Every block is drawn
+    into one buffer and every chunk written into another, so a chunk is valid
+    only until the next one is asked for; a fresh draw per block grew the heap.
+    A full chunk is that buffer itself, not a view of it.
     """
-    buf = np.empty((steps, min(CHUNK, count), dim))
+    root = np.sqrt(dt)
+    # the chunk buffer first: the other order raised the peak resident set
+    buf = np.empty((steps, min(rows, count), dim))
     items = _items(buf)
-    for start, block in _increment_blocks(count, steps, dim, dt, seed):
-        offset = start % CHUNK
+    draw = np.empty((min(BLOCK, count), steps, dim))
+    for b, start in enumerate(range(0, count, BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
+        block = rng.standard_normal(out=draw[: min(BLOCK, count - start)])
+        block *= root
+        offset = start % rows
         end = offset + len(block)
         items[:, offset:end] = _items(block).T
-        if end == CHUNK or start + len(block) == count:
+        if end == buf.shape[1]:
+            yield start - offset, buf
+        elif start + len(block) == count:
             yield start - offset, buf[:, :end]
+
+
+def _stderr(samples: np.ndarray) -> float:
+    """Standard error of the mean of ``samples``, 0.0 for a single sample."""
+    n = len(samples)
+    return float(np.std(samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
 
 def _prepare(spec: ProblemSpec, t0: float, x0, grid: TimeGrid, count: int):
@@ -205,7 +199,7 @@ def _euler(spec: ProblemSpec, t: float, X: np.ndarray, dW: np.ndarray, sig=None,
 def _simulate(spec: ProblemSpec, policy, t0: float, x0, grid: TimeGrid, count: int, seed: int) -> PathBatch:
     """Stored-batch Euler loop: driftless without ``policy``, else under its drift, recording its controls."""
     x0 = _prepare(spec, t0, x0, grid, count)
-    dW = _draw_increments(count, grid.steps, spec.dim, grid.dt, seed)
+    [(_, dW)] = _increment_chunks(count, grid.steps, spec.dim, grid.dt, seed, rows=count)
     states = np.empty((grid.steps + 1, count, spec.dim))
     controls = None if policy is None else np.empty((grid.steps, count), dtype=np.int64)
     states[0] = x0

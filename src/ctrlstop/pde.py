@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamilton import TruncationIndex, check_generator, cutoff_batch, first_maximiser, ladder_pairs, truncate_values
+from .hamilton import TruncationIndex, _ladder_runs, check_generator, cutoff_batch, first_maximiser, ladder_pairs, truncate_values
 from .hamilton import sup_hamiltonian_batch  # noqa: F401  unused; perfbench/spans.py wraps this binding
 from .model import Box, ProblemSpec, dominating_weights
 
@@ -135,8 +135,8 @@ class ValueField:
         self.stop_mask.setflags(write=False)
         self.control.setflags(write=False)
 
-    def _lookup(self, records: np.ndarray, t: float, X) -> np.ndarray:
-        """``records`` at the nearest node of each row of X on slice t (constant extension outside the box).
+    def _lookup(self, records: np.ndarray, i: int, X) -> np.ndarray:
+        """``records`` at the nearest node of each row of X on slice i (constant extension outside the box).
 
         X is one point [d] or a batch [n, d].  Per axis the index is rounded (half to even) and clipped,
         then folded into one flat node index, so the slice gives every row with one ``take``.
@@ -148,16 +148,18 @@ class ValueField:
             np.maximum(idx, 0, out=idx)
             np.minimum(idx, g.nx[j] - 1, out=idx)
             flat = idx if j == 0 else flat * g.nx[j] + idx
-        return records[g.time_index(t)].reshape(-1).take(flat)
+        return records[i].reshape(-1).take(flat)
 
     def at(self, t: float, x) -> float:
-        return float(self._lookup(self.values, t, x)[0])
+        return float(self._lookup(self.values, self.grid.time_index(t), x)[0])
 
     def control_indices(self, t: float, X: np.ndarray) -> np.ndarray:
-        return self._lookup(self.control, t, X)
+        return self._lookup(self.control, self.grid.time_index(t), X)
 
     def stop_at(self, t: float, X: np.ndarray) -> np.ndarray:
-        return self._lookup(self.stop_mask, t, X)
+        # before the horizon, never the final slice: every node stops there
+        i = self.grid.time_index(t)
+        return self._lookup(self.stop_mask, min(i, self.grid.nt - 1) if t < self.grid.horizon_T else i, X)
 
 
 def _covariance(sig: np.ndarray):
@@ -206,6 +208,15 @@ class _Scheme:
             if not any("t" in spec.coefficients.reads(c) for c in inputs):
                 self.fixed[name] = build(self, 0.0)
         self.cfl_worst = 0.0
+
+        # one padded slice per solve; per axis its (first, second, last, second-last) slabs
+        self.Wp = np.empty(tuple(s + 2 for s in self.shape))
+        inner = (slice(1, -1),) * self.d
+        self.inner = self.Wp[inner]
+        slabs = [self.Wp.swapaxes(0, j) for j in range(self.d)]
+        self.edges = [(e[0, ...], e[1, ...], e[-1, ...], e[-2, ...]) for e in slabs]
+        self.up = [self.Wp[inner[:j] + (slice(2, None),) + inner[j + 1 :]] for j in range(self.d)]
+        self.dn = [self.Wp[inner[:j] + (slice(None, -2),) + inner[j + 1 :]] for j in range(self.d)]
 
     # -- coefficient plumbing --------------------------------------------------
 
@@ -269,20 +280,13 @@ class _Scheme:
 
     def _views(self, W):
         """W padded by one edge-replicated node per side, as np.pad(W, 1,
-        mode="edge") gives it, and the up and down neighbour views per axis."""
-        Wp = np.empty(tuple(s + 2 for s in self.shape))
-        Wp[(slice(1, -1),) * self.d] = W
-        if self.d == 1:
-            Wp[0], Wp[-1] = W[0], W[-1]
-            up = [Wp[2:]]
-            dn = [Wp[:-2]]
-        else:
-            Wp[0, 1:-1], Wp[-1, 1:-1] = W[0], W[-1]
-            # the columns last, so the corners, which the cross stencil reads, copy W's
-            Wp[:, 0], Wp[:, -1] = Wp[:, 1], Wp[:, -2]
-            up = [Wp[2:, 1:-1], Wp[1:-1, 2:]]
-            dn = [Wp[:-2, 1:-1], Wp[1:-1, :-2]]
-        return Wp, up, dn
+        mode="edge") gives it, and the up and down neighbour views per axis.
+        Each edge copies the whole next slab, so a corner copies W's corner."""
+        self.inner[...] = W
+        for first, second, last, second_last in self.edges:
+            first[...] = second
+            last[...] = second_last
+        return self.Wp, self.up, self.dn
 
     # -- the explicit step -------------------------------------------------------
 
@@ -426,32 +430,23 @@ class LadderReport:
 def ladder(spec: ProblemSpec, grid: SpaceTimeGrid, n_list, m_list) -> LadderReport:
     """Solve across truncation pairs and check the comparison orderings.
 
-    Exhaustion is measured at the pair covering ``grid.box.radius``: its
-    listed field, or one more solve when the lists miss it.
+    Exhaustion is measured at the pair covering ``grid.box.radius``.
     """
-    n_list = tuple(sorted(int(v) for v in n_list))
-    m_list = tuple(sorted(int(v) for v in m_list))
-    base = solve(spec, grid)
+    n_list, m_list, fields, base, cover = _ladder_runs(
+        lambda trunc: solve(spec, grid, trunc=trunc).values, n_list, m_list, grid.box.radius
+    )
     core = grid.core_mask()
-
-    fields = {(n, m): solve(spec, grid, trunc=TruncationIndex(n, m)).values for n in n_list for m in m_list}
-    sup_gap = {
-        key: float(np.max(np.abs(vals[:, core] - base.values[:, core])))
-        for key, vals in fields.items()
-    }
+    sup_gap = {key: float(np.max(np.abs(vals[:, core] - base[:, core]))) for key, vals in fields.items()}
 
     violation = {"n": 0.0, "m": 0.0}
     for axis, _, _, _, below, above in ladder_pairs(n_list, m_list):
         violation[axis] = max(violation[axis], float(np.max(fields[below] - fields[above])))
 
-    cover = TruncationIndex.covering(grid.box.radius)
-    key = (cover.n, cover.m)
-    cover_values = fields[key] if key in fields else solve(spec, grid, trunc=cover).values
     return LadderReport(
         n_list=n_list,
         m_list=m_list,
         sup_gap_core=sup_gap,
         violation_n=violation["n"],
         violation_m=violation["m"],
-        exhaustion_gap=float(np.max(np.abs(cover_values - base.values))),
+        exhaustion_gap=float(np.max(np.abs(cover - base))),
     )

@@ -31,7 +31,7 @@ import numpy as np
 
 from .model import ProblemSpec
 from .paths import TimeGrid, girsanov_log_batch
-from .paths import _euler, _increment_chunks, _prepare
+from .paths import _euler, _increment_chunks, _prepare, _stderr
 from .paths import simulate_controlled  # noqa: F401  unused; perfbench/spans.py wraps this binding
 
 __all__ = [
@@ -142,10 +142,9 @@ def evaluate(
     mean_run = float(np.mean(running))
     mean_obs = float(np.mean(collected))
     mean_term = float(np.mean(terminal))
-    stderr = float(np.std(reward, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
     return PayoffEstimate(
         mean=mean_run + mean_obs + mean_term,
-        stderr=stderr,
+        stderr=_stderr(reward),
         count=count,
         breakdown=Breakdown(
             running=mean_run,
@@ -253,10 +252,9 @@ def martingale_check(
     """
     m = np.exp(girsanov_log_batch(spec, policy, float(grid.t0), x0, grid, count, seed))
     mean = float(np.mean(m))
-    stderr = float(np.std(m, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
     return PayoffEstimate(
         mean=mean,
-        stderr=stderr,
+        stderr=_stderr(m),
         count=count,
         breakdown=Breakdown(running=0.0, obstacle=0.0, terminal=mean, fraction_stopped_early=0.0),
         q_moment=float(np.mean(m**MOMENT_Q)),

@@ -14,6 +14,7 @@ from ctrlstop.hamilton import (
     TIE_TOL,
     TruncationIndex,
     _control_values,
+    _ladder_runs,
     cutoff_batch,
     first_maximiser,
     ladder_pairs,
@@ -410,3 +411,23 @@ def test_the_pair_covering_a_box_radius_cuts_no_corner(bounds):
     corners = np.array(list(itertools.product(*zip(lo, hi))))
     for level in (cover.n, cover.m):
         assert np.all(cutoff_batch(level, corners) == 1.0)
+
+
+@pytest.mark.parametrize(
+    "n_list, m_list, extra",
+    [((4, 1, 2), (2, 1), True), ((5, 1), (1, 5), False), ((1, 5), (2,), True), ((2,), (5, 1), True)],
+)
+def test_ladder_runs_solve_each_pair_once_and_the_covering_pair_only_if_missing(n_list, m_list, extra):
+    calls = []
+
+    def solve(trunc):
+        calls.append(None if trunc is None else (trunc.n, trunc.m))
+        return len(calls)
+
+    got_n, got_m, runs, base, cover = _ladder_runs(solve, n_list, m_list, 3.2)
+    assert got_n == tuple(sorted(n_list)) and got_m == tuple(sorted(m_list))
+    pairs = list(itertools.product(got_n, got_m))
+    assert list(runs) == pairs and calls.count(None) == 1 and calls[base - 1] is None
+    assert sorted(c for c in calls if c is not None) == sorted(pairs + [(5, 5)] * extra)
+    # reach 3.2 is covered by (5, 5): its listed run, or the one extra solve
+    assert calls[cover - 1] == (5, 5) and (cover == len(calls)) == extra

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
@@ -122,3 +123,27 @@ def test_forward_variants_digest_each_loop_and_repeat(capsys):
     assert tool.run_forward_variants() == first
     assert tool.main(["--workload", "forward-variants"]) == 0
     assert json.loads(capsys.readouterr().out)["workloads"] == {"forward-variants": first}
+
+
+def test_archived_tree_holds_the_commit_and_registers_no_worktree(tmp_path, monkeypatch):
+    # a repository of its own, so the test does not depend on how this project was checked out
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), *args], capture_output=True, text=True, check=True).stdout
+
+    git("init", "--quiet")
+    (repo / "BENCHMARK.json").write_text('{"run_seconds": 30}\n')
+    git("add", "BENCHMARK.json")
+    git("-c", "user.name=t", "-c", "user.email=t@example.invalid", "commit", "--quiet", "-m", "bench")
+    (repo / "BENCHMARK.json").write_text('{"run_seconds": 1}\n')  # an edit the commit does not hold
+    tool = _load()
+    monkeypatch.setattr(tool, "ROOT", repo)
+    before = git("worktree", "list", "--porcelain")
+    with tool.archived_tree("HEAD") as tree:
+        assert (tree / "BENCHMARK.json").read_text() == git("show", "HEAD:BENCHMARK.json")
+        assert not (tree / ".git").exists()
+        assert git("worktree", "list", "--porcelain") == before
+    assert not tree.exists()
+    assert git("worktree", "list", "--porcelain") == before

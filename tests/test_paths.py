@@ -11,10 +11,11 @@ from ctrlstop.mc import RegressionBasis, solve_rbsde
 from ctrlstop.model import build_builtin, sigma_apply
 from ctrlstop.paths import (
     BLOCK,
+    CHUNK,
     TimeGrid,
     PathBatch,
     _diffusion,
-    _draw_increments,
+    _increment_chunks,
     girsanov_log_batch,
     simulate_controlled,
     simulate_uncontrolled,
@@ -182,13 +183,19 @@ def _old_draw_increments(count, steps, dim, dt, seed):
     return out
 
 
-@pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 808])
+@pytest.mark.parametrize(
+    "count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 808, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 808]
+)
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_time_major_increments_are_the_path_major_draws_transposed(count, dim):
-    got = _draw_increments(count, 3, dim, 0.1, seed=17)
-    assert got.shape == (3, count, dim) and got.flags.c_contiguous
+    [(start, got)] = _increment_chunks(count, 3, dim, 0.1, seed=17, rows=count)
+    assert start == 0 and got.shape == (3, count, dim) and got.flags.c_contiguous
     ref = np.ascontiguousarray(_old_draw_increments(count, 3, dim, 0.1, seed=17).swapaxes(0, 1))
     assert got.tobytes() == ref.tobytes()
+    # the forward loops' CHUNK-row chunks, copied since the buffer is reused, are the same paths
+    chunks = [(start, dW.copy()) for start, dW in _increment_chunks(count, 3, dim, 0.1, seed=17)]
+    assert [start for start, _ in chunks] == list(range(0, count, CHUNK))
+    assert np.concatenate([dW for _, dW in chunks], axis=1).tobytes() == got.tobytes()
 
 
 class _SignPolicy:

@@ -536,12 +536,18 @@ def test_product_form_covariance_matches_the_einsum_bitwise(d):
 
 
 def _nearest_node(field, records, t, X):
-    """``records`` on slice t at each row's nearest node: per axis rint, clipped to the box, one index tuple."""
+    """``records`` on slice t at each row's nearest node: per axis rint, clipped to the box, one index tuple.
+
+    The stop mask's slice before the horizon is at most nt - 1: on the final slice every node stops.
+    """
     g = field.grid
     idx = tuple(
         np.clip(np.rint((X[:, j] - g.box.lo[j]) / g.dxs[j]).astype(np.int64), 0, g.nx[j] - 1) for j in range(g.dim)
     )
-    return records[g.time_index(t)][idx]
+    i = g.time_index(t)
+    if records is field.stop_mask and t < g.horizon_T:
+        i = min(i, g.nt - 1)
+    return records[i][idx]
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -599,11 +605,27 @@ def test_grid_construction_and_lookup():
     assert field.at(1.0, [1.0]) == 0.0  # terminal payoff at the strike
     # a record holding each node's own index reads back the nearest node
     nodes = np.tile(np.arange(51), (field.grid.nt + 1, 1))
-    assert field._lookup(nodes, 0.5, [99.0]).tolist() == [50]
-    assert field._lookup(nodes, 0.5, [-99.0]).tolist() == [0]
-    i = field._lookup(nodes, 0.5, np.array([[-99.0], [1.0], [1.1], [99.0]]))
+    mid = field.grid.time_index(0.5)
+    assert field._lookup(nodes, mid, [99.0]).tolist() == [50]
+    assert field._lookup(nodes, mid, [-99.0]).tolist() == [0]
+    i = field._lookup(nodes, mid, np.array([[-99.0], [1.0], [1.1], [99.0]]))
     assert i.tolist() == [0, 25, 26, 50]  # 1.1 sits at node 25.625
     with pytest.raises(ValueError, match="at least 3 nodes"):
         SpaceTimeGrid(box=spec.domain, nx=(2,), nt=10, horizon_T=1.0)
     with pytest.raises(ValueError, match="one node count per axis"):
         SpaceTimeGrid(box=spec.domain, nx=(5, 5), nt=10, horizon_T=1.0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_padded_views_equal_edge_padding_on_every_call(d):
+    spec = build_builtin("controlled_drift_abs", {"d": d})
+    grid = make_grid(spec, (7, 5)[:d], nt=10)
+    sch = pde._Scheme(spec, grid, None, "hstar")
+    rng = np.random.default_rng(d)
+    # two calls in a row: the reused buffer keeps nothing of the first slice
+    for W in (rng.standard_normal(grid.shape) * 1e6, rng.standard_normal(grid.shape)):
+        Wp, up, dn = sch._views(W)
+        assert np.array_equal(Wp, np.pad(W, 1, mode="edge"))
+        for j, n in enumerate(grid.shape):
+            assert np.array_equal(up[j], np.take(W, np.minimum(np.arange(n) + 1, n - 1), axis=j))
+            assert np.array_equal(dn[j], np.take(W, np.maximum(np.arange(n) - 1, 0), axis=j))

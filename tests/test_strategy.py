@@ -10,7 +10,7 @@ import pytest
 
 from ctrlstop import strategy
 from ctrlstop.model import build_builtin
-from ctrlstop.paths import CHUNK, TimeGrid, _diffusion, _draw_increments, girsanov_log_batch
+from ctrlstop.paths import CHUNK, TimeGrid, _diffusion, _increment_chunks, girsanov_log_batch
 from ctrlstop.paths import PathBatch, simulate_controlled, simulate_uncontrolled
 from ctrlstop.pde import make_grid, solve
 from ctrlstop.strategy import (
@@ -310,7 +310,7 @@ def correlated():
 
 def _two_pass(spec, policy, grid, x0, count, seed):
     """Simulate every path to T on the full batch, then find where each stops."""
-    dW = _draw_increments(count, grid.steps, spec.dim, grid.dt, seed)
+    [(_, dW)] = _increment_chunks(count, grid.steps, spec.dim, grid.dt, seed, rows=count)
     states = np.empty((grid.steps + 1, count, spec.dim))
     controls = np.empty((grid.steps, count), dtype=np.int64)
     states[0] = x0
@@ -442,3 +442,14 @@ def test_log_densities_of_fewer_paths_are_a_prefix(correlated):
     small = girsanov_log_batch(correlated, _Band(0.0), 0.0, [0.2, 0.1], grid, count, seed=13)
     large = girsanov_log_batch(correlated, _Band(0.0), 0.0, [0.2, 0.1], grid, count + CHUNK, seed=13)
     assert large[:count].tobytes() == small.tobytes()
+
+
+def test_no_step_before_the_horizon_reads_the_final_stop_slice():
+    # at nx 101 the put's grid has nt = 7, so t = 0.94, 0.96 and 0.98 round to the final slice, where every node stops
+    spec = build_builtin("bachelier_put")
+    field = solve(spec, make_grid(spec, 101))
+    assert field.grid.nt == 7 and field.grid.time_index(0.94) == 7
+    assert not field.stop_at(0.98, [[1.0]])[0]
+    assert field.stop_at(1.0, [[1.0]])[0]
+    est = evaluate(spec, field, TimeGrid(0.0, 1.0, 50), [1.0], 4000, seed=1)
+    assert est.breakdown.fraction_stopped_early == 0.0

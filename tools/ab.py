@@ -3,9 +3,10 @@
 
     python3 tools/ab.py --base HEAD~1 --seeds 201-210 --out BENCH_16.json
 
-The base revision is checked out into a temporary git worktree, as
-``output_digest.py --against`` does; the candidate is this checkout as it
-stands, uncommitted edits included.  For each seed, every workload of the
+The base revision's files are extracted from ``git archive`` into a
+temporary directory, as ``output_digest.py --against`` does, so nothing is
+written under ``.git``; the candidate is this checkout as it stands,
+uncommitted edits included.  For each seed, every workload of the
 base tree's BENCHMARK.json is run once on each side with
 ``perfbench/run.py --trace 0`` for the benchmark's own ``run_seconds``, the
 base first on even pairs and the candidate first on odd ones, so a drift in
@@ -137,10 +138,12 @@ def moved_counters(counters: dict) -> dict:
     return out
 
 
-def _commit(tree: Path) -> str:
-    proc = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"], capture_output=True, text=True, check=True)
-    dirty = subprocess.run(["git", "-C", str(tree), "status", "--porcelain"], capture_output=True, text=True)
-    return proc.stdout.strip() + ("+uncommitted" if dirty.stdout.strip() else "")
+def _commit(rev: str, checkout: bool = False) -> str:
+    """REV's commit in this repository; for this ``checkout``, marked when it has uncommitted edits."""
+    git = ["git", "-C", str(ROOT)]
+    proc = subprocess.run([*git, "rev-parse", "--verify", f"{rev}^{{commit}}"], capture_output=True, text=True, check=True)
+    dirty = checkout and subprocess.run([*git, "status", "--porcelain"], capture_output=True, text=True).stdout.strip()
+    return proc.stdout.strip() + ("+uncommitted" if dirty else "")
 
 
 def bench_run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -247,9 +250,9 @@ def main(argv=None) -> int:
     seeds = parse_seeds(args.seeds)
 
     sys.path.insert(0, str(ROOT / "tools"))
-    from output_digest import worktree
+    from output_digest import archived_tree
 
-    with worktree(args.base) as base_tree:
+    with archived_tree(args.base) as base_tree:
         trees = {"base": base_tree, "candidate": ROOT}
         bench = json.loads((base_tree / "BENCHMARK.json").read_text())
         pairs = []
@@ -271,7 +274,7 @@ def main(argv=None) -> int:
             print(f"ab: counters {workload} done", file=sys.stderr)
         tier1 = {side: tier1_run(trees[side]) for side in SIDES}
         verify = {side: verify_run(trees[side]) for side in SIDES}
-        commits = {side: _commit(trees[side]) for side in SIDES}
+    commits = {"base": _commit(args.base), "candidate": _commit("HEAD", checkout=True)}
     digest = {"args": list(DIGEST_ARGS), **digest_diff(args.base)}
 
     summary = summarize(pairs, bench["end_to_end"])

@@ -42,11 +42,12 @@ apart from any solver.
 Two trees compute the same bits exactly when their outputs diff clean, so
 running this on a copy of the parent commit and on a change is the evidence
 for a bit-identical refactor; running it twice on one tree checks
-determinism.  ``--against REV`` does the first in one call: it checks REV
-out into a temporary git worktree, runs REV's copy of this tool there with
-the same workload, seed and size, removes the worktree, and prints instead
-of the report one line per key that moved or that only one side has; the
-exit code is 1 when any line is printed.
+determinism.  ``--against REV`` does the first in one call: it extracts
+``git archive REV`` into a temporary directory, which writes nothing under
+``.git``, runs REV's copy of this tool there with the same workload, seed
+and size, removes the directory, and prints instead of the report one line
+per key that moved or that only one side has; the exit code is 1 when any
+line is printed.
 """
 
 from __future__ import annotations
@@ -56,10 +57,12 @@ import contextlib
 import dataclasses
 import hashlib
 import importlib
+import io
 import itertools
 import json
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -359,24 +362,25 @@ def diff_digests(a: dict, b: dict) -> list[str]:
 
 
 @contextlib.contextmanager
-def worktree(rev: str):
-    """A temporary git worktree of REV, removed on exit."""
-    git = ["git", "-C", str(ROOT), "worktree"]
+def archived_tree(rev: str):
+    """REV's committed files, extracted from ``git archive REV`` into a temporary directory removed on exit.
+
+    Nothing is written under ``.git``; the tree is not a git checkout.
+    """
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev], check=True, stdout=subprocess.PIPE)
     with tempfile.TemporaryDirectory(prefix="output-digest-") as tmp:
         tree = Path(tmp) / "tree"
-        subprocess.run([*git, "add", "--quiet", "--detach", str(tree), rev], check=True)
-        try:
-            yield tree
-        finally:
-            subprocess.run([*git, "remove", "--force", str(tree)], check=True)
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tree, filter="data")
+        yield tree
 
 
 def _report_at(rev: str, argv: list[str]) -> dict:
-    """The report of REV's copy of this tool, run in a temporary git worktree.
+    """The report of REV's copy of this tool, run in a temporary ``git archive`` tree.
 
     Errors of git and of REV's run pass through on standard error.
     """
-    with worktree(rev) as tree:
+    with archived_tree(rev) as tree:
         proc = subprocess.run(
             [sys.executable, str(tree / "tools" / "output_digest.py"), *argv],
             check=True, stdout=subprocess.PIPE, text=True,
